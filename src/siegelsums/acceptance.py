@@ -19,6 +19,7 @@ from .matcore import (
     GaussianInt,
     HalfIntegralForm,
     IntMat2,
+    _xgcd,
     gaussian_totient,
 )
 from . import expsums, kernels, lfun, petersson, sp4
@@ -90,7 +91,7 @@ def criterion_2(threads: int = 1) -> dict:
                 fact = expsums.kloosterman_factored(q, t, 3, c, threads=threads)
                 brute = expsums.kloosterman(q, t, c.scale(3), threads=threads)
                 max_dev = max(max_dev, abs(fact.value - brute.value))
-                g, s0, t0 = expsums._xgcd(3, cdet)
+                g, s0, t0 = _xgcd(3, cdet)
                 alt = expsums.kloosterman_factored(
                     q, t, 3, c, bezout=(s0 + cdet, t0 - 3), threads=threads)
                 max_bezout_dev = max(max_bezout_dev,

@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=FORMATS,
                     default=os.environ.get("SIEGELSUMS_FORMAT", "json"),
                     help="output format (env SIEGELSUMS_FORMAT)")
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    ap.add_argument("--threads", type=int, default=1,
                     help="worker threads for the big sums (results are "
                          "identical for any value)")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -23,6 +23,7 @@ from .matcore import (
     HalfIntegralForm,
     IntMat2,
     SingularModulusError,
+    _xgcd,
     gaussian_totient,
     is_go2,
     is_prime,
@@ -153,20 +154,6 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
                     method="factored")
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int,
           sign: int) -> SumValue:
     """Salie-type sum H^{+/-}(P, S; c).
@@ -257,7 +244,6 @@ def twisted_average(c: IntMat2, q1: int, q2: int) -> SumValue:
     cdet = abs(c.det())
     m1 = math.lcm(abs(q1), cdet)
     m2 = math.lcm(abs(q2), cdet)
-    data = sp4.coset_data(c)
     total = 0j
     terms = 0
     for mu1 in range(m1):
@@ -268,10 +254,10 @@ def twisted_average(c: IntMat2, q1: int, q2: int) -> SumValue:
             ch2 = kronecker(q2, mu2)
             if ch2 == 0:
                 continue
-            v = np.array([mu2, 0, mu2, mu1, 0, mu1], dtype=np.int64)
-            nums = (data.weights @ v) % data.m
-            total += ch1 * ch2 * _tally_value(nums, data.m)
-            terms += data.count
+            k = kloosterman(HalfIntegralForm.scalar(mu2),
+                            HalfIntegralForm.scalar(mu1), c)
+            total += ch1 * ch2 * k.value
+            terms += k.terms
     expected = 0j
     if q1 == 1 and q2 == 1:
         expected = complex(cdet * cdet * gaussian_totient(GaussianInt(c.a, c.b)))

@@ -149,6 +149,7 @@ def script_j(ell: float, arg: KernelArg, tol: float = 1e-11) -> float:
 
     Composite Gauss-Legendre quadrature with panel doubling until the value
     moves by less than ``tol`` (absolute); deterministic for fixed inputs.
+    Raises ArithmeticError if 12 doublings do not reach ``tol``.
     """
     s1, s2 = arg.s_values()
     a1 = 4.0 * math.pi * s1
@@ -168,7 +169,8 @@ def script_j(ell: float, arg: KernelArg, tol: float = 1e-11) -> float:
             return float(total)
         prev = total
         panels *= 2
-    return float(prev)
+    raise ArithmeticError(
+        f"script_j({ell}, {arg}) did not converge to {tol} in 12 doublings")
 
 
 def script_j_for_forms(ell: float, t_form: HalfIntegralForm,

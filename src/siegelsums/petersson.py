@@ -21,6 +21,7 @@ from scipy.special import loggamma as _loggamma
 from .matcore import (
     HalfIntegralForm,
     IntMat2,
+    _xgcd,
     elementary_divisors,
     aut_count,
     gl2_equivalence,
@@ -28,7 +29,7 @@ from .matcore import (
     is_prime,
     representations,
 )
-from .expsums import kloosterman, salie, _xgcd
+from .expsums import kloosterman, salie
 from .kernels import (
     KernelArg,
     TruncationBox,
@@ -316,7 +317,7 @@ def spectral_gram(forms: list[HalfIntegralForm],
     budget = np.zeros((m, m))
     for i, ti in enumerate(forms):
         for j, tj in enumerate(forms):
-            h = h_fourier(ti, tj, params)  # T = T_i, Q = T_j
+            h = h_fourier(tj, ti, params)  # Q = T_j, T = T_i
             scale = tj.det() ** kappa / (ti.det() ** kappa * 8 * norm.c_n)
             g[i, j] = h.total * scale
             budget[i, j] = h.tail_bound * scale

@@ -148,9 +148,9 @@ def enumerate_bottom_cosets(c: IntMat2) -> list[IntMat2]:
     return [pair[0] for pair in _coset_pairs(c)]
 
 
-@lru_cache(maxsize=None)
 def _coset_pairs(c: IntMat2) -> tuple[tuple[IntMat2, IntMat2], ...]:
-    """Cached (D, A) pairs for all bottom-row cosets of modulus C."""
+    """(D, A) pairs for all bottom-row cosets of modulus C (not cached:
+    ``coset_data`` memoizes the table built from them)."""
     det = c.det()
     if det == 0:
         raise SingularModulusError("singular modulus")
@@ -237,5 +237,4 @@ def coset_data(c: IntMat2) -> CosetData:
 
 def clear_caches() -> None:
     """Drop the memoized coset tables (used by determinism re-runs)."""
-    _coset_pairs.cache_clear()
     coset_data.cache_clear()

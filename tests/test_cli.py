@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from siegelsums import cli
+from siegelsums import acceptance, cli, verify
 
 
 def run_cli(capsys, *argv):
@@ -120,3 +120,43 @@ class TestDeterminism:
         _, out1 = run_cli(capsys, *args)
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
+
+
+class TestVerify:
+    @staticmethod
+    def fake_battery(monkeypatch, failing=(), raising=()):
+        """Replace the criteria with instant stand-ins; returns the call log."""
+        calls = []
+
+        def make(number):
+            def criterion(threads=1):
+                calls.append(number)
+                if number in raising:
+                    raise ArithmeticError("boom")
+                return {"criterion": number, "name": f"stand-in {number}",
+                        "pass": number not in failing}
+            return criterion
+
+        monkeypatch.setattr(acceptance, "CRITERIA",
+                            [make(n) for n in range(1, 10)])
+        return calls
+
+    def test_all_runs_each_selected_criterion_once(self, monkeypatch):
+        calls = self.fake_battery(monkeypatch)
+        assert verify.run_suite("all") == (6, 0, [])
+        assert sorted(calls) == [1, 2, 3, 4, 5, 7, 8]
+
+    def test_failures_name_the_criterion(self, monkeypatch):
+        self.fake_battery(monkeypatch, failing=(3,), raising=(8,))
+        passed, failed, failures = verify.run_suite("all")
+        # criterion 3 fails matcore, sp4, expsums; 8 fails lfun, petersson
+        assert (passed, failed) == (1, 5)
+        assert "matcore: criterion 3: stand-in 3 failed" in failures
+        assert "lfun: criterion 8: ArithmeticError('boom')" in failures
+
+    def test_failing_module_exits_1(self, capsys, monkeypatch):
+        self.fake_battery(monkeypatch, failing=(7,))
+        code, out = run_cli(capsys, "verify", "--module", "kernels")
+        assert code == 1
+        assert json.loads(out)["failures"] == [
+            "kernels: criterion 7: stand-in 7 failed"]

@@ -74,6 +74,10 @@ class TestScriptJ:
             v2 = script_j(8.5, KernelArg(*eigs), tol=1e-13)
             assert abs(v1 - v2) < 1e-10
 
+    def test_unconverged_raises(self):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            script_j(8.5, KernelArg(1.0, 2.0), tol=1e-30)
+
     def test_small_eigenvalue_envelope(self):
         # |J_nu(x)| <= (x/2)^nu / Gamma(nu+1) (DLMF 10.14.4) inside the
         # integral gives |script_j| <= C (s1 s2)^ell, with C sharp as the

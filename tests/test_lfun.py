@@ -84,7 +84,7 @@ class TestDirichletL:
     def test_dedekind_factorization(self):
         for s in (2.0, 1.1 + 0.4j, 0.7 + 2.0j):
             assert abs(zeta_gaussian(s)
-                       - zeta(s) * dirichlet_l(s, -4).value) < 1e-10
+                       - zeta(s) * dirichlet_l(s, -4).value) < 1e-12
 
     def test_imprimitive_euler_factor(self):
         # chi_16 is principal on odd integers: L(s, chi_16) = zeta(s)(1 - 2^-s)

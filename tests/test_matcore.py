@@ -218,6 +218,15 @@ class TestGaussianTotient:
                         == gaussian_totient(g1) * gaussian_totient(g2))
 
 
+    def test_multiplicative_on_conjugate_split_primes(self):
+        # pi and its conjugate are coprime in Z[i] although their norms
+        # are equal, so the coprime-norm test above never pairs them
+        for pi in (GaussianInt(2, 1), GaussianInt(3, 2), GaussianInt(4, 1)):
+            conj = pi.conj()
+            assert (gaussian_totient(pi.mul(conj))
+                    == gaussian_totient(pi) * gaussian_totient(conj))
+
+
 class TestGO2:
     def test_examples(self):
         assert is_go2(I)

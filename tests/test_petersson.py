@@ -71,17 +71,22 @@ class TestHFourier:
 
 class TestGram:
     def test_two_form_gram(self, params):
-        res = spectral_gram([HI, D12], params)
-        g, budget = res.matrix, res.tail_budget
-        # diagonal entries approximate sums of |a_F|^2 / ||F||^2: real, positive
-        for i in range(2):
-            assert g[i, i].real > 0
-            assert abs(g[i, i].imag) <= budget[i, i]
-        for i in range(2):
-            for j in range(2):
-                assert (abs(g[i, j] - g[j, i].conjugate())
-                        <= budget[i, j] + budget[j, i])
-        assert res.min_eigenvalue >= -float(np.sum(budget))
+        # h((1,1,1), (1,0,1)) is far from 0 (entries ~1e12), so the second
+        # pair shows whether mirrored entries carry the determinant scale
+        # the same way round
+        for forms in ([HI, D12], [HalfIntegralForm(1, 1, 1), HI]):
+            res = spectral_gram(forms, params)
+            g, budget = res.matrix, res.tail_budget
+            # diagonal entries approximate sums of |a_F|^2 / ||F||^2: real,
+            # positive
+            for i in range(2):
+                assert g[i, i].real > 0
+                assert abs(g[i, i].imag) <= budget[i, i]
+            for i in range(2):
+                for j in range(2):
+                    assert (abs(g[i, j] - g[j, i].conjugate())
+                            <= budget[i, j] + budget[j, i])
+            assert res.min_eigenvalue >= -float(np.sum(budget))
 
     def test_empty(self, params):
         res = spectral_gram([], params)
