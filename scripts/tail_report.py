@@ -6,7 +6,8 @@ lattice-counting diagnostics."""
 import argparse
 import sys
 
-from siegelsums.kernels import TruncationBox, tail_diagnostic
+from siegelsums.kernels import TruncationBox
+from siegelsums.petersson import tail_diagnostic
 
 
 def main() -> int:

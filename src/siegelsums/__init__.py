@@ -39,7 +39,6 @@ from .kernels import (
     TruncationBox,
     bessel_j,
     script_j,
-    tail_diagnostic,
     truncation_set,
     weight_w,
 )
@@ -60,6 +59,7 @@ from .petersson import (
     leading_coeff_fit,
     main_term_residue,
     spectral_gram,
+    tail_diagnostic,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Archimedean ingredients: Bessel functions, the double-Bessel kernel,
-the smooth Mellin weight, and the rank-2 truncation set with tail
-diagnostics.
+the gamma and polynomial factors of the smooth Mellin weight, the rank-2
+truncation set and its shell, and Minkowski samples of shell moduli.
 
 The production Bessel evaluator delegates to scipy's jv; an ascending
 series and an integral-representation quadrature are kept alongside as
@@ -37,20 +37,31 @@ def bessel_j(nu: float, x: float) -> float:
 
 
 def bessel_j_series(nu: float, x: float, tol: float = 1e-17) -> float:
-    """Ascending power series for J_nu(x); reliable for x up to ~20."""
+    """Ascending power series for J_nu(x).
+
+    Raises ArithmeticError when 500 terms do not reach ``tol``, or when the
+    rounding left by cancellation (largest term * 2^-52) exceeds
+    1e-10 * max(1, |J|); at nu = 1/2 the latter happens from about x = 20.
+    """
     if x <= 0:
         raise ValueError("x must be positive")
     log_lead = nu * math.log(x / 2) - math.lgamma(nu + 1)
     term = math.exp(log_lead)
     total = term
-    m = 0
+    largest = abs(term)
     q = -0.25 * x * x
-    while m < 500:
-        m += 1
+    for m in range(1, 501):
         term *= q / (m * (m + nu))
         total += term
+        largest = max(largest, abs(term))
         if abs(term) < tol * max(abs(total), 1e-300):
             break
+    else:
+        raise ArithmeticError(
+            f"bessel_j_series({nu}, {x}) did not converge in 500 terms")
+    if largest * 2.0 ** -52 > 1e-10 * max(1.0, abs(total)):
+        raise ArithmeticError(
+            f"bessel_j_series({nu}, {x}) loses its accuracy to cancellation")
     return total
 
 
@@ -204,23 +215,27 @@ def weight_w(x: float, k: int, poly: str = "1-s^2",
     if k < 10 or k % 2:
         raise ValueError("weight must be an even integer >= 10")
     nodes, weights = _gauss_legendre(16)
-    lg_norm = math.lgamma(k - 1)
     panels = int(math.ceil(height / panel))
     total = 0.0
     for i in range(panels):
         a = i * panel
         tau = a + panel * nodes
         s = 2.0 + 1j * tau
-        g = np.exp(-2 * s * math.log(2 * math.pi) + _loggamma(s + 1)
-                   + _loggamma(s + k - 1) - lg_norm)
-        pf = _poly_factor(s, poly)
-        integrand = g * pf * np.exp(-s * math.log(x)) / s
+        integrand = (gamma_factor(s, k) * poly_factor(s, poly)
+                     * np.exp(-s * math.log(x)) / s)
         total += panel * np.dot(weights, integrand.real)
     # conjugate symmetry: the full line integral is twice the real half
     return float(total / math.pi)
 
 
-def _poly_factor(s, poly: str):
+def gamma_factor(s: np.ndarray, k: int) -> np.ndarray:
+    """(2 pi)^{-2s} Gamma(s+1) Gamma(s+k-1) / Gamma(k-1)."""
+    return np.exp(-2 * s * math.log(2 * math.pi) + _loggamma(s + 1)
+                  + _loggamma(s + k - 1) - math.lgamma(k - 1))
+
+
+def poly_factor(s, poly: str):
+    """The polynomial factor named by ``poly``: "1-s^2" or "(1-s)^2"."""
     if poly == "1-s^2":
         return 1.0 - s * s
     if poly == "(1-s)^2":
@@ -297,29 +312,7 @@ def truncation_set(box: TruncationBox):
 
 
 # ---------------------------------------------------------------------------
-# Tail diagnostics for the rank-2 truncation
-
-
-@dataclass(frozen=True)
-class MinkowskiSample:
-    matrix: SymRat2
-    short_count: int
-    short_constant: float      # count * sqrt(det A)
-    weighted_sum: float        # sum over tr(A[U]) > 1 of det^{5/4} tr^{-3/2}
-    weighted_constant: float   # weighted_sum / det^{3/4}
-
-
-@dataclass(frozen=True)
-class TailReport:
-    level: int
-    weight: int
-    beta: float
-    m_bound: int
-    shell_size: int
-    observed_tail: float
-    predicted_exponent: float
-    predicted_envelope: float
-    minkowski_samples: tuple[MinkowskiSample, ...]
+# The shell just outside the box and its Minkowski samples
 
 
 def shell_matrices(box: TruncationBox, width: int = 1) -> list[IntMat2]:
@@ -340,53 +333,20 @@ def shell_matrices(box: TruncationBox, width: int = 1) -> list[IntMat2]:
     return out
 
 
-def tail_diagnostic(m1: int, m2: int, level: int, k: int, beta: float,
-                    shell_width: int = 1) -> TailReport:
-    """Observed size of the rank-2 summand just outside the truncation box.
-
-    Sums |K(m2 I, m1 I; N C)| / (N^3 |det C|^{3/2}) * |kernel| over a finite
-    shell around the box and reports it next to the predicted envelope
-    N^{-1-beta+5(1+beta)/(2 ell)}; also samples Minkowski-reduced forms
-    attached to moduli in the shell and records lattice-point counting
-    ratios for the short-vector and weighted-trace sums.
-    """
-    from .expsums import kloosterman  # local import; avoids a cycle
-
-    ell = k - 1.5
-    box = TruncationBox(beta=beta, level=level, ell=ell)
-    q_form = HalfIntegralForm.scalar(m2)
-    t_form = HalfIntegralForm.scalar(m1)
-    shell = shell_matrices(box, shell_width) if shell_width > 0 else []
-    observed = 0.0
-    for c in shell:
-        nc = c.scale(level)
-        kv = kloosterman(q_form, t_form, nc)
-        arg = _kernel_arg_scaled(c, m1 * m2, level)
-        observed += (abs(kv.value) / (level ** 3 * abs(c.det()) ** 1.5)
-                     * abs(script_j(ell, arg)))
-    exponent = -1.0 - beta + 5.0 * (1.0 + beta) / (2.0 * ell)
-    samples = tuple(_minkowski_sample(c) for c in _sample_moduli(shell))
-    return TailReport(
-        level=level, weight=k, beta=beta, m_bound=box.m_bound,
-        shell_size=len(shell), observed_tail=observed,
-        predicted_exponent=exponent,
-        predicted_envelope=float(level) ** exponent,
-        minkowski_samples=samples,
-    )
+@dataclass(frozen=True)
+class MinkowskiSample:
+    matrix: SymRat2
+    short_count: int
+    short_constant: float      # count * sqrt(det A)
+    weighted_sum: float        # sum over tr(A[U]) > 1 of det^{5/4} tr^{-3/2}
+    weighted_constant: float   # weighted_sum / det^{3/4}
 
 
-def _kernel_arg_scaled(c: IntMat2, m1m2: int, level: int) -> KernelArg:
-    det = c.det()
-    cinv = np.array([[c.d, -c.b], [-c.c, c.a]], dtype=float) / det
-    mat = (m1m2 / level ** 2) * (cinv @ cinv.T)
-    return KernelArg.from_matrix(mat)
-
-
-def _sample_moduli(shell: list[IntMat2]) -> list[IntMat2]:
-    picks = [IntMat2.identity()]
+def minkowski_samples(shell: list[IntMat2]) -> tuple[MinkowskiSample, ...]:
+    """Samples for the identity and up to four moduli spread over the shell."""
     step = max(1, len(shell) // 4)
-    picks.extend(shell[::step][:4])
-    return picks
+    picks = [IntMat2.identity()] + shell[::step][:4]
+    return tuple(_minkowski_sample(c) for c in picks)
 
 
 def _minkowski_sample(c: IntMat2, bound: float = 12.0) -> MinkowskiSample:

@@ -3,8 +3,10 @@ coefficients, and numeric L-values near the real axis.
 
 L(s, chi_q) is evaluated through the Hurwitz-zeta decomposition
 L(s, chi) = m^{-s} sum_{a mod m} chi(a) zeta(s, a/m) with Euler-Maclaurin
-evaluation of the Hurwitz zeta; accuracy is ~1e-12 on the region used here
-(Re s >= 1/4, |Im s| <= ~12, |s - 1| >= 1e-3).
+evaluation of the Hurwitz zeta, in one vectorised evaluator that the scalar
+functions call with a length-one array.  Accuracy is ~1e-12 on the region
+used here (Re s >= 1/4, |Im s| <= ~12), through s = 1 for non-principal
+characters.
 """
 
 from __future__ import annotations
@@ -52,38 +54,14 @@ _BERNOULLI = [
 _EM_TERMS = 28
 
 
-def _em_regular(s: complex, a: float) -> complex:
-    """Everything in the Euler-Maclaurin formula except w^{1-s}/(s-1):
-    zeta(s, a) = _em_regular(s, a) + w^{1-s}/(s-1), w = _EM_TERMS + a."""
-    total = 0j
-    for n in range(_EM_TERMS):
-        total += (n + a) ** (-s)
-    w = _EM_TERMS + a
-    total += 0.5 * w ** (-s)
-    poch = s
-    wpow = w ** (-s - 1)
-    fact = 2.0
-    for i, b in enumerate(_BERNOULLI):
-        total += b / fact * poch * wpow
-        # advance (s)_{2i+1} -> (s)_{2i+3} and w^{-s-2i-1} -> w^{-s-2i-3}
-        poch *= (s + 2 * i + 1) * (s + 2 * i + 2)
-        wpow /= w * w
-        fact *= (2 * i + 3) * (2 * i + 4)
-    return total
+def _hurwitz_regular(s: np.ndarray, a: float) -> np.ndarray:
+    """zeta(s, a) - 1/(s - 1) by Euler-Maclaurin after _EM_TERMS terms.
 
-
-def hurwitz_zeta(s: complex, a: float) -> complex:
-    """zeta(s, a) = sum_{n >= 0} (n + a)^{-s} for 0 < a <= 1, s != 1."""
-    if a <= 0 or a > 1:
-        raise ValueError("a must satisfy 0 < a <= 1")
-    if abs(s - 1) < 1e-14:
-        raise PoleError("pole")
-    w = _EM_TERMS + a
-    return _em_regular(s, a) + w ** (1 - s) / (s - 1)
-
-
-def _em_regular_vec(s: np.ndarray, a: float) -> np.ndarray:
-    s = np.asarray(s, dtype=complex)
+    With w = _EM_TERMS + a the singular part w^{1-s}/(s-1) is split as
+    (w^{1-s} - 1)/(s - 1) + 1/(s - 1); the first piece is computed with
+    expm1 and takes its limit -log w at s = 1, so the result is continuous
+    through s = 1.
+    """
     total = np.zeros_like(s)
     for n in range(_EM_TERMS):
         total += np.exp(-s * math.log(n + a))
@@ -95,29 +73,35 @@ def _em_regular_vec(s: np.ndarray, a: float) -> np.ndarray:
     fact = 2.0
     for i, b in enumerate(_BERNOULLI):
         total += (b / fact) * poch * wpow
+        # advance (s)_{2i+1} -> (s)_{2i+3} and w^{-s-2i-1} -> w^{-s-2i-3}
         poch = poch * (s + 2 * i + 1) * (s + 2 * i + 2)
         wpow = wpow / (w * w)
         fact *= (2 * i + 3) * (2 * i + 4)
+    d = s - 1
+    total += np.divide(np.expm1(-d * lw), d, out=np.full_like(s, -lw),
+                       where=d != 0)
     return total
 
 
+def _pole(s: np.ndarray, residue: int) -> np.ndarray:
+    """residue / (s - 1); raises PoleError within 1e-14 of s = 1."""
+    if np.any(np.abs(s - 1) < 1e-14):
+        raise PoleError("pole")
+    return residue / (s - 1)
+
+
 def hurwitz_zeta_vec(s: np.ndarray, a: float) -> np.ndarray:
-    """Vectorized Euler-Maclaurin Hurwitz zeta over an array of s values."""
+    """zeta(s, a) = sum_{n >= 0} (n + a)^{-s} for 0 < a <= 1 over an array
+    of s values; raises PoleError when an entry is within 1e-14 of 1."""
     if a <= 0 or a > 1:
         raise ValueError("a must satisfy 0 < a <= 1")
     s = np.asarray(s, dtype=complex)
-    w = _EM_TERMS + a
-    return _em_regular_vec(s, a) + np.exp((1 - s) * math.log(w)) / (s - 1)
+    return _hurwitz_regular(s, a) + _pole(s, 1)
 
 
-def _singular_stable(s: complex, w: float) -> complex:
-    """(w^{1-s} - 1) / (s - 1), continuous through s = 1."""
-    z = (1 - s) * math.log(w)
-    if abs(z) < 1e-8:
-        phi = 1.0 + z / 2 + z * z / 6
-    else:
-        phi = (cmath.exp(z) - 1) / z
-    return -math.log(w) * phi
+def hurwitz_zeta(s: complex, a: float) -> complex:
+    """Scalar form of hurwitz_zeta_vec."""
+    return complex(hurwitz_zeta_vec(np.array([complex(s)]), a)[0])
 
 
 def character_period(q: int) -> int:
@@ -127,57 +111,39 @@ def character_period(q: int) -> int:
     return abs(q) if q % 4 in (0, 1) else 4 * abs(q)
 
 
-def dirichlet_l(s: complex, q: int) -> LValue:
-    """L(s, chi_q) with chi_q(n) = kronecker(q, n); q = 1 gives zeta(s).
+def dirichlet_l_vec(s: np.ndarray, q: int) -> np.ndarray:
+    """L(s, chi_q) over an array of s values; chi_q(n) = kronecker(q, n),
+    and q = 1 gives zeta(s).
 
     q may be any integer whose Kronecker character is of interest; the
     principal-character factors (e.g. q = 16) keep their imprimitive Euler
-    factors.  Raises PoleError at s = 1 when the character is principal.
-    Non-principal characters evaluate stably through s = 1: the Hurwitz
-    1/(s-1) singularities cancel because the character values sum to zero.
+    factors.  Raises PoleError when the character is principal and an
+    entry is within 1e-14 of s = 1.  Non-principal characters evaluate
+    stably through s = 1: the Hurwitz 1/(s-1) singularities cancel because
+    the character values sum to zero.
     """
-    s = complex(s)
-    m = character_period(q)
-    if m == 1:
-        val = hurwitz_zeta(s, 1.0)  # raises PoleError at s = 1
-    else:
-        total = 0j
-        char_sum = 0
-        for a in range(1, m + 1):
-            ch = kronecker(q, a)
-            if ch:
-                w = _EM_TERMS + a / m
-                total += ch * (_em_regular(s, a / m) + _singular_stable(s, w))
-                char_sum += ch
-        if char_sum:
-            if abs(s - 1) < 1e-14:
-                raise PoleError("pole")
-            total += char_sum / (s - 1)
-        val = m ** (-s) * total
-    if abs(val.imag) < 1e-14 and abs(s.imag) == 0:
-        val = complex(val.real, 0.0)
-    return LValue(s=s, value=val, method="euler-maclaurin")
-
-
-def dirichlet_l_vec(s: np.ndarray, q: int) -> np.ndarray:
-    """Vectorized L(s, chi_q) over an array of s values (s != 1 entrywise)."""
     s = np.asarray(s, dtype=complex)
     m = character_period(q)
-    if m == 1:
-        return hurwitz_zeta_vec(s, 1.0)
     total = np.zeros_like(s)
     char_sum = 0
     for a in range(1, m + 1):
         ch = kronecker(q, a)
         if ch:
-            w = _EM_TERMS + a / m
-            lw = math.log(w)
-            total += ch * (_em_regular_vec(s, a / m)
-                           + (np.exp((1 - s) * lw) - 1) / (s - 1))
+            total += ch * _hurwitz_regular(s, a / m)
             char_sum += ch
     if char_sum:
-        total += char_sum / (s - 1)
+        total += _pole(s, char_sum)
     return np.exp(-s * math.log(m)) * total
+
+
+def dirichlet_l(s: complex, q: int) -> LValue:
+    """Scalar form of dirichlet_l_vec; the imaginary part of a real-axis
+    value is rounded to zero below 1e-14."""
+    s = complex(s)
+    val = complex(dirichlet_l_vec(np.array([s]), q)[0])
+    if abs(val.imag) < 1e-14 and abs(s.imag) == 0:
+        val = complex(val.real, 0.0)
+    return LValue(s=s, value=val, method="euler-maclaurin")
 
 
 def zeta(s: complex) -> complex:

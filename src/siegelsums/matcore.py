@@ -622,12 +622,12 @@ def representations(t: HalfIntegralForm, s: int) -> list[tuple[int, int]]:
     return out
 
 
-def gl2_equivalence(q: HalfIntegralForm, t: HalfIntegralForm) -> IntMat2 | None:
-    """A unimodular U with U^T Q U = T, or None if the forms are inequivalent."""
-    q.require_positive_definite()
-    t.require_positive_definite()
-    if q.det4() != t.det4():
-        return None
+def _isometries(q: HalfIntegralForm, t: HalfIntegralForm):
+    """Yields every U in GL2(Z) with U^T Q U = T.
+
+    The columns of U represent t1 and t4 by Q, so the search runs over
+    pairs of representations and keeps the unimodular ones with the right
+    cross term."""
     q2 = q.doubled()
     for u1 in representations(q, t.t1):
         for u2 in representations(q, t.t4):
@@ -637,21 +637,19 @@ def gl2_equivalence(q: HalfIntegralForm, t: HalfIntegralForm) -> IntMat2 | None:
             # cross term: first column^T (2Q) second column must equal t2
             v = q2.apply(u2[0], u2[1])
             if u1[0] * v[0] + u1[1] * v[1] == t.t2:
-                return cand
-    return None
+                yield cand
+
+
+def gl2_equivalence(q: HalfIntegralForm, t: HalfIntegralForm) -> IntMat2 | None:
+    """A unimodular U with U^T Q U = T, or None if the forms are inequivalent."""
+    q.require_positive_definite()
+    t.require_positive_definite()
+    if q.det4() != t.det4():
+        return None
+    return next(_isometries(q, t), None)
 
 
 def aut_count(t: HalfIntegralForm) -> int:
     """Order of Aut(T) = {U in GL2(Z) : U^T T U = T}."""
     t.require_positive_definite()
-    t2 = t.doubled()
-    count = 0
-    for u1 in representations(t, t.t1):
-        for u2 in representations(t, t.t4):
-            cand = IntMat2(u1[0], u2[0], u1[1], u2[1])
-            if not cand.is_unimodular():
-                continue
-            v = t2.apply(u2[0], u2[1])
-            if u1[0] * v[0] + u1[1] * v[1] == t.t2:
-                count += 1
-    return count
+    return sum(1 for _ in _isometries(t, t))

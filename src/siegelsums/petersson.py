@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
 
 from .matcore import (
     HalfIntegralForm,
@@ -32,8 +31,12 @@ from .matcore import (
 from .expsums import kloosterman, salie
 from .kernels import (
     KernelArg,
+    MinkowskiSample,
     TruncationBox,
     bessel_j,
+    gamma_factor,
+    minkowski_samples,
+    poly_factor,
     script_j,
     script_j_for_forms,
     shell_matrices,
@@ -138,19 +141,17 @@ def _complete_first_column(v1: int, v3: int) -> IntMat2:
 
 
 def _rank1_term_value(q: HalfIntegralForm, t: HalfIntegralForm,
-                      u: IntMat2, v: IntMat2, c: int, sign: int,
-                      check_completion: bool = True) -> complex:
+                      u: IntMat2, v: IntMat2, c: int, sign: int) -> complex:
     vinv = v.adj().scale(v.det())
     p_form = q.conjugate_right(u)
     s_form = t.conjugate_right(vinv)
     val = salie(p_form, s_form, c, sign).value
-    if check_completion:
-        # the Salie value must not depend on the free rows of U and V
-        u_alt = IntMat2(u.a + u.c, u.b + u.d, u.c, u.d)
-        val_alt = salie(q.conjugate_right(u_alt), s_form, c, sign).value
-        if abs(val - val_alt) > 1e-8 * max(1.0, abs(val)):
-            raise ArithmeticError(
-                f"Salie term depends on the completion of {u}: {val} vs {val_alt}")
+    # the Salie value must not depend on the free rows of U and V
+    u_alt = IntMat2(u.a + u.c, u.b + u.d, u.c, u.d)
+    val_alt = salie(q.conjugate_right(u_alt), s_form, c, sign).value
+    if abs(val - val_alt) > 1e-8 * max(1.0, abs(val)):
+        raise ArithmeticError(
+            f"Salie term depends on the completion of {u}: {val} vs {val_alt}")
     return val
 
 
@@ -211,11 +212,12 @@ def _script_j_cached(ell: float, e1: float, e2: float) -> float:
 
 
 def _rank2_terms(q: HalfIntegralForm, t: HalfIntegralForm,
-                 params: SpectralParams):
-    """Yields (C', term) over the truncation box, term = K/(det)^{3/2} * kernel."""
+                 params: SpectralParams, moduli):
+    """Yields (C', term) over the moduli C' (the box or its shell), with
+    term = K(Q, T; N C') / |det N C'|^{3/2} * kernel."""
     n = params.level
     ell = params.ell
-    for cp in truncation_set(params.box):
+    for cp in moduli:
         c = cp.scale(n)
         kv = kloosterman(q, t, c)
         if kv.value == 0:
@@ -229,7 +231,7 @@ def _rank2_terms(q: HalfIntegralForm, t: HalfIntegralForm,
 def _rank2_sum(q: HalfIntegralForm, t: HalfIntegralForm,
                params: SpectralParams) -> tuple[complex, float]:
     total = 0j
-    for _, term in _rank2_terms(q, t, params):
+    for _, term in _rank2_terms(q, t, params, truncation_set(params.box)):
         total += term
     return total, _rank2_shell_bound(q, t, params)
 
@@ -238,7 +240,7 @@ def rank2_shell_sums(q: HalfIntegralForm, t: HalfIntegralForm,
                      params: SpectralParams) -> dict[int, complex]:
     """Partial rank-2 sums grouped by |det C'| (decay diagnostic)."""
     shells: dict[int, complex] = {}
-    for cp, term in _rank2_terms(q, t, params):
+    for cp, term in _rank2_terms(q, t, params, truncation_set(params.box)):
         d = abs(cp.det())
         shells[d] = shells.get(d, 0j) + term
     return shells
@@ -266,6 +268,45 @@ def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
         kern = _script_j_cached(ell, arg.eig1, arg.eig2)
         bound += k_env * abs(kern) / abs(c.det()) ** 1.5
     return 2.0 * bound
+
+
+@dataclass(frozen=True)
+class TailReport:
+    level: int
+    weight: int
+    beta: float
+    m_bound: int
+    shell_size: int
+    observed_tail: float
+    predicted_exponent: float
+    predicted_envelope: float
+    minkowski_samples: tuple[MinkowskiSample, ...]
+
+
+def tail_diagnostic(m1: int, m2: int, level: int, k: int, beta: float,
+                    shell_width: int = 1) -> TailReport:
+    """Observed size of the rank-2 summand just outside the truncation box.
+
+    Sums |K(m2 I, m1 I; N C)| / (N^3 |det C|^{3/2}) * |kernel| over a finite
+    shell around the box and reports it next to the predicted envelope
+    N^{-1-beta+5(1+beta)/(2 ell)}; also samples Minkowski-reduced forms
+    attached to moduli in the shell and records lattice-point counting
+    ratios for the short-vector and weighted-trace sums.
+    """
+    box = TruncationBox(beta=beta, level=level, ell=k - 1.5)
+    params = SpectralParams(k=k, level=level, box=box)
+    shell = shell_matrices(box, shell_width)  # empty when shell_width <= 0
+    terms = _rank2_terms(HalfIntegralForm.scalar(m2),
+                         HalfIntegralForm.scalar(m1), params, shell)
+    observed = sum(abs(term) for _, term in terms)
+    exponent = -1.0 - beta + 5.0 * (1.0 + beta) / (2.0 * params.ell)
+    return TailReport(
+        level=level, weight=k, beta=beta, m_bound=box.m_bound,
+        shell_size=len(shell), observed_tail=observed,
+        predicted_exponent=exponent,
+        predicted_envelope=float(level) ** exponent,
+        minkowski_samples=minkowski_samples(shell),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +420,11 @@ def _residue_kernel(q1: int, q2: int, k: int, radius: float, nodes: int,
     theta = 2 * np.pi * np.arange(n) / n
     s = 2 * radius * np.exp(1j * theta)
     t = radius * np.exp(1j * theta)
-
-    def gamma_ratio(z):
-        return np.exp(-2 * z * math.log(2 * math.pi) + _loggamma(z + 1)
-                      + _loggamma(z + k - 1) - math.lgamma(k - 1))
-
-    def poly_factor(z):
-        return (1.0 - z) ** 2 if poly == "(1-s)^2" else 1.0 - z * z
-
     alpha = (4.0 * dirichlet_l_vec(s + 1, q1) * dirichlet_l_vec(s + 1, -4 * q1)
-             * gamma_ratio(s) * poly_factor(s)
+             * gamma_factor(s, k) * poly_factor(s, poly)
              * np.exp(2 * s * math.log(abs(q1))))
     beta = (dirichlet_l_vec(t + 1, q2) * dirichlet_l_vec(t + 1, -4 * q2)
-            * gamma_ratio(t) * poly_factor(t)
+            * gamma_factor(t, k) * poly_factor(t, poly)
             * np.exp(2 * t * math.log(abs(q2))))
     u = s[:, None] + t[None, :] + 1.0
     coupled = dirichlet_l_vec(u.ravel(), q1 * q2).reshape(n, n)
@@ -405,8 +438,9 @@ def main_term_residue(q1: int, q2: int, level: float, k: int,
 
     The integrand is the product of the five Dirichlet L-factors
     L(s+1, chi_{q1}) L(s+1, chi_{-4 q1}) L(t+1, chi_{q2}) L(t+1, chi_{-4 q2})
-    L(s+t+1, chi_{q1 q2}), the gamma-factor ratios, the polynomial factor
-    (printed form "(1-s)^2" by default, "1-s^2" behind the flag), and
+    L(s+t+1, chi_{q1 q2}), kernels.gamma_factor, kernels.poly_factor
+    (printed form "(1-s)^2" by default, "1-s^2" behind the flag; any other
+    ``poly`` raises ValueError), and
     N^s N^t |q1|^{2s} |q2|^{2t} / (s t), all times 4.  ``level`` enters as a
     real parameter; the residue is an exact polynomial in log(level).
     """

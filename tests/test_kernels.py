@@ -14,10 +14,10 @@ from siegelsums.kernels import (
     script_j,
     script_j_for_forms,
     shell_matrices,
-    tail_diagnostic,
     truncation_set,
     weight_w,
 )
+from siegelsums.petersson import tail_diagnostic
 
 
 class TestBessel:
@@ -41,6 +41,14 @@ class TestBessel:
                 b = bessel_j_integral(nu, x)
                 assert abs(a - b) < 1e-10, (nu, x)
         assert abs(bessel_j_series(8.5, 10.0) - bessel_j(8.5, 10.0)) < 1e-10
+
+    def test_series_raises_outside_its_range(self):
+        # at x = 50 the alternating series cancels terms of size ~1e19 and
+        # returns -1267.05 for J_{1/2}(50) = -0.0296; at x = 1000 it does
+        # not converge in its 500 terms
+        for x in (50.0, 1000.0):
+            with pytest.raises(ArithmeticError):
+                bessel_j_series(0.5, x)
 
     def test_nonpositive_rejected(self):
         for fn in (bessel_j, bessel_j_series, bessel_j_integral):

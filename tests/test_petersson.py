@@ -119,6 +119,14 @@ class TestMainTerm:
         with pytest.raises(ValueError):
             main_term_residue(9, 1, 100.0, 10)  # not a fundamental discriminant
 
+    def test_unknown_poly_raises(self):
+        # the residue and the fit share weight_w's polynomial factor, which
+        # knows only "1-s^2" and "(1-s)^2"
+        with pytest.raises(ValueError):
+            main_term_residue(5, 13, 1e3, 10, poly="1+s")
+        with pytest.raises(ValueError):
+            leading_coeff_fit(1, 1, 10, poly="bogus")
+
     def test_fit_degrees(self):
         assert residue_fit_degree(1, 1) == 3
         assert residue_fit_degree(1, -4) == 2
