@@ -442,9 +442,11 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def clear_all_caches() -> None:
+    """Empty every memo table of the library, so the next call runs cold."""
     sp4.clear_caches()
     expsums._roots_of_unity.cache_clear()
     expsums._pI_grid.cache_clear()
+    expsums._unit_table.cache_clear()
     petersson._script_j_cached.cache_clear()
     petersson._residue_kernel.cache_clear()
     kernels._gauss_legendre.cache_clear()

@@ -69,13 +69,16 @@ def _form_vector(q: HalfIntegralForm, t: HalfIntegralForm) -> np.ndarray:
 
 def kloosterman(q: HalfIntegralForm, t: HalfIntegralForm, c: IntMat2,
                 threads: int = 1) -> SumValue:
-    """Symplectic Kloosterman sum K(Q, T; C) by direct coset summation.
+    """Symplectic Kloosterman sum K(Q, T; C), summed over the cosets.
 
     Sums e(tr(A C^{-1} Q + C^{-1} D T)) over one representative D per
     bottom-row coset of modulus C, with A a symplectic completion.  The
     summand does not depend on the choice of A: two completions differ by
     A -> A + S C with S symmetric integral, shifting the phase by the
-    integer tr(S Q).
+    integer tr(S Q).  The phases come from ``sp4.coset_data``, whose table
+    for C is derived from the enumerated table of its Smith class; every
+    coset still contributes one summand, so ``terms`` is the coset count.
+    ``method`` is "brute", the name the CLI reports for this route.
     """
     if c.det() == 0:
         raise SingularModulusError("singular modulus")
@@ -154,6 +157,18 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
                     method="factored")
 
 
+@lru_cache(maxsize=None)
+def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(units d mod c, their inverses mod c); for c = 1 the class 0, whose
+    inverse is taken as 0."""
+    units = [d for d in range(c) if math.gcd(d, c) == 1]
+    inverses = [0 if c == 1 else pow(d, -1, c) for d in units]
+    table = (np.array(units, dtype=np.int64), np.array(inverses, dtype=np.int64))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int,
           sign: int) -> SumValue:
     """Salie-type sum H^{+/-}(P, S; c).
@@ -174,20 +189,16 @@ def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int,
         return SumValue(0j, 0, "salie")
     if s.t4 == 0:
         raise ValueError("s4 must be nonzero")
-    nums = []
-    for d1 in range(c):
-        if math.gcd(d1, c) != 1:
-            continue
-        d1bar = 0 if c == 1 else pow(d1, -1, c)
-        base = d1bar * p.t1 + d1 * s.t1
-        for d2 in range(c):
-            num = (d1bar * (s.t4 * d2 * d2 - sign * p.t2 * d2)
-                   + s.t2 * d2 + base) % c
-            nums.append(num)
-    value = _tally_value(np.array(nums, dtype=np.int64), c)
+    d1, d1bar = _unit_table(c)
+    d2 = np.arange(c, dtype=np.int64)
+    # coefficients reduced mod c first, so no product exceeds c^2
+    quad = (s.t4 % c * (d2 * d2 % c) + (-sign * p.t2) % c * d2 + p.t1 % c) % c
+    nums = (d1bar[:, None] * quad[None, :] + (s.t2 % c * d2)[None, :]
+            + (s.t1 % c * d1)[:, None]) % c
+    value = _tally_value(nums.ravel(), c)
     offset = Fraction(-sign * p.t2 * s.t2, 2 * c * s.t4) % 1
     value *= complex(np.exp(2j * np.pi * float(offset)))
-    return SumValue(value=value, terms=len(nums), method="salie")
+    return SumValue(value=value, terms=nums.size, method="salie")
 
 
 def gauss_sum(a: int, b: int, c: int) -> SumValue:

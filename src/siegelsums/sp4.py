@@ -1,4 +1,5 @@
-"""Sp4(Z) bottom rows: predicates, coset enumeration, symplectic completion.
+"""Sp4(Z) bottom rows: predicates, coset enumeration, symplectic completion,
+and the per-modulus phase tables of the Kloosterman sums.
 
 A pair of integer 2x2 matrices (C, D) is the bottom block-row of some
 element of Sp4(Z) exactly when C^{-1} D is symmetric and the 2x4 block
@@ -6,6 +7,14 @@ element of Sp4(Z) exactly when C^{-1} D is symmetric and the 2x4 block
 over such D modulo the lattice C * Lambda of symmetric translates; this
 module enumerates canonical representatives and produces, for each, a
 completion (A, B) making the full 4x4 block matrix symplectic.
+
+Phase tables are enumerated only for Smith classes diag(c1, c2).  With
+U C V = diag(c1, c2) (U, V unimodular), multiplying an element of Sp4(Z)
+by diag(U^-T, U) on the left and diag(V, V^-T) on the right maps the
+cosets of C one-to-one onto those of diag(c1, c2), and each summand of
+K(Q, T; C) onto the summand of K(U Q U^T, V^T T V; diag(c1, c2)).  The
+table of C is therefore the class table composed with that integer
+linear change of the form coordinates.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import numpy as np
 from .matcore import (
     IntMat2,
     SingularModulusError,
+    elementary_divisors,
     solve_integer_system,
 )
 
@@ -150,7 +160,7 @@ def enumerate_bottom_cosets(c: IntMat2) -> list[IntMat2]:
 
 def _coset_pairs(c: IntMat2) -> tuple[tuple[IntMat2, IntMat2], ...]:
     """(D, A) pairs for all bottom-row cosets of modulus C (not cached:
-    ``coset_data`` memoizes the table built from them)."""
+    ``_class_table`` memoizes the tables built from them)."""
     det = c.det()
     if det == 0:
         raise SingularModulusError("singular modulus")
@@ -215,9 +225,8 @@ def _phase_row(a: IntMat2, d: IntMat2, adj: IntMat2, m: int, sgn: int):
     ]
 
 
-@lru_cache(maxsize=None)
-def coset_data(c: IntMat2) -> CosetData:
-    """Phase-coefficient table for all cosets of modulus C (cached)."""
+def _enumerated_table(c: IntMat2) -> CosetData:
+    """Phase-coefficient table of C, one row per coset from ``_coset_pairs``."""
     pairs = _coset_pairs(c)
     det = c.det()
     m = 2 * abs(det)
@@ -235,6 +244,48 @@ def coset_data(c: IntMat2) -> CosetData:
     return CosetData(modulus=c, m=m, weights=rows, count=len(pairs))
 
 
+@lru_cache(maxsize=None)
+def _class_table(c1: int, c2: int) -> CosetData:
+    """Enumerated table of the Smith class diag(c1, c2) (cached)."""
+    return _enumerated_table(IntMat2.diag(c1, c2))
+
+
+def _conjugation_map(u: IntMat2, m: int) -> list[list[int]]:
+    """3x3 integer matrix, reduced mod m, taking (q1, q2, q4) to the form
+    of U Q U^T (q2 is the doubled off-diagonal entry)."""
+    a, b, c, d = u.a, u.b, u.c, u.d
+    return [[x % m for x in row] for row in
+            ([a * a, a * b, b * b],
+             [2 * a * c, a * d + b * c, 2 * b * d],
+             [c * c, c * d, d * d])]
+
+
+@lru_cache(maxsize=None)
+def coset_data(c: IntMat2) -> CosetData:
+    """Phase-coefficient table for all cosets of modulus C (cached).
+
+    Derived from the enumerated table of the Smith class of C: with
+    U C V = diag(c1, c2), the summand of a coset of C at the forms
+    (Q, T) is the summand of the matching coset of diag(c1, c2) at
+    (U Q U^T, V^T T V), so ``weights`` is the class table's weights times
+    the block-diagonal map M of (q1, q2, q4, t1, t2, t4) to those
+    forms' coordinates, reduced mod m.  Rows follow the class table's
+    coset order; ``kloosterman`` tallies them, so the order does not
+    matter.
+    """
+    c1, c2, u, v = elementary_divisors(c)
+    base = _class_table(c1, c2)
+    m = base.m
+    conj = np.zeros((6, 6), dtype=np.int64)
+    conj[:3, :3] = _conjugation_map(u, m)
+    conj[3:, 3:] = _conjugation_map(v.t(), m)  # V^T T V
+    rows = (base.weights @ conj) % m
+    rows.setflags(write=False)
+    return CosetData(modulus=c, m=m, weights=rows, count=base.count)
+
+
 def clear_caches() -> None:
-    """Drop the memoized coset tables (used by determinism re-runs)."""
+    """Drop the memoized coset and class tables (used by determinism
+    re-runs)."""
     coset_data.cache_clear()
+    _class_table.cache_clear()

@@ -6,9 +6,14 @@ Criterion 10 re-runs the battery with 8 worker threads after dropping all
 caches and requires byte-identical JSON records.
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
-from siegelsums import acceptance
+import siegelsums
+from siegelsums import acceptance, expsums, petersson
+from siegelsums.matcore import HalfIntegralForm, IntMat2
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +89,33 @@ def test_criterion_10_thread_determinism(battery):
     acceptance.clear_all_caches()
     rerun, _ = acceptance.run_all(threads=8)
     assert acceptance.records_json(rerun) == base
+
+
+def _library_caches() -> dict[str, object]:
+    """Every memoized function bound at module level in the package."""
+    caches = {}
+    for info in pkgutil.iter_modules(siegelsums.__path__):
+        module = importlib.import_module(f"siegelsums.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info"):
+                caches[f"{info.name}.{name}"] = obj
+    return caches
+
+
+def test_clear_all_caches_empties_every_cache():
+    # a cache that survives would let the determinism re-run of criterion
+    # 10 (and any "cold" measurement) read warm tables
+    f, g = HalfIntegralForm(1, 0, 1), HalfIntegralForm(1, 1, 2)
+    expsums.kloosterman(f, g, IntMat2(2, 1, 1, 3))
+    expsums.kloosterman_pI(f, g, 3)
+    expsums.salie(f, HalfIntegralForm(2, 1, 1), 6, 1)
+    petersson.h_fourier(f, g, petersson.SpectralParams(k=10, level=3,
+                                                      rank1_cutoff=3))
+    petersson.main_term_residue(1, 1, 100.0, 10)
+    caches = _library_caches()
+    assert {"sp4.coset_data", "sp4._class_table", "expsums._unit_table",
+            "expsums._pI_grid", "petersson._residue_kernel"} <= set(caches)
+    assert all(fn.cache_info().currsize > 0 for fn in caches.values())
+    acceptance.clear_all_caches()
+    assert {name: fn.cache_info().currsize for name, fn in caches.items()
+            if fn.cache_info().currsize} == {}

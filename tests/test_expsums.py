@@ -2,11 +2,15 @@ import cmath
 import math
 import random
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegelsums.matcore import GaussianInt, HalfIntegralForm, IntMat2, gaussian_totient
 from siegelsums.expsums import (
+    _tally_value,
     congruence_count,
     gauss_sum,
     kloosterman,
@@ -45,6 +49,24 @@ def oracle_pI(q, t, p):
                        + d1 * t.t1 + d2 * t.t2 + d4 * t.t4) % p
                 total += cmath.exp(2j * math.pi * num / p)
     return total
+
+
+def salie_reference(p, s, c, sign):
+    """Salie sum by the plain double loop over d1 (a unit) and d2 mod c,
+    tallied like ``salie``, so the two agree to the last bit."""
+    nums = []
+    for d1 in range(c):
+        if math.gcd(d1, c) != 1:
+            continue
+        d1bar = 0 if c == 1 else pow(d1, -1, c)
+        base = d1bar * p.t1 + d1 * s.t1
+        for d2 in range(c):
+            nums.append((d1bar * (s.t4 * d2 * d2 - sign * p.t2 * d2)
+                         + s.t2 * d2 + base) % c)
+    value = _tally_value(np.array(nums, dtype=np.int64), c)
+    offset = Fraction(-sign * p.t2 * s.t2, 2 * c * s.t4) % 1
+    value *= complex(np.exp(2j * np.pi * float(offset)))
+    return value, len(nums)
 
 
 class TestKloosterman:
@@ -197,6 +219,32 @@ class TestSalie:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             salie(HI, HI, 3, 2)
+
+    def test_bit_identical_to_reference_loop(self):
+        pairs = [((1, 0, 1), (1, 1, 1)), ((2, -3, 5), (-4, 7, 5)),
+                 ((-3, 5, -2), (5, -1, -2)), ((7, -11, 3), (-2, 4, 3)),
+                 # entries far beyond int64 once multiplied out
+                 ((10 ** 15 + 1, -3 * 10 ** 12, 6), (-(10 ** 14), 7, 6))]
+        for pt, st_ in pairs:
+            p, s = HalfIntegralForm(*pt), HalfIntegralForm(*st_)
+            for c in range(1, 41):
+                for sg in (1, -1):
+                    got = salie(p, s, c, sg)
+                    assert (got.value, got.terms) == salie_reference(p, s, c, sg)
+
+    def test_degenerate_and_invalid_arguments(self):
+        p = HalfIntegralForm(1, 2, 3)
+        for c in (1, 5, 12):
+            got = salie(p, HalfIntegralForm(1, 2, 4), c, -1)
+            assert (got.value, got.terms) == (0j, 0)
+        with pytest.raises(ValueError):
+            salie(p, p, 3, 0)
+        for c in (0, -3):
+            with pytest.raises(ValueError):
+                salie(p, p, c, 1)
+        z = HalfIntegralForm(1, 2, 0)
+        with pytest.raises(ValueError):
+            salie(z, z, 3, 1)
 
 
 class TestGauss:

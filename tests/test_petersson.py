@@ -88,6 +88,21 @@ class TestGram:
                             <= budget[i, j] + budget[j, i])
             assert res.min_eigenvalue >= -float(np.sum(budget))
 
+    def test_six_reduced_forms(self, params):
+        # every reduced form with t1, t4 in {1, 2} and |t2| <= 1
+        forms = [HalfIntegralForm(*f) for f in
+                 ((1, 1, 1), (1, -1, 1), (1, 0, 1),
+                  (1, 1, 2), (1, -1, 2), (1, 0, 2))]
+        res = spectral_gram(forms, params)
+        g, budget = res.matrix, res.tail_budget
+        for i in range(6):
+            assert g[i, i].real > 0
+            assert abs(g[i, i].imag) <= budget[i, i]
+            for j in range(6):
+                assert (abs(g[i, j] - g[j, i].conjugate())
+                        <= budget[i, j] + budget[j, i]), (forms[i], forms[j])
+        assert res.min_eigenvalue >= -float(np.sum(budget))
+
     def test_empty(self, params):
         res = spectral_gram([], params)
         assert res.matrix.shape == (0, 0)

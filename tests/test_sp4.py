@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from siegelsums import expsums, sp4
 from siegelsums.matcore import HalfIntegralForm, IntMat2, SingularModulusError
 from siegelsums.sp4 import (
     CompletionError,
@@ -138,3 +140,32 @@ class TestCosets:
                     cc = (u.adj().scale(u.det()).mul(base)
                           .mul(v.adj().scale(v.det())))
                     assert len(enumerate_bottom_cosets(cc)) == n0
+
+
+class TestDerivedTables:
+    # mixed signs, a zero form and non-positive forms: the identity behind
+    # the derivation holds for every half-integral form
+    FORMS = [HalfIntegralForm(*f) for f in
+             ((1, 0, 1), (1, 1, 2), (2, -1, 3), (3, 2, 1), (1, -1, 1),
+              (5, 0, -2), (0, 1, 0), (-2, 3, 4))]
+
+    def test_matches_direct_enumeration(self):
+        """Tables derived from the Smith class agree with the tables
+        enumerated from the modulus itself, coset count and tally."""
+        vectors = [expsums._form_vector(q, t)
+                   for q in self.FORMS for t in self.FORMS]
+        moduli = 0
+        for entries in itertools.product(range(-3, 4), repeat=4):
+            c = IntMat2(*entries)
+            if not 0 < abs(c.det()) <= 18:
+                continue
+            moduli += 1
+            derived = sp4.coset_data(c)
+            direct = sp4._enumerated_table(c)
+            assert (derived.count, derived.m) == (direct.count, direct.m)
+            for (q, t), vec in zip(itertools.product(self.FORMS, repeat=2),
+                                   vectors):
+                nums = (direct.weights @ vec) % direct.m
+                assert (expsums.kloosterman(q, t, c).value
+                        == expsums._tally_value(nums, direct.m))
+        assert moduli == 2112
