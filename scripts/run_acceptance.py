@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the acceptance battery and print one pass/fail line per criterion.
 
-Exit status is nonzero if any criterion fails.  Pass --threads to exercise
-the threaded reduction paths (results are identical for any value).
+Exit status is nonzero if any criterion fails.  --threads N runs up to N
+criteria at once against shared caches (records are identical for any
+value; the printed times include waits for the interpreter lock).
 """
 
 import argparse

@@ -1,9 +1,10 @@
 """Acceptance battery: one function per criterion, deterministic records.
 
 Each criterion function returns a JSON-serializable record with a "pass"
-flag and the measured quantities; ``run_all`` executes the battery and
-also reports wall times separately so the records themselves are
-byte-stable across repeat runs and thread counts.
+flag and the measured quantities; ``run_all`` executes the battery, with
+criteria running concurrently on a thread pool, and reports wall times
+separately so the records themselves are byte-stable across repeat runs
+and thread counts.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,7 +51,7 @@ def _random_unimodular(rng) -> IntMat2:
     return u
 
 
-def criterion_1(threads: int = 1) -> dict:
+def criterion_1() -> dict:
     """Kloosterman oracle equivalence: brute coset sum vs pI formula."""
     forms = _pd_forms()
     max_dev = 0.0
@@ -57,12 +59,12 @@ def criterion_1(threads: int = 1) -> dict:
         cm = IntMat2.scalar(p)
         for q in forms:
             for t in forms:
-                a = expsums.kloosterman(q, t, cm, threads=threads).value
-                b = expsums.kloosterman_pI(q, t, p, threads=threads).value
+                a = expsums.kloosterman(q, t, cm).value
+                b = expsums.kloosterman_pI(q, t, p).value
                 max_dev = max(max_dev, abs(a - b))
     pinned = expsums.kloosterman(HalfIntegralForm.identity(),
                                  HalfIntegralForm.identity(),
-                                 IntMat2.scalar(3), threads=threads).value
+                                 IntMat2.scalar(3)).value
     pinned_dev = abs(pinned - 15.0)
     ok = max_dev <= TOL and pinned_dev <= TOL
     return {
@@ -76,7 +78,7 @@ def criterion_1(threads: int = 1) -> dict:
     }
 
 
-def criterion_2(threads: int = 1) -> dict:
+def criterion_2() -> dict:
     """Factorization through coprime moduli, with Bezout-choice invariance."""
     mats = [IntMat2.identity(), IntMat2.diag(1, 2), IntMat2(1, 1, -1, 1),
             IntMat2.diag(2, 2)]
@@ -88,12 +90,12 @@ def criterion_2(threads: int = 1) -> dict:
         cdet = c.det()
         for q in forms:
             for t in forms:
-                fact = expsums.kloosterman_factored(q, t, 3, c, threads=threads)
-                brute = expsums.kloosterman(q, t, c.scale(3), threads=threads)
+                fact = expsums.kloosterman_factored(q, t, 3, c)
+                brute = expsums.kloosterman(q, t, c.scale(3))
                 max_dev = max(max_dev, abs(fact.value - brute.value))
                 g, s0, t0 = _xgcd(3, cdet)
                 alt = expsums.kloosterman_factored(
-                    q, t, 3, c, bezout=(s0 + cdet, t0 - 3), threads=threads)
+                    q, t, 3, c, bezout=(s0 + cdet, t0 - 3))
                 max_bezout_dev = max(max_bezout_dev,
                                      abs(fact.value - alt.value))
     ok = max_dev <= TOL and max_bezout_dev <= TOL
@@ -106,7 +108,7 @@ def criterion_2(threads: int = 1) -> dict:
     }
 
 
-def criterion_3(threads: int = 1) -> dict:
+def criterion_3() -> dict:
     """Equivariance under unimodular row/column twists, 100 random draws."""
     rng = random.Random(20240817)
     forms = _pd_forms()
@@ -120,9 +122,9 @@ def criterion_3(threads: int = 1) -> dict:
                 break
         u, v = _random_unimodular(rng), _random_unimodular(rng)
         cc = u.adj().scale(u.det()).mul(c).mul(v.adj().scale(v.det()))
-        lhs = expsums.kloosterman(q, t, cc, threads=threads).value
+        lhs = expsums.kloosterman(q, t, cc).value
         rhs = expsums.kloosterman(q.conjugate_right(u), t.conjugate_left(v),
-                                  c, threads=threads).value
+                                  c).value
         max_dev = max(max_dev, abs(lhs - rhs))
     return {
         "criterion": 3,
@@ -138,7 +140,7 @@ def _isotropic_count(n: int) -> int:
     return sum(1 for x in range(n) for y in range(n) if (x * x + y * y) % n == 0)
 
 
-def criterion_4(threads: int = 1) -> dict:
+def criterion_4() -> dict:
     """Congruence counts: main case against its derived value, off-main <= N + 1.
 
     In the main case (c1 == c4, c2 == h1 == h2 == 0 mod N) both congruences
@@ -201,7 +203,7 @@ def criterion_4(threads: int = 1) -> dict:
     }
 
 
-def criterion_5(threads: int = 1) -> dict:
+def criterion_5() -> dict:
     """Twisted character average against the Gaussian-totient closed form."""
     qpairs = [(1, 1), (1, -4), (1, 5), (-4, 1), (-4, 5), (5, 1), (5, -4)]
     max_dev = 0.0
@@ -228,7 +230,7 @@ def criterion_5(threads: int = 1) -> dict:
     }
 
 
-def criterion_6(threads: int = 1) -> dict:
+def criterion_6() -> dict:
     """Gauss-sum bound (exhaustive, c <= 50) and Salie vanishing + bound."""
     gauss_ok = True
     worst_gauss = 0.0
@@ -302,7 +304,7 @@ def _weight_w_expansion(x: float, k: int) -> float:
     return 1.0 + c2 * x ** 2 + c3 * x ** 3
 
 
-def criterion_7(threads: int = 1) -> dict:
+def criterion_7() -> dict:
     """Bessel closed forms, kernel envelopes, and weight-function values.
 
     Envelope (i): |script_j| <= C_ell (s1 s2)^ell with C_ell the closed form
@@ -362,7 +364,7 @@ def criterion_7(threads: int = 1) -> dict:
     }
 
 
-def criterion_8(threads: int = 1) -> dict:
+def criterion_8() -> dict:
     """Main-term constants: cubic fit, mixed fit, and the five-L product.
 
     For (q1, q2) = (1, -4) the integrand of ``petersson.main_term_residue``
@@ -408,7 +410,7 @@ def criterion_8(threads: int = 1) -> dict:
     }
 
 
-def criterion_9(threads: int = 1) -> dict:
+def criterion_9() -> dict:
     """Spectral Gram consistency at N = 3, k = 10 over {I, diag(1, 2)}."""
     params = petersson.SpectralParams(k=10, level=3)
     forms = [HalfIntegralForm.identity(), HalfIntegralForm(1, 0, 2)]
@@ -452,17 +454,24 @@ def clear_all_caches() -> None:
     kernels._gauss_legendre.cache_clear()
 
 
+def _timed(criterion) -> tuple[dict, float]:
+    t0 = time.perf_counter()
+    rec = criterion()
+    return rec, time.perf_counter() - t0
+
+
 def run_all(threads: int = 1) -> tuple[list[dict], dict[int, float]]:
-    """Run criteria 1-9; returns (records, wall_times).  Records are
-    deterministic; timings are reported separately."""
-    records = []
-    timings = {}
-    for fn in CRITERIA:
-        t0 = time.perf_counter()
-        rec = fn(threads=threads)
-        timings[rec["criterion"]] = time.perf_counter() - t0
-        records.append(rec)
-    return records, timings
+    """Run criteria 1-9 on ``threads`` workers; returns (records, wall_times)
+    in criterion order.
+
+    The criteria share the library's caches, so with several workers they
+    fill and read them concurrently; their records must not change.  A
+    criterion's wall time includes any wait for the interpreter lock.
+    """
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(_timed, CRITERIA))
+    return ([rec for rec, _ in results],
+            {rec["criterion"]: dt for rec, dt in results})
 
 
 def records_json(records: list[dict]) -> str:

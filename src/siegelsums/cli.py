@@ -8,7 +8,7 @@ Every subcommand prints exactly one JSON object on stdout with the shape
 plus subcommand-specific extras; progress notes for the long-running
 subcommands go to stderr.  Matrix literals are written "a,b;c,d" and
 half-integral forms "t1,t2,t4" (t2 is the doubled off-diagonal entry).
-Output is byte-stable across runs and thread counts.
+Output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -99,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=FORMATS,
                     default=os.environ.get("SIEGELSUMS_FORMAT", "json"),
                     help="output format (env SIEGELSUMS_FORMAT)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for the big sums (results are "
-                         "identical for any value)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("kloosterman", help="K(Q, T; C)")
@@ -188,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_command(args) -> dict:
     if args.cmd == "kloosterman":
-        sv = expsums.kloosterman(args.q, args.t, args.c, threads=args.threads)
+        sv = expsums.kloosterman(args.q, args.t, args.c)
         return _record("kloosterman",
                        {"q": list(args.q.__dict__.values()),
                         "t": list(args.t.__dict__.values()),
@@ -308,8 +305,6 @@ def _run_command(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads < 1:
-        ap.error("--threads must be >= 1")
     try:
         rec = _run_command(args)
     except (ValueError, ArithmeticError) as exc:

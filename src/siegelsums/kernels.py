@@ -281,13 +281,13 @@ class TruncationBox:
         return TruncationBox(beta=beta, level=level, ell=ell)
 
 
-def truncation_set(box: TruncationBox):
-    """All matrices in the box, in lexicographic order of (a, b, c, d).
+def _bounded_matrices(m: int) -> list[IntMat2]:
+    """Nonsingular matrices with entries and |det| at most m, in
+    lexicographic order of (a, b, c, d).
 
-    Generation walks (a, d, det) and factorizes b*c = a*d - det, so the
-    cost is divisor-bounded rather than a full four-entry scan.
+    Walks (a, d, det) and factorizes b*c = a*d - det, so the cost is
+    divisor-bounded rather than a full four-entry scan.
     """
-    m = box.m_bound
     out = []
     for a in range(-m, m + 1):
         for d in range(-m, m + 1):
@@ -308,7 +308,12 @@ def truncation_set(box: TruncationBox):
                             if abs(bb) <= m and abs(cc) <= m:
                                 out.append(IntMat2(a, bb, cc, d))
     out.sort(key=IntMat2.entries)
-    yield from out
+    return out
+
+
+def truncation_set(box: TruncationBox):
+    """All matrices in the box, in lexicographic order of (a, b, c, d)."""
+    yield from _bounded_matrices(box.m_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +322,9 @@ def truncation_set(box: TruncationBox):
 
 def shell_matrices(box: TruncationBox, width: int = 1) -> list[IntMat2]:
     """Nonsingular matrices just outside the box: entries and |det| at most
-    m_bound + width but not members of the box."""
-    m = box.m_bound + width
-    out = []
-    for a in range(-m, m + 1):
-        for b in range(-m, m + 1):
-            for c in range(-m, m + 1):
-                for d in range(-m, m + 1):
-                    det = a * d - b * c
-                    if det == 0 or abs(det) > m:
-                        continue
-                    cm = IntMat2(a, b, c, d)
-                    if not box.contains(cm):
-                        out.append(cm)
-    return out
+    m_bound + width but not members of the box, in lexicographic order."""
+    return [c for c in _bounded_matrices(box.m_bound + width)
+            if not box.contains(c)]
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Every invariant, and its tolerance, is written once, in :mod:`acceptance`.
 Each module maps to the criteria that exercise it, and a module passes when
-none of them raises or returns ``pass: False``.  Criterion 6 (~1.2 s of
-pure-Python Salie sums) and criterion 9 (the ~9 s spectral Gram matrix) are
-left to ``scripts/run_acceptance.py`` and the pytest suite.
+none of them raises or returns ``pass: False``.  Criterion 6 (about 1 s
+of Gauss- and Salie-envelope scans) is left to ``scripts/run_acceptance.py``
+and the pytest suite.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ SUITES = {
     "expsums": (1, 2, 3, 4, 5),
     "kernels": (7,),
     "lfun": (8,),
-    "petersson": (8,),
+    "petersson": (8, 9),
 }
 
 

@@ -106,14 +106,6 @@ class TestErrors:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_threads(self, capsys):
-        outs = []
-        for threads in ("1", "8"):
-            _, out = run_cli(capsys, "--threads", threads, "kloosterman",
-                             "--q", "2,1,3", "--t", "1,-1,2", "--c", "5,0;0,5")
-            outs.append(out)
-        assert outs[0] == outs[1]
-
     def test_repeat_run_stable(self, capsys):
         args = ("mainterm", "--q1", "1", "--q2", "1", "--bign", "1000",
                 "--k", "10")
@@ -129,7 +121,7 @@ class TestVerify:
         calls = []
 
         def make(number):
-            def criterion(threads=1):
+            def criterion():
                 calls.append(number)
                 if number in raising:
                     raise ArithmeticError("boom")
@@ -144,7 +136,7 @@ class TestVerify:
     def test_all_runs_each_selected_criterion_once(self, monkeypatch):
         calls = self.fake_battery(monkeypatch)
         assert verify.run_suite("all") == (6, 0, [])
-        assert sorted(calls) == [1, 2, 3, 4, 5, 7, 8]
+        assert sorted(calls) == [1, 2, 3, 4, 5, 7, 8, 9]
 
     def test_failures_name_the_criterion(self, monkeypatch):
         self.fake_battery(monkeypatch, failing=(3,), raising=(8,))

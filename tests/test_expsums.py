@@ -120,13 +120,6 @@ class TestKloosterman:
         sv = kloosterman(q, t, c)
         assert abs(sv.value) <= sv.terms + 1e-9
 
-    def test_threads_bit_identical(self):
-        q, t = HalfIntegralForm(2, 1, 3), HalfIntegralForm(1, -1, 2)
-        c = IntMat2.scalar(5)
-        v1 = kloosterman(q, t, c, threads=1).value
-        v8 = kloosterman(q, t, c, threads=8).value
-        assert v1 == v8
-
 
 class TestFactored:
     def test_identity_branch(self):

@@ -185,6 +185,18 @@ class TestTruncation:
         shell = shell_matrices(box, 1)
         assert shell and all(not box.contains(c) for c in shell)
 
+    @pytest.mark.parametrize("level", [3, 5, 7, 11, 13, 31, 47, 101])
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_shell_matches_exhaustive_filter(self, level, k):
+        # reference: the exhaustive four-entry scan, filtered to the
+        # shell; the members and their order must agree
+        box = TruncationBox.for_params(k, level)
+        for width in (-1, 0, 1, 2):
+            want = [c for c in (IntMat2(*e) for e in
+                                brute_box_members(box.m_bound + width))
+                    if not box.contains(c)]
+            assert shell_matrices(box, width) == want, width
+
 
 class TestTailDiagnostic:
     def test_empty_shell_zero_tail(self):
