@@ -3,10 +3,13 @@ coefficients, and numeric L-values near the real axis.
 
 L(s, chi_q) is evaluated through the Hurwitz-zeta decomposition
 L(s, chi) = m^{-s} sum_{a mod m} chi(a) zeta(s, a/m) with Euler-Maclaurin
-evaluation of the Hurwitz zeta, in one vectorised evaluator that the scalar
-functions call with a length-one array.  Accuracy is ~1e-12 on the region
-used here (Re s >= 1/4, |Im s| <= ~12), through s = 1 for non-principal
-characters.
+evaluation of the Hurwitz zeta on an outer grid u = s_i + t_j, the 1-D and
+scalar functions being its t = [0] case.  As x^{-u} = x^{-s_i} x^{-t_j},
+each Euler-Maclaurin term summed over the phi classes with chi(a) != 0 is a
+(len(s) x phi)(phi x len(t)) matrix product, 64 classes at a time, and only
+the singular part takes phi pointwise expm1 passes over the grid.  Accuracy
+is ~1e-12 on the region used here (Re s >= 1/4, |Im s| <= ~12), through
+s = 1 for non-principal characters.
 """
 
 from __future__ import annotations
@@ -52,42 +55,62 @@ _BERNOULLI = [
     854513.0 / 138, -236364091.0 / 2730,
 ]
 _EM_TERMS = 28
+# classes per matrix product, so that its factors stay O(len(s) + len(t))
+_CLASS_BLOCK = 64
 
 
-def _hurwitz_regular(s: np.ndarray, a: float) -> np.ndarray:
-    """zeta(s, a) - 1/(s - 1) by Euler-Maclaurin after _EM_TERMS terms.
+def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
+                  coeffs: np.ndarray) -> np.ndarray:
+    """sum_a c_a zeta(s_i + t_j, alpha_a) on the outer grid s x t, by
+    Euler-Maclaurin after _EM_TERMS terms: one matrix product per term and
+    block of at most _CLASS_BLOCK classes.  Raises PoleError when
+    sum_a c_a != 0 and a point is within 1e-14 of u = 1.
 
-    With w = _EM_TERMS + a the singular part w^{1-s}/(s-1) is split as
-    (w^{1-s} - 1)/(s - 1) + 1/(s - 1); the first piece is computed with
-    expm1 and takes its limit -log w at s = 1, so the result is continuous
-    through s = 1.
+    With w = _EM_TERMS + alpha and u = s_i + t_j the singular part
+    w^{1-u}/(u-1) is split as (w^{1-u} - 1)/(u - 1) + 1/(u - 1); the first
+    piece is computed with expm1 and takes its limit -log w at u = 1, so
+    the result is continuous through u = 1.
     """
-    total = np.zeros_like(s)
-    for n in range(_EM_TERMS):
-        total += np.exp(-s * math.log(n + a))
-    w = _EM_TERMS + a
-    lw = math.log(w)
-    total += 0.5 * np.exp(-s * lw)
-    poch = s.copy()
-    wpow = np.exp((-s - 1) * lw)
-    fact = 2.0
-    for i, b in enumerate(_BERNOULLI):
-        total += (b / fact) * poch * wpow
-        # advance (s)_{2i+1} -> (s)_{2i+3} and w^{-s-2i-1} -> w^{-s-2i-3}
-        poch = poch * (s + 2 * i + 1) * (s + 2 * i + 2)
-        wpow = wpow / (w * w)
-        fact *= (2 * i + 3) * (2 * i + 4)
-    d = s - 1
-    total += np.divide(np.expm1(-d * lw), d, out=np.full_like(s, -lw),
+    u = s[:, None] + t[None, :]
+
+    def powers(lx):
+        return np.exp(-np.outer(s, lx)), np.exp(-np.outer(lx, t))
+
+    total = np.zeros_like(u)
+    for lo in range(0, len(alphas), _CLASS_BLOCK):
+        alpha, c = alphas[lo:lo + _CLASS_BLOCK], coeffs[lo:lo + _CLASS_BLOCK]
+        for n in range(_EM_TERMS):
+            xs, xt = powers(np.log(n + alpha))
+            total += (xs * c) @ xt
+        w = _EM_TERMS + alpha
+        ws, wt = powers(np.log(w))
+        total += (ws * (0.5 * c)) @ wt
+        poch = u.copy()
+        wpow = c / w
+        fact = 2.0
+        for i, b in enumerate(_BERNOULLI):
+            total += (b / fact) * poch * ((ws * wpow) @ wt)
+            # advance (u)_{2i+1} -> (u)_{2i+3} and w^{-2i-1} -> w^{-2i-3}
+            poch *= (u + 2 * i + 1) * (u + 2 * i + 2)
+            wpow = wpow / (w * w)
+            fact *= (2 * i + 3) * (2 * i + 4)
+    d = u - 1
+    lw = np.log(_EM_TERMS + alphas)
+    num, arg = np.zeros_like(u), np.empty_like(u)
+    for ca, lwa in zip(coeffs, lw):
+        num += ca * np.expm1(np.multiply(d, -lwa, out=arg), out=arg)
+    total += np.divide(num, d, out=np.full_like(d, -(coeffs @ lw)),
                        where=d != 0)
+    if coeffs.sum():
+        total += _pole(u, coeffs.sum())
     return total
 
 
-def _pole(s: np.ndarray, residue: int) -> np.ndarray:
-    """residue / (s - 1); raises PoleError within 1e-14 of s = 1."""
-    if np.any(np.abs(s - 1) < 1e-14):
+def _pole(u: np.ndarray, residue: float) -> np.ndarray:
+    """residue / (u - 1); raises PoleError within 1e-14 of u = 1."""
+    if np.any(np.abs(u - 1) < 1e-14):
         raise PoleError("pole")
-    return residue / (s - 1)
+    return residue / (u - 1)
 
 
 def hurwitz_zeta_vec(s: np.ndarray, a: float) -> np.ndarray:
@@ -96,7 +119,8 @@ def hurwitz_zeta_vec(s: np.ndarray, a: float) -> np.ndarray:
     if a <= 0 or a > 1:
         raise ValueError("a must satisfy 0 < a <= 1")
     s = np.asarray(s, dtype=complex)
-    return _hurwitz_regular(s, a) + _pole(s, 1)
+    vals = _hurwitz_grid(s.ravel(), np.zeros(1), np.array([a]), np.ones(1))
+    return vals[:, 0].reshape(s.shape)
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
@@ -105,35 +129,39 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 
 
 def character_period(q: int) -> int:
-    """A period of n -> kronecker(q, n): |q| when q = 0, 1 mod 4, else 4|q|."""
+    """A period of n -> kronecker(q, n): |q| when q = 0, 1 mod 4, else 4|q|;
+    raises ValueError for q = 0, whose character has no period."""
+    if q == 0:
+        raise ValueError("q must be nonzero: kronecker(0, n) has no period")
     if q == 1:
         return 1
     return abs(q) if q % 4 in (0, 1) else 4 * abs(q)
 
 
-def dirichlet_l_vec(s: np.ndarray, q: int) -> np.ndarray:
-    """L(s, chi_q) over an array of s values; chi_q(n) = kronecker(q, n),
-    and q = 1 gives zeta(s).
+def dirichlet_l_grid(s: np.ndarray, t: np.ndarray, q: int) -> np.ndarray:
+    """L(s_i + t_j, chi_q) over the outer grid of two 1-D arrays, shape
+    (len(s), len(t)); chi_q(n) = kronecker(q, n), and q = 1 gives zeta.
 
-    q may be any integer whose Kronecker character is of interest; the
-    principal-character factors (e.g. q = 16) keep their imprimitive Euler
-    factors.  Raises PoleError when the character is principal and an
-    entry is within 1e-14 of s = 1.  Non-principal characters evaluate
-    stably through s = 1: the Hurwitz 1/(s-1) singularities cancel because
-    the character values sum to zero.
+    q may be any nonzero integer whose Kronecker character is of interest;
+    the principal-character factors (e.g. q = 16) keep their imprimitive
+    Euler factors.  Raises PoleError when the character is principal and a
+    point is within 1e-14 of 1.  Non-principal characters evaluate stably
+    through 1: the Hurwitz 1/(u-1) singularities cancel because the
+    character values sum to zero.
     """
-    s = np.asarray(s, dtype=complex)
+    s, t = np.asarray(s, dtype=complex), np.asarray(t, dtype=complex)
     m = character_period(q)
-    total = np.zeros_like(s)
-    char_sum = 0
-    for a in range(1, m + 1):
-        ch = kronecker(q, a)
-        if ch:
-            total += ch * _hurwitz_regular(s, a / m)
-            char_sum += ch
-    if char_sum:
-        total += _pole(s, char_sum)
-    return np.exp(-s * math.log(m)) * total
+    chi = np.array([kronecker(q, a) for a in range(1, m + 1)], dtype=float)
+    classes = np.flatnonzero(chi)
+    lm = math.log(m)
+    return (np.outer(np.exp(-s * lm), np.exp(-t * lm))
+            * _hurwitz_grid(s, t, (classes + 1) / m, chi[classes]))
+
+
+def dirichlet_l_vec(s: np.ndarray, q: int) -> np.ndarray:
+    """L(s, chi_q) over an array of s values: dirichlet_l_grid with t = [0]."""
+    s = np.asarray(s, dtype=complex)
+    return dirichlet_l_grid(s.ravel(), np.zeros(1), q)[:, 0].reshape(s.shape)
 
 
 def dirichlet_l(s: complex, q: int) -> LValue:

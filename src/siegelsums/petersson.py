@@ -42,7 +42,7 @@ from .kernels import (
     shell_matrices,
     truncation_set,
 )
-from .lfun import dirichlet_l_vec
+from .lfun import dirichlet_l_grid, dirichlet_l_vec
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,10 @@ def _rank1_tail_bound(det_tq: float, n: int, z: float, ell: float) -> float:
     """Envelope bound on the dropped rank-1 terms with c*s > z.
 
     Uses |H| <= c^{3/2} (c, s4)^{1/2} <= c^{3/2} s^{1/2}, the power-series
-    Bessel envelope, and a crude 400 s^2 cap on the number of (U, V) pairs.
+    Bessel envelope, and a crude 400 s^2 cap on the number of (U, V) pairs
+    times the two signs.  test_rank1_pair_count_within_tail_cap in
+    tests/test_petersson.py checks that cap for s <= 200 on the 43 forms
+    with t1, t4 <= 3 and |t2| <= 2.
     """
     w = 2 * math.pi * math.sqrt(det_tq)
     k_const = 400 * math.sqrt(2) * math.pi * w ** ell / math.gamma(ell + 1)
@@ -426,8 +429,7 @@ def _residue_kernel(q1: int, q2: int, k: int, radius: float, nodes: int,
     beta = (dirichlet_l_vec(t + 1, q2) * dirichlet_l_vec(t + 1, -4 * q2)
             * gamma_factor(t, k) * poly_factor(t, poly)
             * np.exp(2 * t * math.log(abs(q2))))
-    u = s[:, None] + t[None, :] + 1.0
-    coupled = dirichlet_l_vec(u.ravel(), q1 * q2).reshape(n, n)
+    coupled = dirichlet_l_grid(s + 1, t, q1 * q2)
     return s, t, alpha, beta, coupled
 
 

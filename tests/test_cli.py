@@ -104,6 +104,11 @@ class TestErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_zero_modulus_lvalue_exits_1(self, capsys):
+        code = cli.main(["lvalue", "--q", "0", "--s", "2"])
+        assert code == 1
+        assert "error: q must be nonzero" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_repeat_run_stable(self, capsys):

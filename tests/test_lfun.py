@@ -7,9 +7,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import loggamma
 
 from siegelsums.lfun import (
+    _BERNOULLI,
+    _EM_TERMS,
     FundamentalDiscriminant,
     PoleError,
+    character_period,
     dirichlet_l,
+    dirichlet_l_grid,
     dirichlet_l_vec,
     euler_product_l,
     hurwitz_zeta,
@@ -17,6 +21,50 @@ from siegelsums.lfun import (
     zeta,
     zeta_gaussian,
 )
+from siegelsums.matcore import kronecker
+
+
+def _hurwitz_regular_reference(s, a):
+    """zeta(s, a) - 1/(s - 1) pointwise by Euler-Maclaurin, continuous
+    through s = 1 by the expm1 split of the singular part."""
+    total = np.zeros_like(s)
+    for n in range(_EM_TERMS):
+        total += np.exp(-s * math.log(n + a))
+    w = _EM_TERMS + a
+    lw = math.log(w)
+    total += 0.5 * np.exp(-s * lw)
+    poch = s.copy()
+    wpow = np.exp((-s - 1) * lw)
+    fact = 2.0
+    for i, b in enumerate(_BERNOULLI):
+        total += (b / fact) * poch * wpow
+        poch = poch * (s + 2 * i + 1) * (s + 2 * i + 2)
+        wpow = wpow / (w * w)
+        fact *= (2 * i + 3) * (2 * i + 4)
+    d = s - 1
+    total += np.divide(np.expm1(-d * lw), d, out=np.full_like(s, -lw),
+                       where=d != 0)
+    return total
+
+
+def dirichlet_l_reference(s, q):
+    """L(s, chi_q) by the plain loop over residue classes: one pointwise
+    Euler-Maclaurin evaluation of zeta(s, a/m) per class with chi(a) != 0,
+    with no matrix products and no separation of powers."""
+    s = np.asarray(s, dtype=complex)
+    m = character_period(q)
+    total = np.zeros_like(s)
+    char_sum = 0
+    for a in range(1, m + 1):
+        ch = kronecker(q, a)
+        if ch:
+            total += ch * _hurwitz_regular_reference(s, a / m)
+            char_sum += ch
+    if char_sum:
+        if np.any(np.abs(s - 1) < 1e-14):
+            raise PoleError("pole")
+        total += char_sum / (s - 1)
+    return np.exp(-s * math.log(m)) * total
 
 
 class TestRCoeff:
@@ -127,6 +175,42 @@ class TestDirichletL:
                 val = dirichlet_l_vec(np.array([1.0 + h]), q)[0]
                 assert cmath.isfinite(val)
                 assert abs(val - at_one) <= h, (q, h)
+
+
+class TestGridAgainstReference:
+    @pytest.mark.parametrize("q", [1, -4, 5, 120, -104, -1147])
+    def test_residue_grid(self, q):
+        # the coupled factor L(1 + s_i + t_j, chi_q) on the contour circles
+        # of petersson._residue_kernel (128 nodes, radius 0.08)
+        theta = 2 * np.pi * np.arange(128) / 128
+        s, t = 0.16 * np.exp(1j * theta), 0.08 * np.exp(1j * theta)
+        got = dirichlet_l_grid(s + 1, t, q)
+        u = s[:, None] + t[None, :] + 1
+        want = dirichlet_l_reference(u.ravel(), q).reshape(u.shape)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("q", [1, -4, 5, 120, -104, -1147])
+    def test_one_dimensional_path(self, q):
+        s = np.array([1 + 1e-12, 1 - 1e-12, 1 + 1e-9j, 0.5 + 12j,
+                      0.75 - 7.5j, 0.6 + 0.4j, 1.5 + 3j, 1.2 - 11j, 2 - 12j,
+                      3 + 1j])
+        got = dirichlet_l_vec(s, q)
+        want = dirichlet_l_reference(s, q)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_pole_on_grid(self):
+        s, t = np.array([1.5, 1.0, 0.75]), np.array([0.25, 0.0])
+        for q in (1, 16):
+            with pytest.raises(PoleError):
+                dirichlet_l_grid(s, t, q)
+        # non-principal characters stay finite at the same points
+        vals = dirichlet_l_grid(s, t, -4)
+        assert np.all(np.isfinite(vals))
+        assert abs(vals[1, 1] - math.pi / 4) < 1e-12
+
+    def test_zero_modulus_rejected(self):
+        with pytest.raises(ValueError, match="q must be nonzero"):
+            dirichlet_l_vec(np.array([2.0]), 0)
 
 
 class TestHurwitz:

@@ -15,7 +15,7 @@ from siegelsums.petersson import (
     residue_fit_degree,
     spectral_gram,
 )
-from siegelsums.petersson import _rank1_sum
+from siegelsums.petersson import _primitive_reps, _rank1_sum
 
 HI = HalfIntegralForm.identity()
 D12 = HalfIntegralForm(1, 0, 2)
@@ -61,6 +61,18 @@ class TestHFourier:
     def test_rejects_indefinite(self, params):
         with pytest.raises(ValueError):
             h_fourier(HalfIntegralForm(1, 5, 1), HI, params)
+
+    def test_rank1_pair_count_within_tail_cap(self):
+        # _rank1_tail_bound caps the (U, V, sign) triples of one s at
+        # 400 s^2; check it on the 43 forms with t1, t4 <= 3, |t2| <= 2
+        forms = [HalfIntegralForm(t1, t2, t4) for t1 in range(1, 4)
+                 for t4 in range(1, 4) for t2 in range(-2, 3)
+                 if 4 * t1 * t4 > t2 * t2]
+        assert len(forms) == 43
+        for s in range(1, 201):
+            u = max(len(_primitive_reps(f, s, True)) for f in forms)
+            v = max(len(_primitive_reps(f, s, False)) for f in forms)
+            assert 2 * u * v <= 400 * s * s, s
 
     def test_shell_decay(self, params):
         shells = rank2_shell_sums(HI, HI, params)
