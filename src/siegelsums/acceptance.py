@@ -30,11 +30,12 @@ from . import expsums, kernels, lfun, petersson, sp4
 TOL = 1e-9
 
 
-def _pd_forms(t_hi: int = 3, t2_hi: int = 2) -> list[HalfIntegralForm]:
+def _pd_forms() -> list[HalfIntegralForm]:
+    """The 43 positive definite forms with t1, t4 <= 3 and |t2| <= 2."""
     out = []
-    for t1 in range(1, t_hi + 1):
-        for t4 in range(1, t_hi + 1):
-            for t2 in range(-t2_hi, t2_hi + 1):
+    for t1 in range(1, 4):
+        for t4 in range(1, 4):
+            for t2 in range(-2, 3):
                 f = HalfIntegralForm(t1, t2, t4)
                 if f.is_positive_definite():
                     out.append(f)

@@ -198,34 +198,38 @@ def script_j_for_forms(ell: float, t_form: HalfIntegralForm,
 # Smooth weight from the shifted Mellin transform of the gamma factors
 
 
-def weight_w(x: float, k: int, poly: str = "1-s^2",
-             height: float = 60.0, panel: float = 0.75) -> float:
+def weight_w(x: float, k: int, poly: str = "1-s^2") -> float:
     """The approximate-functional-equation weight W(x) for even weight k.
 
-    Contour integral on Re s = 2 of
+    (1 / 2 pi i) times the contour integral on Re s = 2 of
 
         (2 pi)^{-2s} Gamma(s+1) Gamma(s+k-1) / Gamma(k-1) * poly(s) * x^{-s} / s,
 
-    truncated at |Im s| = ``height`` (the integrand decays like
-    exp(-pi |Im s|), so the truncation error is far below 1e-12).  ``poly``
-    selects the polynomial factor: "1-s^2" (default) or "(1-s)^2".
+    truncated at |Im s| = 60 (the integrand decays like exp(-pi |Im s|),
+    so the truncation error is far below 1e-12), in 0.75-wide panels.
+    ``poly`` selects the polynomial factor: "1-s^2" (default) or "(1-s)^2".
+    That line serves x >= 1.  For x < 1 its x^{-2} factor would cost the
+    result its digits to cancellation, so the integral runs on Re s = -1/2
+    instead, plus the residue 1 at s = 0, the only pole between the two
+    lines for either ``poly``.
     """
     if x <= 0:
         raise ValueError("x must be positive")
     if k < 10 or k % 2:
         raise ValueError("weight must be an even integer >= 10")
+    sigma, residue = (2.0, 0.0) if x >= 1 else (-0.5, 1.0)
     nodes, weights = _gauss_legendre(16)
-    panels = int(math.ceil(height / panel))
+    panel = 0.75
     total = 0.0
-    for i in range(panels):
+    for i in range(80):  # 80 panels reach |Im s| = 60
         a = i * panel
         tau = a + panel * nodes
-        s = 2.0 + 1j * tau
+        s = sigma + 1j * tau
         integrand = (gamma_factor(s, k) * poly_factor(s, poly)
                      * np.exp(-s * math.log(x)) / s)
         total += panel * np.dot(weights, integrand.real)
     # conjugate symmetry: the full line integral is twice the real half
-    return float(total / math.pi)
+    return float(residue + total / math.pi)
 
 
 def gamma_factor(s: np.ndarray, k: int) -> np.ndarray:

@@ -86,6 +86,9 @@ class SpectralParams:
             raise ValueError("weight must be an even integer >= 10")
         if not is_prime(self.level):
             raise ValueError("level must be prime")
+        if self.rank1_cutoff is not None and self.rank1_cutoff < 1:
+            raise ValueError(
+                f"rank1_cutoff must be at least 1, got {self.rank1_cutoff}")
         if self.box is None:
             object.__setattr__(
                 self, "box", TruncationBox.for_params(self.k, self.level))
@@ -143,16 +146,18 @@ def _complete_first_column(v1: int, v3: int) -> IntMat2:
 def _rank1_term_value(q: HalfIntegralForm, t: HalfIntegralForm,
                       u: IntMat2, v: IntMat2, c: int, sign: int) -> complex:
     vinv = v.adj().scale(v.det())
-    p_form = q.conjugate_right(u)
-    s_form = t.conjugate_right(vinv)
-    val = salie(p_form, s_form, c, sign).value
-    # the Salie value must not depend on the free rows of U and V
+    return salie(q.conjugate_right(u), t.conjugate_right(vinv), c, sign).value
+
+
+def _check_completion(q: HalfIntegralForm, t: HalfIntegralForm, u: IntMat2,
+                      v: IntMat2, c: int, sign: int, val: complex) -> None:
+    """Raise ArithmeticError unless the term ``val`` of (U, V) is unchanged
+    when the free top row of U is replaced by another completion."""
     u_alt = IntMat2(u.a + u.c, u.b + u.d, u.c, u.d)
-    val_alt = salie(q.conjugate_right(u_alt), s_form, c, sign).value
+    val_alt = _rank1_term_value(q, t, u_alt, v, c, sign)
     if abs(val - val_alt) > 1e-8 * max(1.0, abs(val)):
         raise ArithmeticError(
             f"Salie term depends on the completion of {u}: {val} vs {val_alt}")
-    return val
 
 
 def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
@@ -179,13 +184,19 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
                 continue
             bess = bessel_j(ell, 4 * math.pi * math.sqrt(det_tq) / (c * s))
             coeff = sign_k * math.sqrt(2) * math.pi / (c ** 1.5 * math.sqrt(s))
+            # one completion check per (c, s) block, on its first term;
+            # tests/test_petersson.py checks every term
+            checked = False
             for (u3, u4) in ureps:
                 u = _complete_bottom_row(u3, u4)
                 for (w1, w2) in wreps:
                     v = _complete_first_column(w2, -w1)
                     for sg in (1, -1):
-                        total += coeff * bess * _rank1_term_value(
-                            q, t, u, v, c, sg)
+                        val = _rank1_term_value(q, t, u, v, c, sg)
+                        if not checked:
+                            _check_completion(q, t, u, v, c, sg, val)
+                            checked = True
+                        total += coeff * bess * val
     tail = _rank1_tail_bound(det_tq, n, min(cs_max, c_hi), ell)
     return total, tail
 
@@ -250,7 +261,7 @@ def rank2_shell_sums(q: HalfIntegralForm, t: HalfIntegralForm,
 
 
 def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
-                       params: SpectralParams, width: int = 1) -> float:
+                       params: SpectralParams) -> float:
     """Envelope bound on the rank-2 terms dropped outside the box.
 
     Each |K(Q, T; N C')| is bounded by 8 c1^2 c2^{1/2} (c2, t4)^{1/2} in the
@@ -262,7 +273,7 @@ def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
     n = params.level
     ell = params.ell
     bound = 0.0
-    for cp in shell_matrices(params.box, width):
+    for cp in shell_matrices(params.box, 1):
         c = cp.scale(n)
         c1, c2, _, v = elementary_divisors(c)
         t4 = t.conjugate_left(v).t4  # (2,2)-entry of V^T T V
@@ -449,6 +460,8 @@ def main_term_residue(q1: int, q2: int, level: float, k: int,
     _check_discriminant_pair(q1, q2)
     if level <= 1:
         raise ValueError("level must exceed 1")
+    if nodes < 1:
+        raise ValueError(f"nodes must be at least 1, got {nodes}")
     s, t, alpha, beta, coupled = _residue_kernel(q1, q2, k, radius, nodes, poly)
     logn = math.log(level)
     aw = alpha * np.exp(s * logn)

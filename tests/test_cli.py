@@ -87,6 +87,61 @@ class TestSubcommands:
         assert rec["failures"] == []
 
 
+RECORD = ["op", "params", "value", "terms", "method"]
+
+# one invocation per subcommand: argv, the record's keys, and its params
+PINNED = [
+    (["kloosterman", "--q", "1,0,1", "--t", "1,0,1", "--c", "3,0;0,3"],
+     RECORD, [("q", [1, 0, 1]), ("t", [1, 0, 1]), ("c", [3, 0, 0, 3])]),
+    (["salie", "--p", "1,0,1", "--s", "1,0,2", "--c", "3"],
+     RECORD, [("p", [1, 0, 1]), ("s", [1, 0, 2]), ("c", 3), ("sign", "+")]),
+    (["gauss", "--a", "1", "--b", "0", "--c", "3"],
+     RECORD, [("a", 1), ("b", 0), ("c", 3)]),
+    (["count", "--n", "3", "--c1", "1", "--c2", "0", "--c4", "1",
+      "--h1", "0", "--h2", "0"],
+     RECORD, [("n", 3), ("c1", 1), ("c2", 0), ("c4", 1), ("h1", 0),
+              ("h2", 0), ("a", 1), ("b", 1)]),
+    (["twisted", "--c", "1,1;-1,1", "--q1", "1", "--q2", "1"],
+     RECORD, [("c", [1, 1, -1, 1]), ("q1", 1), ("q2", 1)]),
+    (["besselkernel", "--ell", "8.5", "--eig1", "1", "--eig2", "2"],
+     RECORD, [("ell", 8.5), ("eig1", 1.0), ("eig2", 2.0)]),
+    (["weight", "--x", "100", "--k", "10"],
+     RECORD, [("x", 100.0), ("k", 10), ("poly", "1-s^2")]),
+    (["rcoeff", "--q", "1", "--n", "5"],
+     RECORD, [("q", 1), ("n", 5)]),
+    (["lvalue", "--s", "2,1", "--q", "5"],
+     RECORD, [("s", [2.0, 1.0]), ("q", 5)]),
+    (["hqt", "--q", "1,0,1", "--t", "1,0,1", "--n", "3", "--k", "10"],
+     RECORD + ["tail_bound", "diagonal", "rank1", "rank2"],
+     [("q", [1, 0, 1]), ("t", [1, 0, 1]), ("n", 3), ("k", 10),
+      ("cmax", None)]),
+    (["gram", "--form", "1,0,1", "--n", "3", "--k", "10"],
+     RECORD + ["matrix", "hermitian_defect", "min_eigenvalue", "tail_budget"],
+     [("forms", [[1, 0, 1]]), ("n", 3), ("k", 10)]),
+    (["mainterm", "--q1", "5", "--q2", "13", "--bign", "1000", "--k", "10"],
+     RECORD + ["imag_defect"],
+     [("q1", 5), ("q2", 13), ("bign", 1000.0), ("k", 10), ("radius", 0.08),
+      ("nodes", 128), ("poly", "(1-s)^2")]),
+    (["fit", "--q1", "5", "--q2", "13", "--k", "10", "--ns", "100,1000"],
+     RECORD + ["coefficients", "residual"],
+     [("q1", 5), ("q2", 13), ("k", 10), ("ns", "100,1000"), ("degree", 0)]),
+    (["verify", "--module", "kernels"],
+     RECORD + ["failures"], [("module", "kernels")]),
+]
+
+
+@pytest.mark.parametrize("argv, keys, params", PINNED,
+                         ids=[argv[0] for argv, _, _ in PINNED])
+def test_params_pinned(capsys, argv, keys, params):
+    rec = run_json(capsys, *argv)
+    assert list(rec) == keys
+    assert list(rec["params"].items()) == params
+
+
+def test_pinned_covers_every_subcommand():
+    assert sorted(argv[0] for argv, _, _ in PINNED) == sorted(cli.COMMANDS)
+
+
 class TestErrors:
     def test_malformed_matrix_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -108,6 +163,23 @@ class TestErrors:
         code = cli.main(["lvalue", "--q", "0", "--s", "2"])
         assert code == 1
         assert "error: q must be nonzero" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("cmax", ["0", "-3"])
+    def test_nonpositive_cmax_exits_1(self, capsys, cmax):
+        code = cli.main(["hqt", "--q", "1,0,1", "--t", "1,0,1", "--n", "3",
+                         "--k", "10", "--cmax", cmax])
+        assert code == 1
+        assert ("error: rank1_cutoff must be at least 1"
+                in capsys.readouterr().err)
+
+    def test_zero_nodes_mainterm_exits_1(self, capsys):
+        code = cli.main(["mainterm", "--q1", "5", "--q2", "13", "--bign",
+                         "1000", "--k", "10", "--nodes", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: nodes must be at least 1" in captured.err
 
 
 class TestDeterminism:

@@ -112,12 +112,12 @@ class TestWeight:
         # contour-shift oracle: residues at s = 0, -2, -3 give
         # W(x) = 1 - (3/2)(2 pi)^4 / ((k-2)(k-3)) x^2 + c3 x^3 + O(x^4)
         k = 10
-        x = 1e-3
         c2 = -1.5 * (2 * math.pi) ** 4 / ((k - 2) * (k - 3))
         c3 = ((2 * math.pi) ** 6 * math.gamma(6) / math.gamma(9)
               * (1 - 9) / (-3) * 0.5)
-        oracle = 1 + c2 * x ** 2 + c3 * x ** 3
-        assert abs(weight_w(x, k) - oracle) < 1e-8
+        for x in (1e-3, 1e-4, 1e-6, 1e-10):
+            oracle = 1 + c2 * x ** 2 + c3 * x ** 3
+            assert abs(weight_w(x, k) - oracle) < 1e-8, x
 
     def test_large_argument_decay(self):
         assert abs(weight_w(100.0, 10)) < 1e-6

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from siegelsums.matcore import HalfIntegralForm
+from siegelsums import petersson
+from siegelsums.expsums import SumValue
+from siegelsums.matcore import HalfIntegralForm, IntMat2
 from siegelsums.lfun import dirichlet_l
 from siegelsums.petersson import (
     NormalizationConstant,
@@ -58,6 +60,11 @@ class TestHFourier:
         r1, _ = _rank1_sum(HI, HI, p)
         assert r1 == 0
 
+    def test_rank1_cutoff_must_be_positive(self):
+        for cmax in (0, -3):
+            with pytest.raises(ValueError, match="rank1_cutoff"):
+                SpectralParams(k=10, level=3, rank1_cutoff=cmax)
+
     def test_rejects_indefinite(self, params):
         with pytest.raises(ValueError):
             h_fourier(HalfIntegralForm(1, 5, 1), HI, params)
@@ -73,6 +80,41 @@ class TestHFourier:
             u = max(len(_primitive_reps(f, s, True)) for f in forms)
             v = max(len(_primitive_reps(f, s, False)) for f in forms)
             assert 2 * u * v <= 400 * s * s, s
+
+    @pytest.mark.parametrize("level, pairs", [
+        (3, [(HalfIntegralForm(1, b, 1), HalfIntegralForm(1, d, 2))
+             for b in (1, -1) for d in (1, -1)] + [(HI, HI)]),
+        (5, [(HI, HI)]),
+    ])
+    def test_rank1_terms_independent_of_completion(self, monkeypatch, level,
+                                                   pairs):
+        # _rank1_sum checks the first term of each (c, s) block against a
+        # second completion of U; here every term is recomputed with other
+        # completions of both U (free top row) and V (free second column)
+        real = petersson._rank1_term_value
+        for q, t in pairs:
+            calls = []
+
+            def record(*args):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(petersson, "_rank1_term_value", record)
+            _rank1_sum(q, t, SpectralParams(k=10, level=level))
+            assert calls, (q, t)
+            for _, _, u, v, c, sign in calls:
+                val = real(q, t, u, v, c, sign)
+                u_alt = IntMat2(u.a - 2 * u.c, u.b - 2 * u.d, u.c, u.d)
+                v_alt = IntMat2(v.a, v.b + 3 * v.a, v.c, v.d + 3 * v.c)
+                alt = real(q, t, u_alt, v_alt, c, sign)
+                assert abs(val - alt) <= 1e-8 * max(1.0, abs(val)), (u, v, c)
+
+    def test_completion_dependence_raises(self, monkeypatch, params):
+        # a stand-in Salie value that sees U's free top row through P = U Q U^T
+        monkeypatch.setattr(petersson, "salie", lambda p, s, c, sign: SumValue(
+            complex(p.t1, p.t2), 1, "stand-in"))
+        with pytest.raises(ArithmeticError, match="completion"):
+            h_fourier(HI, HI, params)
 
     def test_shell_decay(self, params):
         shells = rank2_shell_sums(HI, HI, params)
@@ -139,6 +181,13 @@ class TestMainTerm:
         ra = main_term_residue(1, 1, 1000.0, 10, radius=0.05)
         rb = main_term_residue(1, 1, 1000.0, 10, radius=0.15)
         assert abs(ra.residue - rb.residue) < 1e-8
+
+    def test_nodes_must_be_positive(self):
+        # zero nodes would divide 0 by 0 into a NaN residue
+        with pytest.raises(ValueError, match="nodes"):
+            main_term_residue(5, 13, 1e3, 10, nodes=0)
+        with pytest.raises(ValueError, match="nodes"):
+            leading_coeff_fit(5, 13, 10, levels=[1e2, 1e3], nodes=0)
 
     def test_coprimality_enforced(self):
         with pytest.raises(ValueError):
