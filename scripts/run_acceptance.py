@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Run the acceptance battery and print one pass/fail line per criterion.
 
-Exit status is nonzero if any criterion fails.  --threads N runs up to N
-criteria at once against shared caches (records are identical for any
-value; the printed times include waits for the interpreter lock).
+Exit status is nonzero if any criterion fails.  The criteria run one at a
+time, in order.
 """
 
 import argparse
@@ -13,10 +12,8 @@ from siegelsums import acceptance
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--threads", type=int, default=1)
-    args = ap.parse_args()
-    return acceptance.main(threads=args.threads)
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    return acceptance.main()
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from .matcore import (
     minkowski_reduce,
 )
 from .sp4 import (
-    BottomPair,
     SymplecticCompletion,
     complete_to_symplectic,
     enumerate_bottom_cosets,
@@ -34,7 +33,6 @@ from .expsums import (
     twisted_average,
 )
 from .kernels import (
-    BesselOrder,
     KernelArg,
     TruncationBox,
     bessel_j,

@@ -1,10 +1,9 @@
 """Acceptance battery: one function per criterion, deterministic records.
 
 Each criterion function returns a JSON-serializable record with a "pass"
-flag and the measured quantities; ``run_all`` executes the battery, with
-criteria running concurrently on a thread pool, and reports wall times
-separately so the records themselves are byte-stable across repeat runs
-and thread counts.
+flag and the measured quantities; ``run_all`` executes the battery in
+order, one criterion at a time, and reports wall times separately so the
+records themselves are byte-stable across repeat runs and cache states.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -455,32 +453,23 @@ def clear_all_caches() -> None:
     kernels._gauss_legendre.cache_clear()
 
 
-def _timed(criterion) -> tuple[dict, float]:
-    t0 = time.perf_counter()
-    rec = criterion()
-    return rec, time.perf_counter() - t0
-
-
-def run_all(threads: int = 1) -> tuple[list[dict], dict[int, float]]:
-    """Run criteria 1-9 on ``threads`` workers; returns (records, wall_times)
-    in criterion order.
-
-    The criteria share the library's caches, so with several workers they
-    fill and read them concurrently; their records must not change.  A
-    criterion's wall time includes any wait for the interpreter lock.
-    """
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_timed, CRITERIA))
-    return ([rec for rec, _ in results],
-            {rec["criterion"]: dt for rec, dt in results})
+def run_all() -> tuple[list[dict], dict[int, float]]:
+    """Run criteria 1-9 in order; returns (records, wall_times)."""
+    records, timings = [], {}
+    for criterion in CRITERIA:
+        t0 = time.perf_counter()
+        rec = criterion()
+        timings[rec["criterion"]] = time.perf_counter() - t0
+        records.append(rec)
+    return records, timings
 
 
 def records_json(records: list[dict]) -> str:
     return json.dumps(records, sort_keys=True)
 
 
-def main(threads: int = 1) -> int:
-    records, timings = run_all(threads=threads)
+def main() -> int:
+    records, timings = run_all()
     failures = 0
     for rec in records:
         status = "PASS" if rec["pass"] else "FAIL"

@@ -36,12 +36,13 @@ def bessel_j(nu: float, x: float) -> float:
     return float(_scipy_jv(nu, x))
 
 
-def bessel_j_series(nu: float, x: float, tol: float = 1e-17) -> float:
+def bessel_j_series(nu: float, x: float) -> float:
     """Ascending power series for J_nu(x).
 
-    Raises ArithmeticError when 500 terms do not reach ``tol``, or when the
-    rounding left by cancellation (largest term * 2^-52) exceeds
-    1e-10 * max(1, |J|); at nu = 1/2 the latter happens from about x = 20.
+    Stops at the first term below 1e-17 of the partial sum.  Raises
+    ArithmeticError when 500 terms do not get there, or when the rounding
+    left by cancellation (largest term * 2^-52) exceeds 1e-10 * max(1, |J|);
+    at nu = 1/2 the latter happens from about x = 20.
     """
     if x <= 0:
         raise ValueError("x must be positive")
@@ -54,7 +55,7 @@ def bessel_j_series(nu: float, x: float, tol: float = 1e-17) -> float:
         term *= q / (m * (m + nu))
         total += term
         largest = max(largest, abs(term))
-        if abs(term) < tol * max(abs(total), 1e-300):
+        if abs(term) < 1e-17 * max(abs(total), 1e-300):
             break
     else:
         raise ArithmeticError(
@@ -74,14 +75,8 @@ def bessel_j_integral(nu: float, x: float) -> float:
     if x <= 0:
         raise ValueError("x must be positive")
     panels = max(24, int(x / 2) + 24)
-    nodes, weights = _gauss_legendre(16)
-    total = 0.0
-    h = math.pi / panels
-    for i in range(panels):
-        a = i * h
-        tau = a + h * nodes
-        total += h * np.dot(weights, np.cos(nu * tau - x * np.sin(tau)))
-    first = total / math.pi
+    first = _panel_sum(lambda tau: np.cos(nu * tau - x * np.sin(tau)),
+                       math.pi / panels, panels) / math.pi
     s = math.sin(nu * math.pi)
     if abs(s) < 1e-15:
         return first
@@ -89,13 +84,8 @@ def bessel_j_integral(nu: float, x: float) -> float:
     t_hi = 1.0
     while nu * t_hi + x * math.sinh(t_hi) < 46:
         t_hi *= 1.5
-    total2 = 0.0
-    sub = 24
-    h2 = t_hi / sub
-    for i in range(sub):
-        a = i * h2
-        t = a + h2 * nodes
-        total2 += h2 * np.dot(weights, np.exp(-nu * t - x * np.sinh(t)))
+    total2 = _panel_sum(lambda t: np.exp(-nu * t - x * np.sinh(t)),
+                        t_hi / 24, 24)
     return first - s / math.pi * total2
 
 
@@ -110,21 +100,25 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _panel_sum(f, h: float, panels: int):
+    """Composite 16-point Gauss-Legendre rule for the integral of ``f`` over
+    [0, panels * h], one panel [i h, (i + 1) h] at a time, in order."""
+    nodes, weights = _gauss_legendre(16)
+    total = 0.0
+    for i in range(panels):
+        total += h * np.dot(weights, f(i * h + h * nodes))
+    return total
+
+
+def require_weight(k: int) -> None:
+    """Raise ValueError unless k is an even integer >= 10, the weights for
+    which the kernels, the coefficient sums and the main term are written."""
+    if k < 10 or k % 2:
+        raise ValueError("weight must be an even integer >= 10")
+
+
 # ---------------------------------------------------------------------------
 # The double-Bessel kernel
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Half-integral Bessel order derived from an even weight k >= 10."""
-
-    ell: float
-
-    @staticmethod
-    def from_weight(k: int) -> "BesselOrder":
-        if k < 10 or k % 2:
-            raise ValueError("weight must be an even integer >= 10")
-        return BesselOrder(k - 1.5)
 
 
 @dataclass(frozen=True)
@@ -165,17 +159,15 @@ def script_j(ell: float, arg: KernelArg, tol: float = 1e-11) -> float:
     s1, s2 = arg.s_values()
     a1 = 4.0 * math.pi * s1
     a2 = 4.0 * math.pi * s2
-    nodes, weights = _gauss_legendre(16)
+
+    def integrand(t):
+        st = np.sin(t)
+        return _scipy_jv(ell, a1 * st) * _scipy_jv(ell, a2 * st) * st
+
     prev = None
     panels = max(4, int((a1 + a2) / 8) + 4)
     for _ in range(12):
-        h = (math.pi / 2) / panels
-        total = 0.0
-        for i in range(panels):
-            t = i * h + h * nodes
-            st = np.sin(t)
-            total += h * np.dot(weights,
-                                _scipy_jv(ell, a1 * st) * _scipy_jv(ell, a2 * st) * st)
+        total = _panel_sum(integrand, (math.pi / 2) / panels, panels)
         if prev is not None and abs(total - prev) < tol:
             return float(total)
         prev = total
@@ -215,19 +207,15 @@ def weight_w(x: float, k: int, poly: str = "1-s^2") -> float:
     """
     if x <= 0:
         raise ValueError("x must be positive")
-    if k < 10 or k % 2:
-        raise ValueError("weight must be an even integer >= 10")
+    require_weight(k)
     sigma, residue = (2.0, 0.0) if x >= 1 else (-0.5, 1.0)
-    nodes, weights = _gauss_legendre(16)
-    panel = 0.75
-    total = 0.0
-    for i in range(80):  # 80 panels reach |Im s| = 60
-        a = i * panel
-        tau = a + panel * nodes
+
+    def integrand(tau):
         s = sigma + 1j * tau
-        integrand = (gamma_factor(s, k) * poly_factor(s, poly)
-                     * np.exp(-s * math.log(x)) / s)
-        total += panel * np.dot(weights, integrand.real)
+        return (gamma_factor(s, k) * poly_factor(s, poly)
+                * np.exp(-s * math.log(x)) / s).real
+
+    total = _panel_sum(integrand, 0.75, 80)  # 80 panels reach |Im s| = 60
     # conjugate symmetry: the full line integral is twice the real half
     return float(residue + total / math.pi)
 
@@ -278,11 +266,9 @@ class TruncationBox:
         return (2.0 * k - 8.0) / (2.0 * k + 2.0)
 
     @staticmethod
-    def for_params(k: int, level: int, beta: float | None = None) -> "TruncationBox":
-        ell = k - 1.5
-        if beta is None:
-            beta = TruncationBox.default_beta(k)
-        return TruncationBox(beta=beta, level=level, ell=ell)
+    def for_params(k: int, level: int) -> "TruncationBox":
+        return TruncationBox(beta=TruncationBox.default_beta(k), level=level,
+                             ell=k - 1.5)
 
 
 def _bounded_matrices(m: int) -> list[IntMat2]:
@@ -347,8 +333,10 @@ def minkowski_samples(shell: list[IntMat2]) -> tuple[MinkowskiSample, ...]:
     return tuple(_minkowski_sample(c) for c in picks)
 
 
-def _minkowski_sample(c: IntMat2, bound: float = 12.0) -> MinkowskiSample:
+def _minkowski_sample(c: IntMat2) -> MinkowskiSample:
     from fractions import Fraction
+
+    bound = 12.0  # form values of the columns of U, and traces, up to this
 
     det = c.det()
     adj = c.adj()

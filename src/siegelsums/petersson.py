@@ -37,6 +37,7 @@ from .kernels import (
     gamma_factor,
     minkowski_samples,
     poly_factor,
+    require_weight,
     script_j,
     script_j_for_forms,
     shell_matrices,
@@ -82,8 +83,7 @@ class SpectralParams:
     box: TruncationBox | None = None  # rank-2 truncation box (auto if None)
 
     def __post_init__(self):
-        if self.k < 10 or self.k % 2:
-            raise ValueError("weight must be an even integer >= 10")
+        require_weight(self.k)
         if not is_prime(self.level):
             raise ValueError("level must be prime")
         if self.rank1_cutoff is not None and self.rank1_cutoff < 1:
@@ -456,10 +456,22 @@ def main_term_residue(q1: int, q2: int, level: float, k: int,
     ``poly`` raises ValueError), and
     N^s N^t |q1|^{2s} |q2|^{2t} / (s t), all times 4.  ``level`` enters as a
     real parameter; the residue is an exact polynomial in log(level).
+
+    The s-circle has radius 2 * ``radius`` and the t-circle ``radius``.
+    The nearest pole outside the s-circle is that of Gamma(s+1) at s = -1,
+    so the trapezoid error grows like (2 * radius)^nodes: at radius 0.49
+    and 128 nodes the residue of (1, 1) at N = 1000 is already 3.4e-3
+    off.  Any radius outside (0, 1/2) raises ValueError, since from 1/2 on
+    the s-circle encloses that pole and the result is another number.
     """
     _check_discriminant_pair(q1, q2)
+    require_weight(k)
     if level <= 1:
         raise ValueError("level must exceed 1")
+    if not 0 < radius < 0.5:
+        raise ValueError(
+            f"radius must lie in (0, 1/2), got {radius}: the s-circle of "
+            "radius 2 * radius must leave out the pole of Gamma(s+1) at s = -1")
     if nodes < 1:
         raise ValueError(f"nodes must be at least 1, got {nodes}")
     s, t, alpha, beta, coupled = _residue_kernel(q1, q2, k, radius, nodes, poly)
@@ -489,17 +501,18 @@ def residue_fit_degree(q1: int, q2: int) -> int:
 def leading_coeff_fit(q1: int, q2: int, k: int,
                       levels: list[float] | None = None,
                       degree: int | None = None,
-                      radius: float = 0.08, nodes: int = 128,
                       poly: str = "(1-s)^2") -> FitResult:
-    """Least-squares polynomial fit of residue(N) against log N."""
+    """Least-squares polynomial fit of residue(N) against log N, with the
+    residues at the default radius and nodes of ``main_term_residue``."""
     _check_discriminant_pair(q1, q2)
+    require_weight(k)
     if degree is None:
         degree = residue_fit_degree(q1, q2)
     if levels is None:
         levels = [10.0 ** e for e in range(2, 3 + max(degree, 1) + 1)]
     if len(levels) < degree + 1:
         raise ValueError("not enough sample levels for the requested degree")
-    residues = [main_term_residue(q1, q2, nn, k, radius, nodes, poly).residue
+    residues = [main_term_residue(q1, q2, nn, k, poly=poly).residue
                 for nn in levels]
     logs = np.log(np.array(levels))
     coeffs = np.polyfit(logs, np.array(residues), degree)

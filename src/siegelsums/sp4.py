@@ -38,12 +38,6 @@ class CompletionError(ValueError):
 
 
 @dataclass(frozen=True)
-class BottomPair:
-    c: IntMat2
-    d: IntMat2
-
-
-@dataclass(frozen=True)
 class SymplecticCompletion:
     a: IntMat2
     b: IntMat2

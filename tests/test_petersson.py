@@ -186,8 +186,20 @@ class TestMainTerm:
         # zero nodes would divide 0 by 0 into a NaN residue
         with pytest.raises(ValueError, match="nodes"):
             main_term_residue(5, 13, 1e3, 10, nodes=0)
-        with pytest.raises(ValueError, match="nodes"):
-            leading_coeff_fit(5, 13, 10, levels=[1e2, 1e3], nodes=0)
+
+    def test_radius_must_leave_out_the_gamma_pole(self):
+        # the s-circle has radius 2r; from r = 1/2 on it encloses the pole
+        # of Gamma(s+1) at s = -1
+        for r in (0.9, 0.5, 0.0, -0.08):
+            with pytest.raises(ValueError, match=r"Gamma\(s\+1\)"):
+                main_term_residue(1, 1, 1000.0, 10, radius=r)
+
+    @pytest.mark.parametrize("k", [8, 9, 11])
+    def test_weight_contract(self, k):
+        with pytest.raises(ValueError, match="even integer >= 10"):
+            main_term_residue(5, 13, 1e3, k)
+        with pytest.raises(ValueError, match="even integer >= 10"):
+            leading_coeff_fit(5, 13, k, levels=[1e2, 1e3])
 
     def test_coprimality_enforced(self):
         with pytest.raises(ValueError):
