@@ -6,7 +6,7 @@ lattice-counting diagnostics."""
 import argparse
 import sys
 
-from siegelsums.kernels import TruncationBox
+from siegelsums.kernels import default_beta
 from siegelsums.petersson import tail_diagnostic
 
 
@@ -19,8 +19,7 @@ def main() -> int:
     ap.add_argument("--beta", type=float, default=None)
     ap.add_argument("--shell-width", type=int, default=1)
     args = ap.parse_args()
-    beta = args.beta if args.beta is not None else \
-        TruncationBox.default_beta(args.k)
+    beta = args.beta if args.beta is not None else default_beta(args.k)
     rep = tail_diagnostic(args.m1, args.m2, args.level, args.k, beta,
                           shell_width=args.shell_width)
     print(f"level N = {rep.level}, weight k = {rep.weight}, "

@@ -34,7 +34,6 @@ from .expsums import (
 )
 from .kernels import (
     KernelArg,
-    TruncationBox,
     bessel_j,
     script_j,
     truncation_set,
@@ -50,7 +49,6 @@ from .lfun import (
 )
 from .petersson import (
     HCoefficient,
-    NormalizationConstant,
     ResidueReport,
     SpectralParams,
     h_fourier,

@@ -234,14 +234,11 @@ def criterion_6() -> dict:
     gauss_ok = True
     worst_gauss = 0.0
     for c in range(1, 51):
-        x = np.arange(c, dtype=np.int64)
-        roots = np.exp(2j * np.pi * x / c)
-        x2 = (x * x) % c
         for a in range(c):
             ga = math.gcd(a, c) if a else c
             cap = math.sqrt(ga) * math.sqrt(c) * math.sqrt(2)
             for b in range(c):
-                val = roots[(a * x2 + b * x) % c].sum()
+                val = expsums.gauss_sum(a, b, c).value
                 ratio = abs(val) / cap
                 worst_gauss = max(worst_gauss, ratio)
                 if ratio > 1 + 1e-12:
@@ -450,7 +447,6 @@ def clear_all_caches() -> None:
     expsums._unit_table.cache_clear()
     petersson._script_j_cached.cache_clear()
     petersson._residue_kernel.cache_clear()
-    kernels._gauss_legendre.cache_clear()
 
 
 def run_all() -> tuple[list[dict], dict[int, float]]:

@@ -77,8 +77,8 @@ def _lvalue(a):
 
 
 def _hqt(a):
-    print(f"# assembling coefficient at level {a.n}", file=sys.stderr)
     params = petersson.SpectralParams(k=a.k, level=a.n, rank1_cutoff=a.cmax)
+    print(f"# assembling coefficient at level {a.n}", file=sys.stderr)
     h = petersson.h_fourier(a.q, a.t, params)
     return h.total, 0, "assembled", {
         "tail_bound": float(h.tail_bound), "diagonal": _pair(h.diagonal),

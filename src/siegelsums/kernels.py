@@ -10,8 +10,7 @@ mutually independent cross-check routes for half-integral orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv as _scipy_jv, loggamma as _loggamma
@@ -89,24 +88,17 @@ def bessel_j_integral(nu: float, x: float) -> float:
     return first - s / math.pi * total2
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # nodes/weights on [0, 1]
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+# 16-point Gauss-Legendre nodes and weights, moved from [-1, 1] to [0, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 
 
 def _panel_sum(f, h: float, panels: int):
     """Composite 16-point Gauss-Legendre rule for the integral of ``f`` over
     [0, panels * h], one panel [i h, (i + 1) h] at a time, in order."""
-    nodes, weights = _gauss_legendre(16)
     total = 0.0
     for i in range(panels):
-        total += h * np.dot(weights, f(i * h + h * nodes))
+        total += h * np.dot(_GL_WEIGHTS, f(i * h + h * _GL_NODES))
     return total
 
 
@@ -239,36 +231,16 @@ def poly_factor(s, poly: str):
 # Truncation set for the rank-2 sum
 
 
-@dataclass(frozen=True)
-class TruncationBox:
-    """Integer matrices with 0 != |det| <= M and all entries bounded by M."""
+def default_beta(k: int) -> float:
+    """The error-balancing choice beta = (2k - 8) / (2k + 2)."""
+    return (2.0 * k - 8.0) / (2.0 * k + 2.0)
 
-    beta: float
-    level: int
-    ell: float
-    m_bound: int = field(init=False)
 
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        bound = self.level ** ((1.0 + self.beta) / self.ell)
-        object.__setattr__(self, "m_bound", int(math.ceil(bound - 1e-12)))
-
-    def contains(self, c: IntMat2) -> bool:
-        det = c.det()
-        if det == 0 or abs(det) > self.m_bound:
-            return False
-        return all(abs(e) <= self.m_bound for e in c.entries())
-
-    @staticmethod
-    def default_beta(k: int) -> float:
-        """The error-balancing choice beta = (2k - 8) / (2k + 2)."""
-        return (2.0 * k - 8.0) / (2.0 * k + 2.0)
-
-    @staticmethod
-    def for_params(k: int, level: int) -> "TruncationBox":
-        return TruncationBox(beta=TruncationBox.default_beta(k), level=level,
-                             ell=k - 1.5)
+def box_bound(level: int, ell: float, beta: float) -> int:
+    """The box bound M = ceil(N^((1 + beta) / ell)) for beta > 0."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    return int(math.ceil(level ** ((1.0 + beta) / ell) - 1e-12))
 
 
 def _bounded_matrices(m: int) -> list[IntMat2]:
@@ -301,20 +273,22 @@ def _bounded_matrices(m: int) -> list[IntMat2]:
     return out
 
 
-def truncation_set(box: TruncationBox):
-    """All matrices in the box, in lexicographic order of (a, b, c, d)."""
-    yield from _bounded_matrices(box.m_bound)
+def truncation_set(m: int):
+    """The box of bound m: nonsingular matrices with entries and |det| at
+    most m, in lexicographic order of (a, b, c, d)."""
+    yield from _bounded_matrices(m)
 
 
 # ---------------------------------------------------------------------------
 # The shell just outside the box and its Minkowski samples
 
 
-def shell_matrices(box: TruncationBox, width: int = 1) -> list[IntMat2]:
-    """Nonsingular matrices just outside the box: entries and |det| at most
-    m_bound + width but not members of the box, in lexicographic order."""
-    return [c for c in _bounded_matrices(box.m_bound + width)
-            if not box.contains(c)]
+def shell_matrices(m: int, width: int = 1) -> list[IntMat2]:
+    """Nonsingular matrices just outside the box of bound m: entries and
+    |det| at most m + width, but some entry or |det| above m, in
+    lexicographic order."""
+    return [c for c in _bounded_matrices(m + width)
+            if abs(c.det()) > m or max(map(abs, c.entries())) > m]
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,9 @@ from .expsums import kloosterman, salie
 from .kernels import (
     KernelArg,
     MinkowskiSample,
-    TruncationBox,
     bessel_j,
+    box_bound,
+    default_beta,
     gamma_factor,
     minkowski_samples,
     poly_factor,
@@ -51,36 +52,14 @@ from .lfun import dirichlet_l_grid, dirichlet_l_vec
 
 
 @dataclass(frozen=True)
-class NormalizationConstant:
-    """Poincare inner-product constant c_N for weight k and prime level N."""
-
-    k: int
-    level: int
-    index: int = field(init=False)
-    c_n: float = field(init=False)
-
-    def __post_init__(self):
-        if not is_prime(self.level):
-            raise ValueError("level must be prime")
-        n = self.level
-        # [Sp4(Z) : Gamma0(N)] = N^3 (1 + 1/N)(1 + 1/N^2) for prime N
-        index = n ** 3 + n ** 2 + n + 1
-        object.__setattr__(self, "index", index)
-        k = self.k
-        log_cn = (0.5 * math.log(math.pi) + (3 - 2 * k) * math.log(4 * math.pi)
-                  + math.lgamma(k - 1.5) + math.lgamma(k - 2)
-                  - math.log(4 * index))
-        object.__setattr__(self, "c_n", math.exp(log_cn))
-
-
-@dataclass(frozen=True)
 class SpectralParams:
-    """Weight, prime level, and truncation cutoffs for the coefficient sums."""
+    """Weight k, prime level N and rank-1 cutoff, and the constants that
+    the coefficient sums derive from k and N alone."""
 
     k: int
     level: int
     rank1_cutoff: int | None = None   # largest modulus c in the rank-1 sum
-    box: TruncationBox | None = None  # rank-2 truncation box (auto if None)
+    m_bound: int = field(init=False)  # rank-2 box bound M at the default beta
 
     def __post_init__(self):
         require_weight(self.k)
@@ -89,13 +68,33 @@ class SpectralParams:
         if self.rank1_cutoff is not None and self.rank1_cutoff < 1:
             raise ValueError(
                 f"rank1_cutoff must be at least 1, got {self.rank1_cutoff}")
-        if self.box is None:
-            object.__setattr__(
-                self, "box", TruncationBox.for_params(self.k, self.level))
+        object.__setattr__(self, "m_bound", box_bound(
+            self.level, self.ell, default_beta(self.k)))
 
     @property
     def ell(self) -> float:
+        """Order of the Bessel kernels, k - 3/2."""
         return self.k - 1.5
+
+    @property
+    def kappa(self) -> float:
+        """Power of det T in the assembled coefficient, k/2 - 3/4."""
+        return self.k / 2 - 0.75
+
+    @property
+    def index(self) -> int:
+        """[Sp4(Z) : Gamma0(N)] = N^3 (1 + 1/N)(1 + 1/N^2) for prime N."""
+        n = self.level
+        return n ** 3 + n ** 2 + n + 1
+
+    @property
+    def c_n(self) -> float:
+        """Poincare inner-product constant c_N."""
+        k = self.k
+        return math.exp(0.5 * math.log(math.pi)
+                        + (3 - 2 * k) * math.log(4 * math.pi)
+                        + math.lgamma(self.ell) + math.lgamma(k - 2)
+                        - math.log(4 * self.index))
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,7 @@ def _rank2_terms(q: HalfIntegralForm, t: HalfIntegralForm,
 def _rank2_sum(q: HalfIntegralForm, t: HalfIntegralForm,
                params: SpectralParams) -> tuple[complex, float]:
     total = 0j
-    for _, term in _rank2_terms(q, t, params, truncation_set(params.box)):
+    for _, term in _rank2_terms(q, t, params, truncation_set(params.m_bound)):
         total += term
     return total, _rank2_shell_bound(q, t, params)
 
@@ -254,7 +253,8 @@ def rank2_shell_sums(q: HalfIntegralForm, t: HalfIntegralForm,
                      params: SpectralParams) -> dict[int, complex]:
     """Partial rank-2 sums grouped by |det C'| (decay diagnostic)."""
     shells: dict[int, complex] = {}
-    for cp, term in _rank2_terms(q, t, params, truncation_set(params.box)):
+    for cp, term in _rank2_terms(q, t, params,
+                                 truncation_set(params.m_bound)):
         d = abs(cp.det())
         shells[d] = shells.get(d, 0j) + term
     return shells
@@ -273,7 +273,7 @@ def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
     n = params.level
     ell = params.ell
     bound = 0.0
-    for cp in shell_matrices(params.box, 1):
+    for cp in shell_matrices(params.m_bound, 1):
         c = cp.scale(n)
         c1, c2, _, v = elementary_divisors(c)
         t4 = t.conjugate_left(v).t4  # (2,2)-entry of V^T T V
@@ -307,15 +307,15 @@ def tail_diagnostic(m1: int, m2: int, level: int, k: int, beta: float,
     attached to moduli in the shell and records lattice-point counting
     ratios for the short-vector and weighted-trace sums.
     """
-    box = TruncationBox(beta=beta, level=level, ell=k - 1.5)
-    params = SpectralParams(k=k, level=level, box=box)
-    shell = shell_matrices(box, shell_width)  # empty when shell_width <= 0
+    params = SpectralParams(k=k, level=level)
+    m = box_bound(level, params.ell, beta)
+    shell = shell_matrices(m, shell_width)  # empty when shell_width <= 0
     terms = _rank2_terms(HalfIntegralForm.scalar(m2),
                          HalfIntegralForm.scalar(m1), params, shell)
     observed = sum(abs(term) for _, term in terms)
     exponent = -1.0 - beta + 5.0 * (1.0 + beta) / (2.0 * params.ell)
     return TailReport(
-        level=level, weight=k, beta=beta, m_bound=box.m_bound,
+        level=level, weight=k, beta=beta, m_bound=m,
         shell_size=len(shell), observed_tail=observed,
         predicted_exponent=exponent,
         predicted_envelope=float(level) ** exponent,
@@ -333,8 +333,7 @@ def h_fourier(q: HalfIntegralForm, t: HalfIntegralForm,
     rank-2, with a numeric bound on the truncation tail."""
     q.require_positive_definite()
     t.require_positive_definite()
-    kappa = params.k / 2 - 0.75
-    det_ratio_pow = (t.det() / q.det()) ** kappa
+    det_ratio_pow = (t.det() / q.det()) ** params.kappa
     diag = 0j
     if gl2_equivalence(q, t) is not None:
         diag = complex(aut_count(t))
@@ -366,14 +365,13 @@ def spectral_gram(forms: list[HalfIntegralForm],
     identity; Hermitian up to truncation tails, positive semidefinite up to
     the same budget."""
     m = len(forms)
-    norm = NormalizationConstant(params.k, params.level)
-    kappa = params.k / 2 - 0.75
+    kappa, c_n = params.kappa, params.c_n
     g = np.zeros((m, m), dtype=complex)
     budget = np.zeros((m, m))
     for i, ti in enumerate(forms):
         for j, tj in enumerate(forms):
             h = h_fourier(tj, ti, params)  # Q = T_j, T = T_i
-            scale = tj.det() ** kappa / (ti.det() ** kappa * 8 * norm.c_n)
+            scale = tj.det() ** kappa / (ti.det() ** kappa * 8 * c_n)
             g[i, j] = h.total * scale
             budget[i, j] = h.tail_bound * scale
     if m:

@@ -200,6 +200,14 @@ class TestErrors:
         assert captured.out == ""
         assert "error: weight must be an even integer >= 10" in captured.err
 
+    def test_hqt_checks_level_before_progress(self, capsys):
+        code = cli.main(["hqt", "--q", "1,0,1", "--t", "1,0,1", "--n", "4",
+                         "--k", "10"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: level must be prime" in err
+        assert "# assembling" not in err
+
     def test_empty_gram_checks_level(self, capsys):
         assert cli.main(["gram", "--n", "4", "--k", "10"]) == 1
         assert "error: level must be prime" in capsys.readouterr().err

@@ -6,11 +6,11 @@ import pytest
 from siegelsums.matcore import HalfIntegralForm, IntMat2
 from siegelsums.kernels import (
     KernelArg,
-    TruncationBox,
     _panel_sum,
     bessel_j,
     bessel_j_integral,
     bessel_j_series,
+    default_beta,
     require_weight,
     script_j,
     script_j_for_forms,
@@ -160,59 +160,60 @@ def brute_box_members(m):
 
 class TestTruncation:
     def test_box_parameters(self):
-        box = TruncationBox.for_params(10, 3)
-        assert abs(box.beta - 12 / 22) < 1e-12
-        assert box.m_bound == 2
+        assert abs(default_beta(10) - 12 / 22) < 1e-12
+        assert SpectralParams(k=10, level=3).m_bound == 2
+
+    @pytest.mark.parametrize("k, level, m", [
+        (10, 43, 2), (10, 47, 3), (12, 47, 2), (12, 211, 3)])
+    def test_box_bound_steps(self, k, level, m):
+        # the levels at which the default box grows from 2 to 3
+        assert SpectralParams(k=k, level=level).m_bound == m
 
     def test_membership(self):
-        box = TruncationBox.for_params(10, 3)
-        assert box.contains(IntMat2.identity())
-        assert not box.contains(IntMat2.diag(0, 1))     # singular
-        assert not box.contains(IntMat2.diag(3, 1))     # entry too large
-        assert not box.contains(IntMat2(2, 2, -2, 2))   # determinant too large
+        box = set(truncation_set(SpectralParams(k=10, level=3).m_bound))
+        assert IntMat2.identity() in box
+        assert IntMat2.diag(0, 1) not in box     # singular
+        assert IntMat2.diag(3, 1) not in box     # entry too large
+        assert IntMat2(2, 2, -2, 2) not in box   # determinant too large
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_stream_matches_exhaustive_filter(self, m):
-        box = TruncationBox(beta=1.0, level=2, ell=8.5)
-        object.__setattr__(box, "m_bound", m)
-        got = [c.entries() for c in truncation_set(box)]
+        got = [c.entries() for c in truncation_set(m)]
         want = sorted(brute_box_members(m))
         assert got == want
 
     def test_unit_box_count(self):
         # entries and determinant bounded by 1: exhaustive filter gives 40
-        box = TruncationBox(beta=1.0, level=2, ell=8.5)
-        object.__setattr__(box, "m_bound", 1)
-        elems = list(truncation_set(box))
+        elems = list(truncation_set(1))
         assert len(elems) == len(brute_box_members(1)) == 40
         assert all(abs(c.det()) == 1 for c in elems)
 
     def test_shell_disjoint_from_box(self):
-        box = TruncationBox.for_params(10, 3)
-        shell = shell_matrices(box, 1)
-        assert shell and all(not box.contains(c) for c in shell)
+        m = SpectralParams(k=10, level=3).m_bound
+        shell = shell_matrices(m, 1)
+        assert shell and not set(shell) & set(truncation_set(m))
 
     @pytest.mark.parametrize("level", [3, 5, 7, 11, 13, 31, 47, 101])
     @pytest.mark.parametrize("k", [10, 12])
     def test_shell_matches_exhaustive_filter(self, level, k):
         # reference: the exhaustive four-entry scan, filtered to the
         # shell; the members and their order must agree
-        box = TruncationBox.for_params(k, level)
+        m = SpectralParams(k=k, level=level).m_bound
+        box = set(truncation_set(m))
         for width in (-1, 0, 1, 2):
             want = [c for c in (IntMat2(*e) for e in
-                                brute_box_members(box.m_bound + width))
-                    if not box.contains(c)]
-            assert shell_matrices(box, width) == want, width
+                                brute_box_members(m + width))
+                    if c not in box]
+            assert shell_matrices(m, width) == want, width
 
 
 class TestTailDiagnostic:
     def test_empty_shell_zero_tail(self):
-        rep = tail_diagnostic(1, 1, 3, 10, TruncationBox.default_beta(10),
-                              shell_width=0)
+        rep = tail_diagnostic(1, 1, 3, 10, default_beta(10), shell_width=0)
         assert rep.observed_tail == 0.0 and rep.shell_size == 0
 
     def test_default_shell_report(self):
-        rep = tail_diagnostic(1, 1, 3, 10, TruncationBox.default_beta(10))
+        rep = tail_diagnostic(1, 1, 3, 10, default_beta(10))
         assert rep.shell_size > 0
         assert rep.observed_tail <= 10 * rep.predicted_envelope
         assert rep.minkowski_samples
@@ -221,3 +222,8 @@ class TestTailDiagnostic:
             assert ms.short_constant >= 0
         # the identity sample has no unimodular U with tr(A[U]) <= 1
         assert rep.minkowski_samples[0].short_count == 0
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_nonpositive_beta_raises(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            tail_diagnostic(1, 1, 3, 10, beta)

@@ -8,7 +8,6 @@ from siegelsums.expsums import SumValue
 from siegelsums.matcore import HalfIntegralForm, IntMat2
 from siegelsums.lfun import dirichlet_l
 from siegelsums.petersson import (
-    NormalizationConstant,
     SpectralParams,
     h_fourier,
     leading_coeff_fit,
@@ -31,15 +30,15 @@ def params():
 
 class TestNormalization:
     def test_index_formula(self):
-        assert NormalizationConstant(10, 3).index == 40  # (3^4 - 1)/(3 - 1)
-        assert NormalizationConstant(10, 7).index == 400
+        assert SpectralParams(10, 3).index == 40  # (3^4 - 1)/(3 - 1)
+        assert SpectralParams(10, 7).index == 400
 
     def test_prime_required(self):
         with pytest.raises(ValueError):
-            NormalizationConstant(10, 6)
+            SpectralParams(10, 6)
 
     def test_positive(self):
-        assert NormalizationConstant(10, 3).c_n > 0
+        assert SpectralParams(10, 3).c_n > 0
 
 
 class TestHFourier:
