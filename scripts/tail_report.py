@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Report the rank-2 truncation tail observed just outside the cutoff box,
-next to the predicted error exponent, plus the Minkowski-reduction
-lattice-counting diagnostics."""
+next to the predicted error exponent.  Bad input (a non-prime level, a
+weight that is not an even integer >= 10, a beta that is not positive
+and finite) exits 2 with a usage line."""
 
 import argparse
 import sys
@@ -20,20 +21,17 @@ def main() -> int:
     ap.add_argument("--shell-width", type=int, default=1)
     args = ap.parse_args()
     beta = args.beta if args.beta is not None else default_beta(args.k)
-    rep = tail_diagnostic(args.m1, args.m2, args.level, args.k, beta,
-                          shell_width=args.shell_width)
+    try:
+        rep = tail_diagnostic(args.m1, args.m2, args.level, args.k, beta,
+                              shell_width=args.shell_width)
+    except ValueError as exc:
+        ap.error(str(exc))
     print(f"level N = {rep.level}, weight k = {rep.weight}, "
           f"beta = {rep.beta:.6f}, box bound M = {rep.m_bound}")
     print(f"shell size: {rep.shell_size}")
     print(f"observed tail: {rep.observed_tail:.6e}")
     print(f"predicted envelope N^{rep.predicted_exponent:.4f} "
           f"= {rep.predicted_envelope:.6e}")
-    print("Minkowski samples (reduced form, short-vector count, "
-          "recorded constants):")
-    for ms in rep.minkowski_samples:
-        print(f"  a11={ms.matrix.a11} a12={ms.matrix.a12} a22={ms.matrix.a22} "
-              f"short={ms.short_count} c_short={ms.short_constant:.4f} "
-              f"c_weighted={ms.weighted_constant:.4f}")
     return 0
 
 

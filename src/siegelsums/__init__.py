@@ -6,14 +6,12 @@ from .matcore import (
     GaussianInt,
     HalfIntegralForm,
     IntMat2,
-    SymRat2,
     aut_count,
     elementary_divisors,
     gaussian_totient,
     gl2_equivalence,
     is_go2,
     kronecker,
-    minkowski_reduce,
 )
 from .sp4 import (
     SymplecticCompletion,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -47,19 +48,38 @@ def parse_form(text: str) -> HalfIntegralForm:
             f"malformed form literal {text!r} (expected 't1,t2,t4')")
 
 
+def parse_float(text: str) -> float:
+    """A finite float; nan and inf would print as invalid JSON."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed number {text!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"number {text!r} is not finite")
+    return x
+
+
 def parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(parse_float(parts[0]), 0.0)
     if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(parse_float(parts[0]), parse_float(parts[1]))
     raise argparse.ArgumentTypeError(f"malformed complex literal {text!r}")
+
+
+def parse_levels(text: str) -> str:
+    """A comma-separated list of finite numbers, kept as written so that
+    the record's params echo the literal."""
+    for part in text.split(","):
+        parse_float(part)
+    return text
 
 
 FORM = {"type": parse_form, "required": True}
 MATRIX = {"type": parse_matrix, "required": True}
 INT = {"type": int, "required": True}
-FLOAT = {"type": float, "required": True}
+FLOAT = {"type": parse_float, "required": True}
 
 
 def _pair(z: complex) -> list[float]:
@@ -177,13 +197,13 @@ COMMANDS = {
     "mainterm": (
         "main-term double residue",
         {"q1": INT, "q2": INT, "bign": FLOAT, "k": INT,
-         "radius": {"type": float, "default": 0.08},
+         "radius": {"type": parse_float, "default": 0.08},
          "nodes": {"type": int, "default": 128},
          "poly": {"choices": POLYS, "default": "(1-s)^2"}}, _mainterm),
     "fit": (
         "polynomial fit of the residue in log N",
         {"q1": INT, "q2": INT, "k": INT,
-         "ns": {"default": "100,1000,10000,100000",
+         "ns": {"type": parse_levels, "default": "100,1000,10000,100000",
                 "help": "comma-separated sample levels"},
          "degree": {"type": int, "default": None}}, _fit),
     "verify": (

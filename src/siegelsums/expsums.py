@@ -24,6 +24,7 @@ from .matcore import (
     SingularModulusError,
     _xgcd,
     gaussian_totient,
+    is_fundamental_discriminant,
     is_go2,
     is_prime,
     kronecker,
@@ -246,9 +247,13 @@ def twisted_average(c: IntMat2, q1: int, q2: int) -> SumValue:
     chi_{q1}(mu1) chi_{q2}(mu2) K(mu2 I, mu1 I; C) by brute force and checks
     it against the closed form delta_{q1=q2=1} |det C|^2 phi(x + i y),
     where C = [[x, y], [-/+ y, +/- x]] and phi is the totient on Z[i].
+    Each of q1, q2 must be 1 or a fundamental discriminant.
     """
     if not is_go2(c):
         raise ValueError("modulus is not in GO2(Z)")
+    for q in (q1, q2):
+        if not is_fundamental_discriminant(q):
+            raise ValueError(f"{q} is not 1 or a fundamental discriminant")
     cdet = abs(c.det())
     m1 = math.lcm(abs(q1), cdet)
     m2 = math.lcm(abs(q2), cdet)

@@ -1,6 +1,6 @@
 """Archimedean ingredients: Bessel functions, the double-Bessel kernel,
-the gamma and polynomial factors of the smooth Mellin weight, the rank-2
-truncation set and its shell, and Minkowski samples of shell moduli.
+the gamma and polynomial factors of the smooth Mellin weight, and the
+rank-2 truncation set and its shell.
 
 The production Bessel evaluator delegates to scipy's jv; an ascending
 series and an integral-representation quadrature are kept alongside as
@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv as _scipy_jv, loggamma as _loggamma
 
-from .matcore import (
-    HalfIntegralForm,
-    IntMat2,
-    SymRat2,
-    divisors,
-    minkowski_reduce,
-)
+from .matcore import HalfIntegralForm, IntMat2, divisors
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +231,9 @@ def default_beta(k: int) -> float:
 
 
 def box_bound(level: int, ell: float, beta: float) -> int:
-    """The box bound M = ceil(N^((1 + beta) / ell)) for beta > 0."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    """The box bound M = ceil(N^((1 + beta) / ell)) for finite beta > 0."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     return int(math.ceil(level ** ((1.0 + beta) / ell) - 1e-12))
 
 
@@ -280,7 +274,7 @@ def truncation_set(m: int):
 
 
 # ---------------------------------------------------------------------------
-# The shell just outside the box and its Minkowski samples
+# The shell just outside the box
 
 
 def shell_matrices(m: int, width: int = 1) -> list[IntMat2]:
@@ -290,61 +284,3 @@ def shell_matrices(m: int, width: int = 1) -> list[IntMat2]:
     return [c for c in _bounded_matrices(m + width)
             if abs(c.det()) > m or max(map(abs, c.entries())) > m]
 
-
-@dataclass(frozen=True)
-class MinkowskiSample:
-    matrix: SymRat2
-    short_count: int
-    short_constant: float      # count * sqrt(det A)
-    weighted_sum: float        # sum over tr(A[U]) > 1 of det^{5/4} tr^{-3/2}
-    weighted_constant: float   # weighted_sum / det^{3/4}
-
-
-def minkowski_samples(shell: list[IntMat2]) -> tuple[MinkowskiSample, ...]:
-    """Samples for the identity and up to four moduli spread over the shell."""
-    step = max(1, len(shell) // 4)
-    picks = [IntMat2.identity()] + shell[::step][:4]
-    return tuple(_minkowski_sample(c) for c in picks)
-
-
-def _minkowski_sample(c: IntMat2) -> MinkowskiSample:
-    from fractions import Fraction
-
-    bound = 12.0  # form values of the columns of U, and traces, up to this
-
-    det = c.det()
-    adj = c.adj()
-    # (C^{-T} C^{-1}) as an exact rational form, then Minkowski-reduce
-    g = adj.mul(adj.t())
-    d2 = det * det
-    a = SymRat2(Fraction(g.a, d2), Fraction(g.b, d2), Fraction(g.d, d2))
-    red, _ = minkowski_reduce(a)
-    det_a = float(red.det())
-    # columns of U must each have small form value, so enumerate the ellipse
-    # A[x, y] <= bound first and combine pairs with determinant +-1
-    xmax = int(math.sqrt(bound * float(red.a22) / det_a)) + 1
-    ymax = int(math.sqrt(bound * float(red.a11) / det_a)) + 1
-    vecs = []
-    for x in range(-xmax, xmax + 1):
-        for y in range(-ymax, ymax + 1):
-            val = float(red.evaluate(x, y))
-            if val <= bound:
-                vecs.append((x, y, val))
-    short = 0
-    weighted = 0.0
-    for (u1, u2, uval) in vecs:
-        for (v1, v2, vval) in vecs:
-            if u1 * v2 - u2 * v1 not in (1, -1):
-                continue
-            tr = uval + vval
-            if tr <= 1.0:
-                short += 1
-            elif tr <= bound:
-                weighted += det_a ** 1.25 * tr ** -1.5
-    return MinkowskiSample(
-        matrix=red,
-        short_count=short,
-        short_constant=short * math.sqrt(det_a),
-        weighted_sum=weighted,
-        weighted_constant=weighted / det_a ** 0.75,
-    )

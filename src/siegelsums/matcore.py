@@ -1,16 +1,15 @@
-"""Exact 2x2 integer/rational matrix arithmetic and arithmetic functions.
+"""Exact 2x2 integer matrix arithmetic and arithmetic functions.
 
-Everything in this module is exact: arbitrary-precision integers and
-`fractions.Fraction` rationals, no floating point.  The types defined here
-(integer matrices, half-integral binary forms, rational symmetric matrices,
-Gaussian integers) are frozen dataclasses and safe to share across threads.
+Everything in this module is exact arbitrary-precision integer arithmetic;
+the one float is `HalfIntegralForm.det`, for the numeric layers.  The
+types defined here (integer matrices, half-integral binary forms, Gaussian
+integers) are frozen dataclasses and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class SingularModulusError(ValueError):
@@ -151,43 +150,6 @@ class HalfIntegralForm:
     @staticmethod
     def identity() -> "HalfIntegralForm":
         return HalfIntegralForm(1, 0, 1)
-
-
-# ---------------------------------------------------------------------------
-# Exact rational symmetric 2x2 matrices
-
-
-@dataclass(frozen=True)
-class SymRat2:
-    """Symmetric 2x2 matrix [[a11, a12], [a12, a22]] with Fraction entries."""
-
-    a11: Fraction
-    a12: Fraction
-    a22: Fraction
-
-    def det(self) -> Fraction:
-        return self.a11 * self.a22 - self.a12 * self.a12
-
-    def trace(self) -> Fraction:
-        return self.a11 + self.a22
-
-    def is_positive_definite(self) -> bool:
-        return self.a11 > 0 and self.det() > 0
-
-    def evaluate(self, x: int, y: int) -> Fraction:
-        return self.a11 * x * x + 2 * self.a12 * x * y + self.a22 * y * y
-
-    def conjugate(self, u: IntMat2) -> "SymRat2":
-        """u^T A u, exact."""
-        b11 = self.evaluate(u.a, u.c)
-        b22 = self.evaluate(u.b, u.d)
-        b12 = (self.a11 * u.a * u.b + self.a12 * (u.a * u.d + u.b * u.c)
-               + self.a22 * u.c * u.d)
-        return SymRat2(b11, b12, b22)
-
-    @staticmethod
-    def from_ints(a11, a12, a22) -> "SymRat2":
-        return SymRat2(Fraction(a11), Fraction(a12), Fraction(a22))
 
 
 # ---------------------------------------------------------------------------
@@ -544,52 +506,6 @@ def solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[int] | N
         elif b[i] != 0:
             return None
     return [sum(v[i][j] * y[j] for j in range(rank)) for i in range(nc)]
-
-
-# ---------------------------------------------------------------------------
-# Minkowski reduction of positive-definite rational forms
-
-
-def minkowski_reduce(a: SymRat2) -> tuple[SymRat2, IntMat2]:
-    """Minkowski-reduce a positive definite rational symmetric matrix.
-
-    Returns (A_red, U) with A_red = U^T A U exactly, |2*a12| <= a11 <= a22
-    and a12 >= 0 (sign normalized via diag(1, -1)).
-    """
-    if not a.is_positive_definite():
-        raise ValueError("matrix is not positive definite")
-    u = IntMat2.identity()
-    cur = a
-    swap = IntMat2(0, -1, 1, 0)
-    while True:
-        # translate: a12 <- a12 - t*a11 with t = round(a12/a11)
-        t = _round_frac(cur.a12 / cur.a11)
-        if t != 0:
-            step = IntMat2(1, -t, 0, 1)
-            cur = cur.conjugate(step)
-            u = u.mul(step)
-        if cur.a11 > cur.a22:
-            cur = cur.conjugate(swap)
-            u = u.mul(swap)
-            continue
-        break
-    if cur.a12 < 0:
-        flip = IntMat2.diag(1, -1)
-        cur = cur.conjugate(flip)
-        u = u.mul(flip)
-    assert 2 * abs(cur.a12) <= cur.a11 <= cur.a22
-    return cur, u
-
-
-def _round_frac(x: Fraction) -> int:
-    # round half toward zero keeps |a12| <= a11/2 achievable
-    fl = x.numerator // x.denominator
-    rem = x - fl
-    if rem > Fraction(1, 2):
-        return fl + 1
-    if rem == Fraction(1, 2):
-        return fl if fl >= 0 else fl + 1
-    return fl
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,27 @@ class TestErrors:
         assert captured.out == ""
         assert "error: weight must be an even integer >= 10" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["mainterm", "--q1", "1", "--q2", "1", "--bign", "nan", "--k", "10"],
+        ["mainterm", "--q1", "1", "--q2", "1", "--bign", "inf", "--k", "10"],
+        ["mainterm", "--q1", "1", "--q2", "1", "--bign", "1000", "--k", "10",
+         "--radius", "nan"],
+        ["weight", "--x", "nan", "--k", "10"],
+        ["besselkernel", "--ell", "8.5", "--eig1", "inf", "--eig2", "1"],
+        ["lvalue", "--s", "nan", "--q", "5"],
+        ["lvalue", "--s", "2,inf", "--q", "5"],
+        ["fit", "--q1", "5", "--q2", "13", "--k", "10", "--ns", "100,nan"],
+    ], ids=["bign-nan", "bign-inf", "radius", "weight", "besselkernel",
+            "lvalue-re", "lvalue-im", "fit-ns"])
+    def test_non_finite_number_exits_2(self, capsys, argv):
+        # nan and inf would print as NaN / Infinity, which is not JSON
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not finite" in captured.err
+
     def test_hqt_checks_level_before_progress(self, capsys):
         code = cli.main(["hqt", "--q", "1,0,1", "--t", "1,0,1", "--n", "4",
                          "--k", "10"])

@@ -331,6 +331,13 @@ class TestTwistedAverage:
         with pytest.raises(ValueError):
             twisted_average(IntMat2(1, 2, 3, 4), 1, 1)
 
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_non_discriminant_rejected(self, q):
+        # unchecked, q = 0 gives an empty sum and q = 2 a closed-form mismatch
+        for q1, q2 in ((q, 1), (1, q)):
+            with pytest.raises(ValueError, match="fundamental discriminant"):
+                twisted_average(I2, q1, q2)
+
     def test_both_shapes(self):
         for c in (IntMat2(2, 1, -1, 2), IntMat2(2, 1, 1, -2)):
             v = twisted_average(c, 1, 1)

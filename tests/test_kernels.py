@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from siegelsums.kernels import (
     weight_w,
 )
 from siegelsums.petersson import SpectralParams, tail_diagnostic
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestBessel:
@@ -216,14 +222,21 @@ class TestTailDiagnostic:
         rep = tail_diagnostic(1, 1, 3, 10, default_beta(10))
         assert rep.shell_size > 0
         assert rep.observed_tail <= 10 * rep.predicted_envelope
-        assert rep.minkowski_samples
-        for ms in rep.minkowski_samples:
-            assert ms.short_count >= 0
-            assert ms.short_constant >= 0
-        # the identity sample has no unimodular U with tr(A[U]) <= 1
-        assert rep.minkowski_samples[0].short_count == 0
 
-    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    @pytest.mark.parametrize("beta", [0.0, -0.5, math.inf, math.nan])
     def test_nonpositive_beta_raises(self, beta):
         with pytest.raises(ValueError, match="beta must be positive"):
             tail_diagnostic(1, 1, 3, 10, beta)
+
+    @pytest.mark.parametrize("argv", [["--beta", "0"], ["--beta", "inf"],
+                                      ["--level", "4"], ["--k", "9"]],
+                             ids=["beta", "beta-inf", "level", "weight"])
+    def test_report_script_bad_input_exits_2(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "tail_report.py"), *argv],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +9,6 @@ from siegelsums.matcore import (
     HalfIntegralForm,
     IntMat2,
     SingularModulusError,
-    SymRat2,
     aut_count,
     elementary_divisors,
     gaussian_factor,
@@ -19,7 +17,6 @@ from siegelsums.matcore import (
     is_fundamental_discriminant,
     is_go2,
     kronecker,
-    minkowski_reduce,
     representations,
     solve_integer_system,
 )
@@ -78,45 +75,6 @@ class TestIntegerSolver:
 
     def test_insoluble(self):
         assert solve_integer_system([[2]], [1]) is None
-
-
-class TestMinkowskiReduce:
-    def test_identity_fixed(self):
-        red, u = minkowski_reduce(SymRat2.from_ints(1, 0, 1))
-        assert red == SymRat2.from_ints(1, 0, 1)
-
-    def test_already_reduced(self):
-        red, _ = minkowski_reduce(SymRat2.from_ints(1, 0, 3))
-        assert red == SymRat2.from_ints(1, 0, 3)
-
-    def test_reduction_example(self):
-        # exhaustive short-vector oracle: lattice minimum of [[5,4],[4,5]] is 2
-        a = SymRat2.from_ints(5, 4, 5)
-        minimum = min(a.evaluate(x, y)
-                      for x in range(-10, 11) for y in range(-10, 11)
-                      if (x, y) != (0, 0))
-        red, u = minkowski_reduce(a)
-        assert red.a11 == minimum == 2
-        assert (red.a11, abs(red.a12), red.a22) == (2, 1, 5)
-        assert a.conjugate(u) == red
-
-    def test_non_positive_definite_rejected(self):
-        with pytest.raises(ValueError):
-            minkowski_reduce(SymRat2.from_ints(1, 3, 1))
-
-    @settings(max_examples=120, deadline=None)
-    @given(st.integers(1, 25), st.integers(-18, 18), st.integers(1, 25),
-           st.integers(1, 4))
-    def test_preserves_det_and_reduces(self, a11, a12, a22, den):
-        a = SymRat2(Fraction(a11), Fraction(a12, den), Fraction(a22))
-        if not a.is_positive_definite():
-            return
-        red, u = minkowski_reduce(a)
-        assert red.det() == a.det()
-        assert red.is_positive_definite()
-        assert 2 * abs(red.a12) <= red.a11 <= red.a22
-        assert red.a12 >= 0
-        assert a.conjugate(u) == red
 
 
 class TestFormEquivalence:

@@ -5,6 +5,7 @@ import pytest
 
 from siegelsums import petersson
 from siegelsums.expsums import SumValue
+from siegelsums.kernels import shell_matrices
 from siegelsums.matcore import HalfIntegralForm, IntMat2
 from siegelsums.lfun import dirichlet_l
 from siegelsums.petersson import (
@@ -16,7 +17,12 @@ from siegelsums.petersson import (
     residue_fit_degree,
     spectral_gram,
 )
-from siegelsums.petersson import _primitive_reps, _rank1_sum
+from siegelsums.petersson import (
+    _primitive_reps,
+    _rank1_sum,
+    _rank2_shell_bound,
+    _rank2_terms,
+)
 
 HI = HalfIntegralForm.identity()
 D12 = HalfIntegralForm(1, 0, 2)
@@ -121,6 +127,16 @@ class TestHFourier:
         assert dets == [1, 2]
         assert abs(shells[2]) <= 0.5 * abs(shells[1])
 
+    @pytest.mark.parametrize("q, t", [
+        (HI, HI), (HalfIntegralForm(1, 1, 1), HalfIntegralForm(1, 1, 2)),
+        (HI, D12)], ids=["I-I", "111-112", "I-D12"])
+    def test_rank2_budget_covers_three_shells(self, params, q, t):
+        # the budget doubles the envelope of shell 1 to cover all moduli
+        # beyond the box; here it must cover the exact terms of shells 1-3
+        shell = shell_matrices(params.m_bound, 3)
+        exact = sum(abs(term) for _, term in _rank2_terms(q, t, params, shell))
+        assert _rank2_shell_bound(q, t, params) >= exact
+
 
 class TestGram:
     def test_two_form_gram(self, params):
@@ -192,6 +208,12 @@ class TestMainTerm:
         for r in (0.9, 0.5, 0.0, -0.08):
             with pytest.raises(ValueError, match=r"Gamma\(s\+1\)"):
                 main_term_residue(1, 1, 1000.0, 10, radius=r)
+
+    @pytest.mark.parametrize("level", [math.inf, -math.inf, math.nan, 1.0])
+    def test_level_must_be_finite_above_one(self, level):
+        # unchecked, an infinite level gives residue=nan
+        with pytest.raises(ValueError, match="level must be a finite number"):
+            main_term_residue(1, 1, level, 10)
 
     @pytest.mark.parametrize("k", [8, 9, 11])
     def test_weight_contract(self, k):
