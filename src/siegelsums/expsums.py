@@ -24,10 +24,10 @@ from .matcore import (
     SingularModulusError,
     _xgcd,
     gaussian_totient,
-    is_fundamental_discriminant,
     is_go2,
     is_prime,
     kronecker,
+    require_fundamental_discriminant,
 )
 from . import sp4
 
@@ -88,21 +88,19 @@ def kloosterman(q: HalfIntegralForm, t: HalfIntegralForm, c: IntMat2,
 
 
 @lru_cache(maxsize=None)
-def _pI_grid(p: int):
-    """Arrays (d1, d2, d4, inv(delta)) over the triples mod p with p∤delta."""
-    d1, d2, d4 = np.meshgrid(np.arange(p), np.arange(p), np.arange(p),
-                             indexing="ij")
-    d1, d2, d4 = (x.ravel().astype(np.int64) for x in (d1, d2, d4))
+def _pI_grid(p: int) -> np.ndarray:
+    """(p^3 - p^2, 6) weight table mod p, shaped like ``CosetData.weights``:
+    D with det D a unit has the row inv(det D) (d4, -d2, d1), d1, d2, d4."""
+    d1, d2, d4 = (x.ravel() for x in np.meshgrid(
+        *[np.arange(p, dtype=np.int64)] * 3, indexing="ij"))
     delta = (d1 * d4 - d2 * d2) % p
     keep = delta != 0
-    d1, d2, d4, delta = d1[keep], d2[keep], d4[keep], delta[keep]
-    inv_table = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        inv_table[x] = pow(x, p - 2, p)
-    grids = (d1, d2, d4, inv_table[delta])
-    for g in grids:
-        g.setflags(write=False)
-    return grids
+    d1, d2, d4 = d1[keep], d2[keep], d4[keep]
+    invd = np.array([0] + [pow(x, -1, p) for x in range(1, p)])[delta[keep]]
+    rows = np.stack([invd * d4 % p, -invd * d2 % p, invd * d1 % p,
+                     d1, d2, d4], axis=1)
+    rows.setflags(write=False)
+    return rows
 
 
 def kloosterman_pI(q: HalfIntegralForm, t: HalfIntegralForm, p: int) -> SumValue:
@@ -116,9 +114,7 @@ def kloosterman_pI(q: HalfIntegralForm, t: HalfIntegralForm, p: int) -> SumValue
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    d1, d2, d4, invd = _pI_grid(p)
-    nums = (invd * (d4 * q.t1 - d2 * q.t2 + d1 * q.t4)
-            + d1 * t.t1 + d2 * t.t2 + d4 * t.t4) % p
+    nums = (_pI_grid(p) @ _form_vector(q, t)) % p
     value = _tally_value(nums, p)
     return SumValue(value=value, terms=len(nums), method="pI-formula")
 
@@ -126,11 +122,15 @@ def kloosterman_pI(q: HalfIntegralForm, t: HalfIntegralForm, p: int) -> SumValue
 def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
                          c: IntMat2,
                          bezout: tuple[int, int] | None = None) -> SumValue:
-    """K(Q, T; N*C) factored through coprime moduli N*I and C.
+    """K(Q, T; N*C) through coprime moduli N*I and C, as one exact tally.
 
-    With s*N + t*det(C) = 1 and X = t*det(C)*C^{-1} = t*adj(C), the sum
-    splits as K(X Q X^T, T; N*I) * K(s^2 Q, T; C).  The value does not
-    depend on the Bezout pair; pass ``bezout`` to pin one explicitly.
+    With s*N + t*det(C) = 1 and X = t*adj(C), each coset of N*C is a pair
+    of cosets of N*I and C whose summands are those of K(X Q X^T, T; N*I)
+    and K(s^2 Q, T; C).  Their numerators, mod N and mod 2|det C|, are
+    lifted to m = 2 N^2 |det C| (the coset table's modulus for N*C) and
+    the pairwise sums tallied mod m, with no float product: value and terms
+    equal ``kloosterman(q, t, c.scale(n))`` bit for bit, whatever the
+    Bezout pair (``bezout`` pins one).
     """
     if not is_prime(n):
         raise ValueError(f"{n} is not prime")
@@ -147,11 +147,12 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
         if s * n + tt * cdet != 1:
             raise ValueError("invalid Bezout pair")
     x = c.adj().scale(tt)  # t * det(C) * C^{-1}
-    q_left = q.conjugate_right(x)         # X Q X^T
-    q_right = q.scale(s * s)              # s^2 Q
-    k1 = kloosterman(q_left, t, IntMat2.scalar(n))
-    k2 = kloosterman(q_right, t, c)
-    return SumValue(value=k1.value * k2.value, terms=k1.terms * k2.terms,
+    left = (_pI_grid(n) @ _form_vector(q.conjugate_right(x), t)) % n
+    data = sp4.coset_data(c)
+    right = (data.weights @ _form_vector(q.scale(s * s), t)) % data.m
+    m = n * n * data.m
+    nums = ((left * (n * data.m))[:, None] + (right * n * n)[None, :]) % m
+    return SumValue(value=_tally_value(nums.ravel(), m), terms=nums.size,
                     method="factored")
 
 
@@ -251,9 +252,7 @@ def twisted_average(c: IntMat2, q1: int, q2: int) -> SumValue:
     """
     if not is_go2(c):
         raise ValueError("modulus is not in GO2(Z)")
-    for q in (q1, q2):
-        if not is_fundamental_discriminant(q):
-            raise ValueError(f"{q} is not 1 or a fundamental discriminant")
+    require_fundamental_discriminant(q1, q2)
     cdet = abs(c.det())
     m1 = math.lcm(abs(q1), cdet)
     m2 = math.lcm(abs(q2), cdet)

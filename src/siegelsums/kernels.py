@@ -234,7 +234,10 @@ def box_bound(level: int, ell: float, beta: float) -> int:
     """The box bound M = ceil(N^((1 + beta) / ell)) for finite beta > 0."""
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    return int(math.ceil(level ** ((1.0 + beta) / ell) - 1e-12))
+    try:
+        return int(math.ceil(level ** ((1.0 + beta) / ell) - 1e-12))
+    except OverflowError:
+        raise ValueError(f"box bound overflows at beta = {beta}") from None
 
 
 def _bounded_matrices(m: int) -> list[IntMat2]:

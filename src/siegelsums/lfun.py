@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import divisors, is_fundamental_discriminant, kronecker
+from .matcore import divisors, kronecker, require_fundamental_discriminant
 
 
 class PoleError(ZeroDivisionError):
@@ -34,8 +34,7 @@ class FundamentalDiscriminant:
     q: int
 
     def __post_init__(self):
-        if not is_fundamental_discriminant(self.q):
-            raise ValueError(f"{self.q} is not 1 or a fundamental discriminant")
+        require_fundamental_discriminant(self.q)
 
     def chi(self, n: int) -> int:
         return kronecker(self.q, n)

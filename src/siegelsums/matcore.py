@@ -264,6 +264,13 @@ def is_fundamental_discriminant(q: int) -> bool:
     return False
 
 
+def require_fundamental_discriminant(*qs: int) -> None:
+    """Raise ValueError unless each q is 1 or a fundamental discriminant."""
+    for q in qs:
+        if not is_fundamental_discriminant(q):
+            raise ValueError(f"{q} is not 1 or a fundamental discriminant")
+
+
 def kronecker(q: int, n: int) -> int:
     """Kronecker symbol (q/n), completely multiplicative in n."""
     if n == 0:

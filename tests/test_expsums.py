@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from siegelsums import sp4
+from siegelsums.kernels import truncation_set
 from siegelsums.matcore import GaussianInt, HalfIntegralForm, IntMat2, gaussian_totient
+from siegelsums.petersson import SpectralParams
 from siegelsums.expsums import (
     _tally_value,
     congruence_count,
@@ -122,27 +125,41 @@ class TestKloosterman:
 
 
 class TestFactored:
-    def test_identity_branch(self):
-        # C = I: second factor is a single term, value K(Q,T;3I)
-        for q in (HI, HalfIntegralForm(1, 1, 2)):
-            lhs = kloosterman_factored(q, HI, 3, I2).value
-            rhs = kloosterman(q, HI, IntMat2.scalar(3)).value
-            assert abs(lhs - rhs) < 1e-9
+    FORMS = [(q, t) for q in (HI, HalfIntegralForm(1, 1, 2))
+             for t in (HI, HalfIntegralForm(2, 1, 1))]
 
-    @pytest.mark.parametrize("cmat", [I2, IntMat2.diag(1, 2),
-                                      IntMat2(1, 1, -1, 1), IntMat2.diag(2, 2)])
+    @pytest.mark.parametrize("n", [3, 5, 7, 11])
+    def test_bit_identical_to_coset_sum(self, n):
+        # the tally's counts are the enumerated table's, so value and terms
+        # are equal, not close, on every box modulus (C' = I included)
+        moduli = list(truncation_set(SpectralParams(k=10, level=n).m_bound))
+        assert len(moduli) == 288
+        for cmat in moduli:
+            for q, t in self.FORMS:
+                got = kloosterman_factored(q, t, n, cmat)
+                want = kloosterman(q, t, cmat.scale(n))
+                assert (got.value, got.terms) == (want.value, want.terms), \
+                    (n, cmat, q, t)
+
+    @pytest.mark.parametrize("cmat", [
+        I2, IntMat2.diag(1, 2), IntMat2(1, 1, -1, 1), IntMat2.diag(2, 2),
+        IntMat2(2, 1, 1, 1), IntMat2(0, 1, -2, 1)])
     def test_matches_brute_force(self, cmat):
-        for q in (HI, HalfIntegralForm(1, 1, 2)):
-            for t in (HI, HalfIntegralForm(2, 1, 1)):
-                lhs = kloosterman_factored(q, t, 3, cmat).value
-                rhs = kloosterman(q, t, cmat.scale(3)).value
-                assert abs(lhs - rhs) < 1e-9
+        # against the table enumerated for 3 C' itself, not derived from
+        # its Smith class; diag(2, 2) lies outside the box
+        table = sp4._enumerated_table(cmat.scale(3))
+        for q, t in self.FORMS:
+            nums = (table.weights @ np.array(
+                [q.t1, q.t2, q.t4, t.t1, t.t2, t.t4])) % table.m
+            got = kloosterman_factored(q, t, 3, cmat)
+            assert got.value == _tally_value(nums, table.m)
+            assert got.terms == table.count
 
     def test_bezout_independence(self):
         c = IntMat2.diag(1, 2)
-        v1 = kloosterman_factored(HI, HI, 3, c, bezout=(1, -1)).value
-        v2 = kloosterman_factored(HI, HI, 3, c, bezout=(-1, 2)).value
-        assert abs(v1 - v2) < 1e-12
+        v1 = kloosterman_factored(HI, HI, 3, c, bezout=(1, -1))
+        v2 = kloosterman_factored(HI, HI, 3, c, bezout=(-1, 2))
+        assert v1 == v2
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError, match="not coprime"):

@@ -229,8 +229,10 @@ class TestTailDiagnostic:
             tail_diagnostic(1, 1, 3, 10, beta)
 
     @pytest.mark.parametrize("argv", [["--beta", "0"], ["--beta", "inf"],
+                                      ["--beta", "1e300"],
                                       ["--level", "4"], ["--k", "9"]],
-                             ids=["beta", "beta-inf", "level", "weight"])
+                             ids=["beta", "beta-inf", "beta-overflow",
+                                  "level", "weight"])
     def test_report_script_bad_input_exits_2(self, argv):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from siegelsums import petersson
-from siegelsums.expsums import SumValue
+from siegelsums.expsums import SumValue, kloosterman
 from siegelsums.kernels import shell_matrices
 from siegelsums.matcore import HalfIntegralForm, IntMat2
 from siegelsums.lfun import dirichlet_l
@@ -26,6 +26,9 @@ from siegelsums.petersson import (
 
 HI = HalfIntegralForm.identity()
 D12 = HalfIntegralForm(1, 0, 2)
+PAIRS = {"I-I": (HI, HI),
+         "111-112": (HalfIntegralForm(1, 1, 1), HalfIntegralForm(1, 1, 2)),
+         "I-D12": (HI, D12)}
 A4 = math.pi / 4  # L(1, chi_{-4})
 
 
@@ -127,15 +130,32 @@ class TestHFourier:
         assert dets == [1, 2]
         assert abs(shells[2]) <= 0.5 * abs(shells[1])
 
-    @pytest.mark.parametrize("q, t", [
-        (HI, HI), (HalfIntegralForm(1, 1, 1), HalfIntegralForm(1, 1, 2)),
-        (HI, D12)], ids=["I-I", "111-112", "I-D12"])
-    def test_rank2_budget_covers_three_shells(self, params, q, t):
+    @pytest.mark.parametrize("level, pair", [
+        pytest.param(n, pair, id=pair if n == 3 else f"N{n}-{pair}")
+        for n, pairs in ((3, PAIRS), (13, PAIRS), (31, ["I-I"]))
+        for pair in pairs])
+    def test_rank2_budget_covers_three_shells(self, level, pair):
         # the budget doubles the envelope of shell 1 to cover all moduli
         # beyond the box; here it must cover the exact terms of shells 1-3
+        params = SpectralParams(k=10, level=level)
+        q, t = PAIRS[pair]
         shell = shell_matrices(params.m_bound, 3)
         exact = sum(abs(term) for _, term in _rank2_terms(q, t, params, shell))
         assert _rank2_shell_bound(q, t, params) >= exact
+
+    @pytest.mark.parametrize("level", [3, 5])
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_rank2_route_bit_identical_to_coset_sum(self, monkeypatch, level,
+                                                    pair):
+        # every field of the coefficient is unchanged when each factored
+        # Kloosterman sum is replaced by the coset sum of N C'
+        q, t = PAIRS[pair]
+        params = SpectralParams(k=10, level=level)
+        fast = h_fourier(q, t, params)
+        monkeypatch.setattr(petersson, "kloosterman_factored",
+                            lambda q, t, n, cp: kloosterman(q, t, cp.scale(n)))
+        brute = h_fourier(q, t, params)
+        assert fast == brute
 
 
 class TestGram:
