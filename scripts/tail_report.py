@@ -2,7 +2,7 @@
 """Report the rank-2 truncation tail observed just outside the cutoff box,
 next to the predicted error exponent.  Bad input (a non-prime level, a
 weight that is not an even integer >= 10, a beta that is not positive
-and finite or so large that the box bound overflows) exits 2 with a
+and finite or so large that the box bound exceeds 32) exits 2 with a
 usage line."""
 
 import argparse

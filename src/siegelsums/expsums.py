@@ -126,9 +126,10 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
 
     With s*N + t*det(C) = 1 and X = t*adj(C), each coset of N*C is a pair
     of cosets of N*I and C whose summands are those of K(X Q X^T, T; N*I)
-    and K(s^2 Q, T; C).  Their numerators, mod N and mod 2|det C|, are
-    lifted to m = 2 N^2 |det C| (the coset table's modulus for N*C) and
-    the pairwise sums tallied mod m, with no float product: value and terms
+    and K(s^2 Q, T; C).  Their numerators, mod N and mod d = 2|det C|, are
+    tallied into two histograms; the pair (i, j) lands at i*N*d + j*N^2
+    mod m = N^2 d (the coset table's modulus for N*C), so the product of
+    their counts is added there, with no float product: value and terms
     equal ``kloosterman(q, t, c.scale(n))`` bit for bit, whatever the
     Bezout pair (``bezout`` pins one).
     """
@@ -147,13 +148,17 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
         if s * n + tt * cdet != 1:
             raise ValueError("invalid Bezout pair")
     x = c.adj().scale(tt)  # t * det(C) * C^{-1}
-    left = (_pI_grid(n) @ _form_vector(q.conjugate_right(x), t)) % n
+    left = np.bincount(
+        (_pI_grid(n) @ _form_vector(q.conjugate_right(x), t)) % n, minlength=n)
     data = sp4.coset_data(c)
-    right = (data.weights @ _form_vector(q.scale(s * s), t)) % data.m
-    m = n * n * data.m
-    nums = ((left * (n * data.m))[:, None] + (right * n * n)[None, :]) % m
-    return SumValue(value=_tally_value(nums.ravel(), m), terms=nums.size,
-                    method="factored")
+    d, m = data.m, n * n * data.m
+    right = np.bincount(
+        (data.weights @ _form_vector(q.scale(s * s), t)) % d, minlength=d)
+    index = (np.arange(n)[:, None] * (n * d) + np.arange(d) * (n * n)) % m
+    counts = np.zeros(m, dtype=np.int64)
+    np.add.at(counts, index, np.outer(left, right))
+    return SumValue(value=complex(np.dot(counts, _roots_of_unity(m))),
+                    terms=int(counts.sum()), method="factored")
 
 
 @lru_cache(maxsize=None)
@@ -245,35 +250,34 @@ def twisted_average(c: IntMat2, q1: int, q2: int) -> SumValue:
     """Character-twisted average of K(mu2 I, mu1 I; C) over a GO2 modulus.
 
     Computes sum over mu1 mod lcm(|q1|, det C), mu2 mod lcm(|q2|, det C) of
-    chi_{q1}(mu1) chi_{q2}(mu2) K(mu2 I, mu1 I; C) by brute force and checks
-    it against the closed form delta_{q1=q2=1} |det C|^2 phi(x + i y),
-    where C = [[x, y], [-/+ y, +/- x]] and phi is the totient on Z[i].
-    Each of q1, q2 must be 1 or a fundamental discriminant.
+    chi_{q1}(mu1) chi_{q2}(mu2) K(mu2 I, mu1 I; C) and checks it against the
+    closed form delta_{q1=q2=1} |det C|^2 phi(x + i y), where
+    C = [[x, y], [-/+ y, +/- x]] and phi is the totient on Z[i].  With w
+    the coset table of C, the summand of a coset at (mu1, mu2) has the
+    numerator (w0 + w2) mu2 + (w3 + w5) mu1 mod m, so every (coset, mu1,
+    mu2) goes into one tally weighted by its character value; ``terms``
+    counts those with both characters nonzero.  Each of q1, q2 must be 1
+    or a fundamental discriminant.
     """
     if not is_go2(c):
         raise ValueError("modulus is not in GO2(Z)")
     require_fundamental_discriminant(q1, q2)
     cdet = abs(c.det())
-    m1 = math.lcm(abs(q1), cdet)
-    m2 = math.lcm(abs(q2), cdet)
-    total = 0j
-    terms = 0
-    for mu1 in range(m1):
-        ch1 = kronecker(q1, mu1)
-        if ch1 == 0:
-            continue
-        for mu2 in range(m2):
-            ch2 = kronecker(q2, mu2)
-            if ch2 == 0:
-                continue
-            k = kloosterman(HalfIntegralForm.scalar(mu2),
-                            HalfIntegralForm.scalar(mu1), c)
-            total += ch1 * ch2 * k.value
-            terms += k.terms
+    mu1, mu2 = (np.arange(math.lcm(abs(q), cdet)) for q in (q1, q2))
+    chi = np.outer([kronecker(q1, int(x)) for x in mu1],
+                   [kronecker(q2, int(x)) for x in mu2])
+    data = sp4.coset_data(c)
+    w = data.weights
+    nums = ((w[:, 0] + w[:, 2])[:, None, None] * mu2
+            + (w[:, 3] + w[:, 5])[:, None, None] * mu1[:, None]) % data.m
+    counts = np.bincount(nums.ravel(), minlength=data.m,
+                         weights=np.broadcast_to(chi, nums.shape).ravel())
+    total = complex(np.dot(counts, _roots_of_unity(data.m)))
     expected = 0j
     if q1 == 1 and q2 == 1:
         expected = complex(cdet * cdet * gaussian_totient(GaussianInt(c.a, c.b)))
     if abs(total - expected) > 1e-9 * max(1.0, abs(expected)):
         raise ArithmeticError(
             f"twisted average {total} deviates from closed form {expected}")
-    return SumValue(value=total, terms=terms, method="brute")
+    return SumValue(value=total, terms=data.count * int(np.count_nonzero(chi)),
+                    method="brute")

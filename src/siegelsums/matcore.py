@@ -173,22 +173,6 @@ class GaussianInt:
         return GaussianInt(self.x * other.x - self.y * other.y,
                            self.x * other.y + self.y * other.x)
 
-    def divides_exactly(self, other: "GaussianInt") -> bool:
-        """True iff self divides other in Z[i]."""
-        n = self.norm()
-        if n == 0:
-            return False
-        w = other.mul(self.conj())
-        return w.x % n == 0 and w.y % n == 0
-
-    def exact_div(self, other: "GaussianInt") -> "GaussianInt":
-        """self / other; raises if the quotient is not a Gaussian integer."""
-        n = other.norm()
-        w = self.mul(other.conj())
-        if n == 0 or w.x % n or w.y % n:
-            raise ValueError(f"{other} does not divide {self}")
-        return GaussianInt(w.x // n, w.y // n)
-
 
 # ---------------------------------------------------------------------------
 # Small number-theory helpers
@@ -303,47 +287,24 @@ def kronecker(q: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def gaussian_factor(g: GaussianInt) -> list[tuple[GaussianInt, int]]:
-    """Factor a nonzero Gaussian integer into primes (up to units).
-
-    Rational primes are split by residue mod 4: 2 ramifies as (1+i)^2,
-    p = 3 mod 4 stays inert, p = 1 mod 4 splits into a conjugate pair
-    found by searching a^2 + b^2 = p.
-    """
-    if g.norm() == 0:
-        raise ValueError("zero has no factorization")
-    out = []
-    work = g
-    for p, _ in prime_factors(g.norm()):
-        if p == 2:
-            candidates = [GaussianInt(1, 1)]
-        elif p % 4 == 3:
-            candidates = [GaussianInt(p, 0)]
-        else:
-            a = 1
-            while (p - a * a) != math.isqrt(p - a * a) ** 2:
-                a += 1
-            b = math.isqrt(p - a * a)
-            candidates = [GaussianInt(a, b), GaussianInt(a, -b)]
-        for pi in candidates:
-            e = 0
-            while pi.divides_exactly(work):
-                work = work.exact_div(pi)
-                e += 1
-            if e:
-                out.append((pi, e))
-    assert work.norm() == 1
-    return out
-
-
 def gaussian_totient(g: GaussianInt) -> int:
-    """Euler's totient on Z[i]: N(g) * prod over primes pi | g of (1 - 1/N(pi))."""
-    if g.norm() == 0:
+    """Euler's totient on Z[i]: N(g) * prod over primes pi | g of (1 - 1/N(pi)),
+    by the rational prime p | N(g) under pi: 2 ramifies, p = 3 mod 4 is
+    inert (N(pi) = p^2), and p = 1 mod 4 splits into a conjugate pair of
+    norm p, both of which divide g iff p divides x and y."""
+    nrm = g.norm()
+    if nrm == 0:
         raise ValueError("totient of zero is undefined")
-    phi = 1
-    for pi, e in gaussian_factor(g):
-        np_ = pi.norm()
-        phi *= np_ ** (e - 1) * (np_ - 1)
+    phi = nrm
+    for p, _ in prime_factors(nrm):
+        if p == 2:
+            phi //= 2
+        elif p % 4 == 3:
+            phi = phi // (p * p) * (p * p - 1)
+        else:
+            phi = phi // p * (p - 1)
+            if g.x % p == 0 and g.y % p == 0:
+                phi = phi // p * (p - 1)
     return phi
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -10,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from siegelsums import sp4
 from siegelsums.kernels import truncation_set
-from siegelsums.matcore import GaussianInt, HalfIntegralForm, IntMat2, gaussian_totient
+from siegelsums.matcore import (
+    GaussianInt,
+    HalfIntegralForm,
+    IntMat2,
+    gaussian_totient,
+    kronecker,
+)
 from siegelsums.petersson import SpectralParams
 from siegelsums.expsums import (
     _tally_value,
@@ -154,6 +161,22 @@ class TestFactored:
             got = kloosterman_factored(q, t, 3, cmat)
             assert got.value == _tally_value(nums, table.m)
             assert got.terms == table.count
+
+    def test_det3_and_det4_classes(self):
+        # the Smith classes (1, 3), (1, 4) and (2, 2) that the box reaches
+        # from N = 47 on, checked at N = 5 against the coset sum of 5 C'
+        forms = (HI, HalfIntegralForm(1, 1, 2), HalfIntegralForm(2, 1, 1))
+        moduli = [c for c in (IntMat2(*e) for e in
+                              itertools.product(range(-2, 3), repeat=4))
+                  if abs(c.det()) in (3, 4)]
+        assert len(moduli) == 152
+        for cmat in moduli:
+            for q in forms:
+                for t in forms:
+                    got = kloosterman_factored(q, t, 5, cmat)
+                    want = kloosterman(q, t, cmat.scale(5))
+                    assert (got.value, got.terms) == (want.value, want.terms), \
+                        (cmat, q, t)
 
     def test_bezout_independence(self):
         c = IntMat2.diag(1, 2)
@@ -360,3 +383,28 @@ class TestTwistedAverage:
             v = twisted_average(c, 1, 1)
             want = c.det() ** 2 * gaussian_totient(GaussianInt(2, 1))
             assert abs(v.value - want) < 1e-9
+
+    @pytest.mark.parametrize("q1, q2", [
+        (1, 1), (1, -4), (1, 5), (-4, 1), (-4, 5), (5, 1), (5, -4),
+        (-3, 1), (1, -8), (12, -3)])
+    def test_matches_kloosterman_loop(self, q1, q2):
+        # one K(mu2 I, mu1 I; C) per character pair, accumulated in complex
+        # arithmetic, on the GO2 moduli of acceptance criterion 5
+        for x in range(-3, 4):
+            for y in range(-3, 4):
+                if not 0 < x * x + y * y <= 10:
+                    continue
+                for c in (IntMat2(x, y, -y, x), IntMat2(x, y, y, -x)):
+                    cdet = abs(c.det())
+                    want, terms = 0j, 0
+                    for mu1 in range(math.lcm(abs(q1), cdet)):
+                        for mu2 in range(math.lcm(abs(q2), cdet)):
+                            ch = kronecker(q1, mu1) * kronecker(q2, mu2)
+                            if ch:
+                                k = kloosterman(HalfIntegralForm.scalar(mu2),
+                                                HalfIntegralForm.scalar(mu1), c)
+                                want += ch * k.value
+                                terms += k.terms
+                    got = twisted_average(c, q1, q2)
+                    assert got.terms == terms, c
+                    assert abs(got.value - want) <= 1e-12, c

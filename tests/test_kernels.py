@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from siegelsums import kernels
 from siegelsums.matcore import HalfIntegralForm, IntMat2
 from siegelsums.kernels import (
     KernelArg,
@@ -98,6 +99,20 @@ class TestScriptJ:
     def test_unconverged_raises(self):
         with pytest.raises(ArithmeticError, match="did not converge"):
             script_j(8.5, KernelArg(1.0, 2.0), tol=1e-30)
+
+    def test_tolerance_is_relative(self, monkeypatch):
+        # a value near 1e-17 whose doublings move it by a relative 1e-6
+        # has not converged, although every step is far below tol
+        calls = []
+
+        def drifting(f, h, panels):
+            calls.append(panels)
+            return 1e-17 * (1 + 1e-6 * len(calls))
+
+        monkeypatch.setattr(kernels, "_panel_sum", drifting)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            script_j(8.5, KernelArg(1.0, 2.0))
+        assert len(calls) == 12
 
     def test_small_eigenvalue_envelope(self):
         # |J_nu(x)| <= (x/2)^nu / Gamma(nu+1) (DLMF 10.14.4) inside the
@@ -229,16 +244,16 @@ class TestTailDiagnostic:
             tail_diagnostic(1, 1, 3, 10, beta)
 
     @pytest.mark.parametrize("argv", [["--beta", "0"], ["--beta", "inf"],
-                                      ["--beta", "1e300"],
+                                      ["--beta", "1e300"], ["--beta", "50"],
                                       ["--level", "4"], ["--k", "9"]],
                              ids=["beta", "beta-inf", "beta-overflow",
-                                  "level", "weight"])
+                                  "beta-huge", "level", "weight"])
     def test_report_script_bad_input_exits_2(self, argv):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "tail_report.py"), *argv],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "usage:" in proc.stderr and "Traceback" not in proc.stderr

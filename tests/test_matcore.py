@@ -1,6 +1,6 @@
 import math
-import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +11,6 @@ from siegelsums.matcore import (
     SingularModulusError,
     aut_count,
     elementary_divisors,
-    gaussian_factor,
     gaussian_totient,
     gl2_equivalence,
     is_fundamental_discriminant,
@@ -154,16 +153,21 @@ class TestGaussianTotient:
         with pytest.raises(ValueError):
             gaussian_totient(GaussianInt(0, 0))
 
-    def test_factorization_reassembles(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            g = GaussianInt(rng.randint(-7, 7), rng.randint(-7, 7))
-            if g.norm() == 0:
-                continue
-            prod_norm = 1
-            for pi, e in gaussian_factor(g):
-                prod_norm *= pi.norm() ** e
-            assert prod_norm == g.norm()
+    def test_matches_unit_count(self):
+        # z is a unit mod g iff z, iz, g, ig span Z^2, i.e. their 2 x 2
+        # minors (four distinct up to sign) have gcd 1; each class mod g
+        # appears N(g) times in the box [0, N(g))^2, since N(g) Z^2 lies in
+        # the lattice of g
+        for x in range(-7, 8):
+            for y in range(-7, 8):
+                n = x * x + y * y
+                if not 0 < n <= 50:
+                    continue
+                a, b = np.divmod(np.arange(n * n), n)
+                minors = np.gcd.reduce([a * a + b * b, a * y - b * x,
+                                        a * x + b * y, np.full_like(a, n)])
+                units = int(np.count_nonzero(minors == 1))
+                assert gaussian_totient(GaussianInt(x, y)) * n == units, (x, y)
 
     def test_multiplicative_on_coprime(self):
         gs = [GaussianInt(x, y) for x in range(-7, 8) for y in range(0, 8)
