@@ -2,8 +2,9 @@
 """Report the rank-2 truncation tail observed just outside the cutoff box,
 next to the predicted error exponent.  Bad input (a non-prime level, a
 weight that is not an even integer >= 10, a beta that is not positive
-and finite or so large that the box bound exceeds 32) exits 2 with a
-usage line."""
+and finite or so large that the box bound exceeds 32, or a shell modulus
+whose Smith class is above the enumeration cap) exits 2 with a usage
+line."""
 
 import argparse
 import sys

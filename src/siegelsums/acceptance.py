@@ -51,14 +51,15 @@ def _random_unimodular(rng) -> IntMat2:
 
 
 def criterion_1() -> dict:
-    """Kloosterman oracle equivalence: brute coset sum vs pI formula."""
+    """Kloosterman oracle equivalence: enumerated coset sum vs pI formula."""
     forms = _pd_forms()
     max_dev = 0.0
     for p in (3, 5, 7):
-        cm = IntMat2.scalar(p)
+        table = sp4._enumerated_table(IntMat2.scalar(p))
         for q in forms:
             for t in forms:
-                a = expsums.kloosterman(q, t, cm).value
+                nums = (table.weights @ expsums._form_vector(q, t)) % table.m
+                a = expsums._tally_value(nums, table.m)
                 b = expsums.kloosterman_pI(q, t, p).value
                 max_dev = max(max_dev, abs(a - b))
     pinned = expsums.kloosterman(HalfIntegralForm.identity(),
@@ -78,7 +79,7 @@ def criterion_1() -> dict:
 
 
 def criterion_2() -> dict:
-    """Factorization through coprime moduli, with Bezout-choice invariance."""
+    """Coprime factorization vs enumerated cosets, with Bezout invariance."""
     mats = [IntMat2.identity(), IntMat2.diag(1, 2), IntMat2(1, 1, -1, 1),
             IntMat2.diag(2, 2)]
     forms = [HalfIntegralForm.identity(), HalfIntegralForm(1, 1, 1),
@@ -87,11 +88,13 @@ def criterion_2() -> dict:
     max_bezout_dev = 0.0
     for c in mats:
         cdet = c.det()
+        table = sp4._enumerated_table(c.scale(3))
         for q in forms:
             for t in forms:
                 fact = expsums.kloosterman_factored(q, t, 3, c)
-                brute = expsums.kloosterman(q, t, c.scale(3))
-                max_dev = max(max_dev, abs(fact.value - brute.value))
+                nums = (table.weights @ expsums._form_vector(q, t)) % table.m
+                brute = expsums._tally_value(nums, table.m)
+                max_dev = max(max_dev, abs(fact.value - brute))
                 g, s0, t0 = _xgcd(3, cdet)
                 alt = expsums.kloosterman_factored(
                     q, t, 3, c, bezout=(s0 + cdet, t0 - 3))
@@ -443,7 +446,6 @@ def clear_all_caches() -> None:
     """Empty every memo table of the library, so the next call runs cold."""
     sp4.clear_caches()
     expsums._roots_of_unity.cache_clear()
-    expsums._pI_grid.cache_clear()
     expsums._unit_table.cache_clear()
     petersson._script_j_cached.cache_clear()
     petersson._residue_kernel.cache_clear()

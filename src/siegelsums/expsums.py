@@ -30,6 +30,7 @@ from .matcore import (
     require_fundamental_discriminant,
 )
 from . import sp4
+from .sp4 import _pI_grid
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,8 @@ def kloosterman(q: HalfIntegralForm, t: HalfIntegralForm, c: IntMat2,
     bottom-row coset of modulus C, with A a symplectic completion.  The
     summand does not depend on the choice of A: two completions differ by
     A -> A + S C with S symmetric integral, shifting the phase by the
-    integer tr(S Q).  The phases come from ``sp4.coset_data``, whose table
-    for C is derived from the enumerated table of its Smith class; every
+    integer tr(S Q).  The phases come from ``sp4.coset_data``, built from
+    its Smith class (closed form for n*I, enumerated otherwise); every
     coset still contributes one summand, so ``terms`` is the coset count.
     ``method`` is "brute", the name the CLI reports for this route.
 
@@ -87,28 +88,11 @@ def kloosterman(q: HalfIntegralForm, t: HalfIntegralForm, c: IntMat2,
     return SumValue(value=value, terms=data.count, method="brute")
 
 
-@lru_cache(maxsize=None)
-def _pI_grid(p: int) -> np.ndarray:
-    """(p^3 - p^2, 6) weight table mod p, shaped like ``CosetData.weights``:
-    D with det D a unit has the row inv(det D) (d4, -d2, d1), d1, d2, d4."""
-    d1, d2, d4 = (x.ravel() for x in np.meshgrid(
-        *[np.arange(p, dtype=np.int64)] * 3, indexing="ij"))
-    delta = (d1 * d4 - d2 * d2) % p
-    keep = delta != 0
-    d1, d2, d4 = d1[keep], d2[keep], d4[keep]
-    invd = np.array([0] + [pow(x, -1, p) for x in range(1, p)])[delta[keep]]
-    rows = np.stack([invd * d4 % p, -invd * d2 % p, invd * d1 % p,
-                     d1, d2, d4], axis=1)
-    rows.setflags(write=False)
-    return rows
-
-
 def kloosterman_pI(q: HalfIntegralForm, t: HalfIntegralForm, p: int) -> SumValue:
     """K(Q, T; pI) for prime p via the explicit three-variable sum.
 
-    For C = pI the cosets are the symmetric D = [[d1, d2], [d2, d4]] mod p
-    with delta = d1*d4 - d2^2 invertible, the completion is
-    A = inv(delta) * adj(D), and the phase collapses to
+    The cosets of pI and their completions are the rows of
+    ``sp4._pI_grid(p)``, and with delta = d1*d4 - d2^2 the phase is
 
         ( inv(delta) (d4 q1 - d2 q2 + d1 q4) + d1 t1 + d2 t2 + d4 t4 ) / p.
     """

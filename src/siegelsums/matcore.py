@@ -51,9 +51,6 @@ class IntMat2:
         return IntMat2(self.a + other.a, self.b + other.b,
                        self.c + other.c, self.d + other.d)
 
-    def neg(self) -> "IntMat2":
-        return IntMat2(-self.a, -self.b, -self.c, -self.d)
-
     def scale(self, n: int) -> "IntMat2":
         return IntMat2(n * self.a, n * self.b, n * self.c, n * self.d)
 
@@ -125,10 +122,6 @@ class HalfIntegralForm:
 
     def doubled(self) -> IntMat2:
         return IntMat2(2 * self.t1, self.t2, self.t2, 2 * self.t4)
-
-    def evaluate(self, x: int, y: int) -> int:
-        """The integer t1*x^2 + t2*x*y + t4*y^2."""
-        return self.t1 * x * x + self.t2 * x * y + self.t4 * y * y
 
     def conjugate_left(self, u: IntMat2) -> "HalfIntegralForm":
         """The form of u^T Q u (exact; stays half-integral)."""

@@ -8,13 +8,15 @@ over such D modulo the lattice C * Lambda of symmetric translates; this
 module enumerates canonical representatives and produces, for each, a
 completion (A, B) making the full 4x4 block matrix symplectic.
 
-Phase tables are enumerated only for Smith classes diag(c1, c2).  With
+Phase tables are built only for Smith classes diag(c1, c2).  With
 U C V = diag(c1, c2) (U, V unimodular), multiplying an element of Sp4(Z)
 by diag(U^-T, U) on the left and diag(V, V^-T) on the right maps the
 cosets of C one-to-one onto those of diag(c1, c2), and each summand of
 K(Q, T; C) onto the summand of K(U Q U^T, V^T T V; diag(c1, c2)).  The
 table of C is therefore the class table composed with that integer
-linear change of the form coordinates.
+linear change of the form coordinates.  A scalar class takes its table
+from Kitaoka's closed form (``_pI_grid``), every other class from the
+enumeration, which also serves as the closed form's independent check.
 """
 
 from __future__ import annotations
@@ -89,31 +91,14 @@ def is_bottom_pair(c: IntMat2, d: IntMat2) -> bool:
 
 
 def complete_to_symplectic(c: IntMat2, d: IntMat2) -> SymplecticCompletion:
-    """Some (A, B) with [[A, B], [C, D]] in Sp4(Z).
-
-    Scalar moduli C = n*I use the closed form A = inv(det D mod n) * adj(D);
-    otherwise the six linear conditions (A^T D - C^T B = I plus the two
-    symmetry constraints) are solved exactly over the integers.
-    """
+    """Some (A, B) with [[A, B], [C, D]] in Sp4(Z), solving the six linear
+    conditions (A^T D - C^T B = I plus the two symmetry constraints)
+    exactly over the integers; completions differ by A -> A + S C."""
     if c.det() == 0 or not is_bottom_pair(c, d):
         raise CompletionError("not a symplectic bottom row")
-    if c.is_scalar():
-        a_mat, b_mat = _complete_scalar(c.a, d)
-    else:
-        a_mat, b_mat = _complete_generic(c, d)
+    a_mat, b_mat = _complete_generic(c, d)
     assert is_symplectic(blocks_to_mat4(a_mat, b_mat, c, d))
     return SymplecticCompletion(a_mat, b_mat)
-
-
-def _complete_scalar(n: int, d: IntMat2) -> tuple[IntMat2, IntMat2]:
-    # primitivity of (nI, D) forces D symmetric with det D invertible mod n
-    nn = abs(n)
-    dbar = 0 if nn == 1 else pow(d.det() % nn, -1, nn)
-    a = d.adj().scale(dbar)
-    rem = a.t().mul(d).add(IntMat2.identity().neg())
-    assert all(x % n == 0 for x in rem.entries())
-    b = IntMat2(*(x // n for x in rem.entries()))
-    return a, b
 
 
 def _complete_generic(c: IntMat2, d: IntMat2) -> tuple[IntMat2, IntMat2]:
@@ -160,7 +145,6 @@ def _coset_pairs(c: IntMat2) -> tuple[tuple[IntMat2, IntMat2], ...]:
         raise SingularModulusError("singular modulus")
     n = abs(det)
     out = []
-    scalar = c.is_scalar()
     for p11 in range(n):
         for p12 in range(n):
             for p22 in range(n):
@@ -180,11 +164,7 @@ def _coset_pairs(c: IntMat2) -> tuple[tuple[IntMat2, IntMat2], ...]:
                 d = IntMat2(e11 // n, e12 // n, e21 // n, e22 // n)
                 if minor_gcd(c, d) != 1:
                     continue
-                if scalar:
-                    a, _ = _complete_scalar(c.a, d)
-                else:
-                    a, _ = _complete_generic(c, d)
-                out.append((d, a))
+                out.append((d, _complete_generic(c, d)[0]))
     return tuple(out)
 
 
@@ -219,10 +199,20 @@ def _phase_row(a: IntMat2, d: IntMat2, adj: IntMat2, m: int, sgn: int):
     ]
 
 
+# Largest |det C| that ``_enumerated_table`` accepts: it loops over
+# |det C|^3 candidates, and det 343 took 3.9-5.4 s on two vCPUs, against
+# minutes for det 1331.  Scalar classes never reach it.
+MAX_ENUMERATED_DET = 400
+
+
 def _enumerated_table(c: IntMat2) -> CosetData:
-    """Phase-coefficient table of C, one row per coset from ``_coset_pairs``."""
-    pairs = _coset_pairs(c)
+    """Phase-coefficient table of C, one row per coset from ``_coset_pairs``;
+    raises ValueError when |det C| exceeds ``MAX_ENUMERATED_DET``."""
     det = c.det()
+    if abs(det) > MAX_ENUMERATED_DET:
+        raise ValueError(f"|det C| = {abs(det)} exceeds the enumeration cap "
+                         f"{MAX_ENUMERATED_DET}")
+    pairs = _coset_pairs(c)
     m = 2 * abs(det)
     sgn = 1 if det > 0 else -1
     adj = c.adj()
@@ -238,9 +228,37 @@ def _enumerated_table(c: IntMat2) -> CosetData:
     return CosetData(modulus=c, m=m, weights=rows, count=len(pairs))
 
 
+# One coefficient reads two grids, its level's and grid(1) for the
+# unimodular C' class; two entries keep both without holding one
+# (n^3 - n^2, 6) table per level of a sweep (49 MB at n = 101).
+@lru_cache(maxsize=2)
+def _pI_grid(n: int) -> np.ndarray:
+    """Kitaoka's closed form for n*I as a weight table mod n: the symmetric
+    D = [[d1, d2], [d2, d4]] mod n with delta = det D a unit mod n, completed
+    by A = inv(delta) adj(D), give the rows inv(delta) (d4, -d2, d1), d1,
+    d2, d4 (for n = 1 the one zero row)."""
+    d1, d2, d4 = (x.ravel() for x in np.meshgrid(
+        *[np.arange(n, dtype=np.int64)] * 3, indexing="ij"))
+    delta = (d1 * d4 - d2 * d2) % n
+    keep = np.gcd(delta, n) == 1
+    d1, d2, d4 = d1[keep], d2[keep], d4[keep]
+    invd = np.array([pow(x, -1, n) if math.gcd(x, n) == 1 else 0
+                     for x in range(n)], dtype=np.int64)[delta[keep]]
+    rows = np.stack([invd * d4 % n, -invd * d2 % n, invd * d1 % n,
+                     d1, d2, d4], axis=1)
+    rows.setflags(write=False)
+    return rows
+
+
 @lru_cache(maxsize=None)
 def _class_table(c1: int, c2: int) -> CosetData:
-    """Enumerated table of the Smith class diag(c1, c2) (cached)."""
+    """Table of the Smith class diag(c1, c2) (cached).  For C = n*I,
+    E = A adj(C) = n A and F = adj(C) D = n D, so the phase row is 2n times
+    the row of ``_pI_grid(n)``, mod m = 2 n^2; other classes are enumerated."""
+    if c1 == c2:
+        rows = (2 * c1 * _pI_grid(c1)) % (2 * c1 * c1)
+        rows.setflags(write=False)
+        return CosetData(IntMat2.scalar(c1), 2 * c1 * c1, rows, len(rows))
     return _enumerated_table(IntMat2.diag(c1, c2))
 
 
@@ -258,7 +276,7 @@ def _conjugation_map(u: IntMat2, m: int) -> list[list[int]]:
 def coset_data(c: IntMat2) -> CosetData:
     """Phase-coefficient table for all cosets of modulus C (cached).
 
-    Derived from the enumerated table of the Smith class of C: with
+    Derived from the table of the Smith class of C (``_class_table``): with
     U C V = diag(c1, c2), the summand of a coset of C at the forms
     (Q, T) is the summand of the matching coset of diag(c1, c2) at
     (U Q U^T, V^T T V), so ``weights`` is the class table's weights times
@@ -279,7 +297,8 @@ def coset_data(c: IntMat2) -> CosetData:
 
 
 def clear_caches() -> None:
-    """Drop the memoized coset and class tables (used by determinism
-    re-runs)."""
+    """Drop the memoized coset and class tables and pI grids (used by
+    determinism re-runs)."""
     coset_data.cache_clear()
     _class_table.cache_clear()
+    _pI_grid.cache_clear()

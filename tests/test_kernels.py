@@ -245,9 +245,11 @@ class TestTailDiagnostic:
 
     @pytest.mark.parametrize("argv", [["--beta", "0"], ["--beta", "inf"],
                                       ["--beta", "1e300"], ["--beta", "50"],
-                                      ["--level", "4"], ["--k", "9"]],
+                                      ["--level", "4"], ["--k", "9"],
+                                      ["--level", "11", "--beta", "7.2"]],
                              ids=["beta", "beta-inf", "beta-overflow",
-                                  "beta-huge", "level", "weight"])
+                                  "beta-huge", "level", "weight",
+                                  "enumeration-cap"])
     def test_report_script_bad_input_exits_2(self, argv):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from siegelsums import petersson
+from siegelsums import acceptance, petersson, sp4
 from siegelsums.expsums import SumValue, kloosterman
 from siegelsums.kernels import shell_matrices
 from siegelsums.matcore import HalfIntegralForm, IntMat2
@@ -156,6 +156,16 @@ class TestHFourier:
                             lambda q, t, n, cp: kloosterman(q, t, cp.scale(n)))
         brute = h_fourier(q, t, params)
         assert fast == brute
+
+    def test_pI_grid_cache_is_bounded(self):
+        # a cold coefficient reads two grids, its level's and grid(1); a
+        # sweep over levels keeps no more than two
+        acceptance.clear_all_caches()
+        h_fourier(HI, HI, SpectralParams(k=10, level=13, rank1_cutoff=3))
+        assert sp4._pI_grid.cache_info().misses == 2
+        for n in (3, 5, 7, 11, 13):
+            h_fourier(HI, HI, SpectralParams(k=10, level=n, rank1_cutoff=3))
+        assert sp4._pI_grid.cache_info().currsize <= 2
 
 
 class TestGram:

@@ -92,7 +92,7 @@ class TestCompletion:
             a2 = comp.a.add(s.mul(c))
             b2 = comp.b.add(s.mul(d))
             assert is_symplectic(blocks_to_mat4(a2, b2, c, d))
-            diff = a2.add(comp.a.neg())
+            diff = a2.add(comp.a.scale(-1))
             # recover S = diff C^{-1} and check integrality of tr(S Q)
             q = HalfIntegralForm(2, 1, 3)
             num = diff.mul(c.adj()).mul(q.doubled())
@@ -169,3 +169,22 @@ class TestDerivedTables:
                 assert (expsums.kloosterman(q, t, c).value
                         == expsums._tally_value(nums, direct.m))
         assert moduli == 2112
+
+    def test_scalar_classes_match_enumeration(self):
+        """Scalar tables come from the closed form; the cosets of +-nI
+        enumerated with the generic integer completion are their oracle."""
+        for n in (*range(1, 10), 11):
+            for c in (IntMat2.scalar(n), IntMat2.scalar(-n)):
+                derived = sp4.coset_data(c)
+                direct = sp4._enumerated_table(c)
+                assert (derived.count, derived.m) == (direct.count, direct.m)
+                for q, t in itertools.product(self.FORMS, repeat=2):
+                    vec = expsums._form_vector(q, t)
+                    nums = (direct.weights @ vec) % direct.m
+                    assert (expsums.kloosterman(q, t, c).value
+                            == expsums._tally_value(nums, direct.m)), (n, q, t)
+
+    def test_enumeration_cap(self):
+        # 1331^3 candidates would take minutes; scalar classes never get here
+        with pytest.raises(ValueError, match="enumeration cap"):
+            sp4._enumerated_table(IntMat2.diag(11, 121))
