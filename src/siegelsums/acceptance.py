@@ -40,9 +40,11 @@ def _pd_forms() -> list[HalfIntegralForm]:
     return out
 
 
-def _random_unimodular(rng) -> IntMat2:
+def _random_unimodular(rng, max_rounds: int = 3) -> IntMat2:
+    """A product of 1 to ``max_rounds`` rounds of shears with entries in
+    [-2, 2], times the swap with probability 1/2."""
     u = IntMat2.identity()
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, max_rounds)):
         u = u.mul(IntMat2(1, rng.randint(-2, 2), 0, 1))
         u = u.mul(IntMat2(1, 0, rng.randint(-2, 2), 1))
     if rng.random() < 0.5:

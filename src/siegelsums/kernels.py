@@ -89,10 +89,16 @@ _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 
 def _panel_sum(f, h: float, panels: int):
     """Composite 16-point Gauss-Legendre rule for the integral of ``f`` over
-    [0, panels * h], one panel [i h, (i + 1) h] at a time, in order."""
+    [0, panels * h], summed one panel [i h, (i + 1) h] at a time, in order.
+
+    ``f`` must be elementwise: it is called once, on the panels x 16 array
+    of all nodes.  Each node is i * h + h * x_j as in a per-panel loop, and
+    each panel keeps its own dot with the weights, so the value is the
+    loop's bit for bit."""
+    vals = f(np.arange(panels)[:, None] * h + h * _GL_NODES)
     total = 0.0
-    for i in range(panels):
-        total += h * np.dot(_GL_WEIGHTS, f(i * h + h * _GL_NODES))
+    for row in vals:
+        total += h * np.dot(_GL_WEIGHTS, row)
     return total
 
 

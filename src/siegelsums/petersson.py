@@ -141,17 +141,26 @@ def _complete_first_column(v1: int, v3: int) -> IntMat2:
 
 
 def _rank1_term_value(q: HalfIntegralForm, t: HalfIntegralForm,
-                      u: IntMat2, v: IntMat2, c: int, sign: int) -> complex:
+                      u: IntMat2, v: IntMat2, c: int, sign: int, *,
+                      memo: dict | None = None) -> complex:
+    """H^sign(U Q U^T, V^{-1} T V^{-T}; c), read from ``memo`` (keyed by
+    Salie's arguments) when given and already there."""
     vinv = v.adj().scale(v.det())
-    return salie(q.conjugate_right(u), t.conjugate_right(vinv), c, sign).value
+    key = (q.conjugate_right(u), t.conjugate_right(vinv), c, sign)
+    if memo is None:
+        return salie(*key).value
+    if key not in memo:
+        memo[key] = salie(*key).value
+    return memo[key]
 
 
 def _check_completion(q: HalfIntegralForm, t: HalfIntegralForm, u: IntMat2,
-                      v: IntMat2, c: int, sign: int, val: complex) -> None:
+                      v: IntMat2, c: int, sign: int, val: complex,
+                      memo: dict) -> None:
     """Raise ArithmeticError unless the term ``val`` of (U, V) is unchanged
     when the free top row of U is replaced by another completion."""
     u_alt = IntMat2(u.a + u.c, u.b + u.d, u.c, u.d)
-    val_alt = _rank1_term_value(q, t, u_alt, v, c, sign)
+    val_alt = _rank1_term_value(q, t, u_alt, v, c, sign, memo=memo)
     if abs(val - val_alt) > 1e-8 * max(1.0, abs(val)):
         raise ArithmeticError(
             f"Salie term depends on the completion of {u}: {val} vs {val_alt}")
@@ -159,6 +168,16 @@ def _check_completion(q: HalfIntegralForm, t: HalfIntegralForm, u: IntMat2,
 
 def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
                params: SpectralParams) -> tuple[complex, float]:
+    """Rank-1 sum over c = N, 2N, ... and s, and its tail bound.
+
+    Distinct (U, V, sign) often give the same Salie arguments (P, S, c,
+    sign): at N = 3 the terms and completion checks of ((1,1,1), (1,1,2))
+    ask for 846 Salie values on 278 distinct keys, those of (I, I) for
+    2,450 on 378.  A dict that lives for this call keeps each value, so
+    ``salie`` (looked up on the module at call time) runs once per key.
+    Every term is still added, in order, and ``salie`` is deterministic,
+    so the sum is unchanged bit for bit.
+    """
     ell = params.ell
     n = params.level
     det_tq = q.det() * t.det()
@@ -167,6 +186,7 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
     cs_max = max(n, int(math.ceil(4 * math.pi * math.sqrt(det_tq) / z0)))
     c_hi = cs_max if params.rank1_cutoff is None else params.rank1_cutoff
     sign_k = -1 if (params.k // 2) % 2 else 1
+    salie_memo: dict = {}
     total = 0j
     for c in range(n, c_hi + 1, n):
         if c <= 1:
@@ -189,9 +209,11 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
                 for (w1, w2) in wreps:
                     v = _complete_first_column(w2, -w1)
                     for sg in (1, -1):
-                        val = _rank1_term_value(q, t, u, v, c, sg)
+                        val = _rank1_term_value(q, t, u, v, c, sg,
+                                                memo=salie_memo)
                         if not checked:
-                            _check_completion(q, t, u, v, c, sg, val)
+                            _check_completion(q, t, u, v, c, sg, val,
+                                              salie_memo)
                             checked = True
                         total += coeff * bess * val
     tail = _rank1_tail_bound(det_tq, n, min(cs_max, c_hi), ell)
@@ -217,9 +239,24 @@ def _rank1_tail_bound(det_tq: float, n: int, z: float, ell: float) -> float:
 # Rank-2 helpers
 
 
-@lru_cache(maxsize=None)
+# one cold coefficient misses 121-155 times at N <= 43 and 302 at N = 47;
+# the bound keeps a sweep over levels from growing without end
+@lru_cache(maxsize=4096)
 def _script_j_cached(ell: float, e1: float, e2: float) -> float:
     return script_j(ell, KernelArg(e1, e2))
+
+
+def _reuse_negated(moduli, term_of):
+    """Yields (C', term_of(C')) over ``moduli`` in order, but calls
+    ``term_of`` only once for each pair C', -C' that ``moduli`` holds: the
+    later of the two reuses the earlier one's term.  Exact for the rank-2
+    terms and shell envelopes below, which are equal at C' and -C'."""
+    kept = {}
+    for cp in moduli:
+        term = kept.pop(cp.scale(-1), None)
+        if term is None:
+            term = kept[cp] = term_of(cp)
+        yield cp, term
 
 
 def _rank2_terms(q: HalfIntegralForm, t: HalfIntegralForm,
@@ -227,19 +264,28 @@ def _rank2_terms(q: HalfIntegralForm, t: HalfIntegralForm,
     """Yields (C', term) over the moduli C' (the box or its shell), with
     term = K(Q, T; N C') / |det N C'|^{3/2} * kernel.  K is the factored
     tally when N does not divide det C' (the whole box at the default beta,
-    where |det C'| <= M < N) and the coset sum otherwise."""
+    where |det C'| <= M < N) and the coset sum otherwise.
+
+    The term of -C' is the term of C', bit for bit, so it is computed once
+    (``_reuse_negated``).  -I_4 in Sp4(Z) carries the cosets of C onto
+    those of -C and leaves A C^{-1} and C^{-1} D unchanged, so the phase
+    histograms, and with them the tallied values, are equal; and
+    ``script_j_for_forms`` negates C^{-T} exactly, on both sides, so the
+    kernel argument is the same float pair."""
     n = params.level
     ell = params.ell
-    for cp in moduli:
+
+    def term_of(cp: IntMat2) -> complex:
         c = cp.scale(n)
         kv = (kloosterman_factored(q, t, n, cp) if cp.det() % n
               else kloosterman(q, t, c))
         if kv.value == 0:
-            yield cp, 0j
-            continue
+            return 0j
         arg = script_j_for_forms(ell, t, q, c)
         kern = _script_j_cached(ell, arg.eig1, arg.eig2)
-        yield cp, kv.value * kern / abs(c.det()) ** 1.5
+        return kv.value * kern / abs(c.det()) ** 1.5
+
+    return _reuse_negated(moduli, term_of)
 
 
 def _rank2_sum(q: HalfIntegralForm, t: HalfIntegralForm,
@@ -276,18 +322,30 @@ def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
     13 and (for (I, I)) 31; there the shell sums of (I, I) do not shrink
     from width 1 to 3, and the budget (3.5e-14 and 1.2e-20 against exact
     sums of 4.1e-16 and 8.3e-23) covers them by the envelope's slack.
+
+    The envelope of -C' is that of C', bit for bit, so it is computed once
+    (``_reuse_negated``).  The kernel factor is equal as in
+    ``_rank2_terms``, and c1, c2 are.  For t4: ``_xgcd(-a, -b)`` is
+    ``(g, -s, -t)`` when ``_xgcd(a, b)`` is ``(g, s, t)`` (negating both
+    arguments keeps every floor quotient), so ``elementary_divisors`` runs
+    on -C through the same steps as on C up to signs, and returns -V or V
+    (tests/test_matcore.py checks this); V^T T V is the same form.
     """
     n = params.level
     ell = params.ell
-    bound = 0.0
-    for cp in shell_matrices(params.m_bound, 1):
+
+    def envelope(cp: IntMat2) -> float:
         c = cp.scale(n)
         c1, c2, _, v = elementary_divisors(c)
         t4 = t.conjugate_left(v).t4  # (2,2)-entry of V^T T V
         k_env = 8.0 * c1 * c1 * math.sqrt(c2) * math.sqrt(math.gcd(c2, t4))
         arg = script_j_for_forms(ell, t, q, c)
         kern = _script_j_cached(ell, arg.eig1, arg.eig2)
-        bound += k_env * abs(kern) / abs(c.det()) ** 1.5
+        return k_env * abs(kern) / abs(c.det()) ** 1.5
+
+    bound = 0.0
+    for _, env in _reuse_negated(shell_matrices(params.m_bound, 1), envelope):
+        bound += env
     return 2.0 * bound
 
 

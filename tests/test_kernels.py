@@ -74,6 +74,42 @@ class TestBessel:
         assert abs(_panel_sum(lambda t: t ** 3, 0.5, 4) - 4.0) < 1e-14
         assert abs(_panel_sum(lambda t: t ** 31, 1.0, 1) - 1 / 32) < 1e-15
 
+    @pytest.mark.parametrize("evaluate", [
+        pytest.param(lambda: script_j(8.5, KernelArg(1e-3, 2e-3)), id="J-small"),
+        pytest.param(lambda: script_j(8.5, KernelArg(1.0, 2.0)), id="J-medium"),
+        pytest.param(lambda: script_j(8.5, KernelArg(40.0, 90.0)), id="J-large"),
+        pytest.param(lambda: bessel_j_integral(8.5, 30.0), id="bessel"),
+        pytest.param(lambda: weight_w(0.3, 10), id="W-below-1"),
+        pytest.param(lambda: weight_w(5.0, 10), id="W-above-1"),
+    ])
+    def test_panel_sum_one_call_equals_per_panel_loop(self, monkeypatch,
+                                                      evaluate):
+        # every caller's integrand, called once on all panels x 16 nodes,
+        # gives the value of a loop that calls it once per panel, bit for bit
+        real = kernels._panel_sum
+        sums = []
+
+        def checked(f, h, panels):
+            shapes = []
+
+            def counted(x):
+                shapes.append(np.shape(x))
+                return f(x)
+
+            value = real(counted, h, panels)
+            assert shapes == [(panels, 16)]
+            loop = 0.0
+            for i in range(panels):
+                loop += h * np.dot(kernels._GL_WEIGHTS,
+                                   f(i * h + h * kernels._GL_NODES))
+            assert value == loop
+            sums.append(panels)
+            return value
+
+        monkeypatch.setattr(kernels, "_panel_sum", checked)
+        evaluate()
+        assert sums
+
 
 class TestScriptJ:
     def test_depends_only_on_eigenvalues(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -55,6 +56,19 @@ class TestElementaryDivisors:
         # gcd oracle for the first divisor
         assert c1 == math.gcd(math.gcd(abs(c.a), abs(c.b)),
                               math.gcd(abs(c.c), abs(c.d)))
+
+    def test_negated_modulus_keeps_v_up_to_sign(self):
+        # the shell budget of petersson reuses the envelope of C for -C,
+        # which reads V^T T V; every nonsingular matrix with entries in
+        # [-4, 4] (box and shell moduli at N <= 211), and the same times 13
+        for entries in itertools.product(range(-4, 5), repeat=4):
+            base = IntMat2(*entries)
+            if base.det() == 0:
+                continue
+            for n in (1, 13):
+                c = base.scale(n)
+                v = elementary_divisors(c)[3]
+                assert elementary_divisors(c.scale(-1))[3] in (v, v.scale(-1))
 
 
 class TestIntegerSolver:

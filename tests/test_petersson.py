@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from siegelsums import acceptance, petersson, sp4
-from siegelsums.expsums import SumValue, kloosterman
-from siegelsums.kernels import shell_matrices
-from siegelsums.matcore import HalfIntegralForm, IntMat2
+from siegelsums.expsums import SumValue, kloosterman, kloosterman_factored
+from siegelsums.kernels import (
+    script_j,
+    script_j_for_forms,
+    shell_matrices,
+    truncation_set,
+)
+from siegelsums.matcore import (
+    HalfIntegralForm,
+    IntMat2,
+    elementary_divisors,
+    is_prime,
+)
 from siegelsums.lfun import dirichlet_l
 from siegelsums.petersson import (
     SpectralParams,
@@ -21,6 +31,7 @@ from siegelsums.petersson import (
     _primitive_reps,
     _rank1_sum,
     _rank2_shell_bound,
+    _rank2_sum,
     _rank2_terms,
 )
 
@@ -103,9 +114,9 @@ class TestHFourier:
         for q, t in pairs:
             calls = []
 
-            def record(*args):
+            def record(*args, **memo):
                 calls.append(args)
-                return real(*args)
+                return real(*args, **memo)
 
             monkeypatch.setattr(petersson, "_rank1_term_value", record)
             _rank1_sum(q, t, SpectralParams(k=10, level=level))
@@ -166,6 +177,87 @@ class TestHFourier:
         for n in (3, 5, 7, 11, 13):
             h_fourier(HI, HI, SpectralParams(k=10, level=n, rank1_cutoff=3))
         assert sp4._pI_grid.cache_info().currsize <= 2
+
+    def test_script_j_cache_is_bounded(self):
+        # one cold coefficient looks up 121-302 distinct kernels at
+        # N <= 47, far below the bound; a sweep over levels stays inside it
+        cache = petersson._script_j_cached
+        acceptance.clear_all_caches()
+        q, t = PAIRS["111-112"]
+        for n in filter(is_prime, range(3, 48)):
+            misses = cache.cache_info().misses
+            h_fourier(q, t, SpectralParams(k=10, level=n, rank1_cutoff=3))
+            assert cache.cache_info().misses - misses <= 400, n
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
+        assert cache.cache_info().maxsize == 4096
+
+    def test_rank1_salie_called_once_per_argument(self, monkeypatch, params):
+        # the per-call memo computes each distinct (P, S, c, sign) once and
+        # leaves the coefficient unchanged; a second call starts afresh
+        q, t = PAIRS["111-112"]
+        want = h_fourier(q, t, params)
+        real = petersson.salie
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(petersson, "salie", record)
+        assert h_fourier(q, t, params) == want
+        assert len(calls) == len(set(calls)) == 278
+        h_fourier(q, t, params)
+        assert len(calls) == 2 * 278
+
+    @pytest.mark.parametrize("level", [3, 5, 7, 13])
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_rank2_reuse_of_negated_modulus_is_exact(self, monkeypatch,
+                                                     level, pair):
+        # the term and the shell envelope of -C' are taken from C'; here
+        # every one is computed afresh and compared with ==
+        q, t = PAIRS[pair]
+        params = SpectralParams(k=10, level=level)
+        n, ell = params.level, params.ell
+
+        def kernel(c):
+            return script_j(ell, script_j_for_forms(ell, t, q, c))
+
+        def direct_term(cp):
+            c = cp.scale(n)
+            kv = (kloosterman_factored(q, t, n, cp) if cp.det() % n
+                  else kloosterman(q, t, c))
+            if kv.value == 0:
+                return 0j
+            return kv.value * kernel(c) / abs(c.det()) ** 1.5
+
+        def direct_envelope(cp):
+            c = cp.scale(n)
+            c1, c2, _, v = elementary_divisors(c)
+            gcd = math.gcd(c2, t.conjugate_left(v).t4)
+            k_env = 8.0 * c1 * c1 * math.sqrt(c2) * math.sqrt(gcd)
+            return k_env * abs(kernel(c)) / abs(c.det()) ** 1.5
+
+        box = list(truncation_set(params.m_bound))
+        assert len(box) == 288
+        direct = [direct_term(cp) for cp in box]
+        real = petersson.kloosterman_factored
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(petersson, "kloosterman_factored", counted)
+        assert [term for _, term in _rank2_terms(q, t, params, box)] == direct
+        assert len(calls) == 144
+        total = 0j
+        for term in direct:
+            total += term
+        assert _rank2_sum(q, t, params)[0] == total
+        bound = 0.0
+        for cp in shell_matrices(params.m_bound, 1):
+            bound += direct_envelope(cp)
+        assert _rank2_shell_bound(q, t, params) == 2.0 * bound
 
 
 class TestGram:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from siegelsums import expsums, sp4
+from siegelsums.acceptance import _random_unimodular
 from siegelsums.matcore import HalfIntegralForm, IntMat2, SingularModulusError
 from siegelsums.sp4 import (
     CompletionError,
@@ -17,16 +18,6 @@ from siegelsums.sp4 import (
 
 I = IntMat2.identity()
 J4 = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-
-
-def _random_unimodular(rng):
-    u = IntMat2.identity()
-    for _ in range(rng.randint(1, 4)):
-        u = u.mul(IntMat2(1, rng.randint(-2, 2), 0, 1))
-        u = u.mul(IntMat2(1, 0, rng.randint(-2, 2), 1))
-    if rng.random() < 0.5:
-        u = u.mul(IntMat2(0, 1, 1, 0))
-    return u
 
 
 class TestPredicates:
@@ -136,7 +127,8 @@ class TestCosets:
                 base = IntMat2.diag(c1, detval // c1)
                 n0 = len(enumerate_bottom_cosets(base))
                 for _ in range(3):
-                    u, v = _random_unimodular(rng), _random_unimodular(rng)
+                    u, v = (_random_unimodular(rng, max_rounds=4),
+                            _random_unimodular(rng, max_rounds=4))
                     cc = (u.adj().scale(u.det()).mul(base)
                           .mul(v.adj().scale(v.det())))
                     assert len(enumerate_bottom_cosets(cc)) == n0
