@@ -254,9 +254,9 @@ def box_bound(level: int, ell: float, beta: float) -> int:
     return int(math.ceil(level ** exponent - 1e-12))
 
 
-def _bounded_matrices(m: int) -> list[IntMat2]:
-    """Nonsingular matrices with entries and |det| at most m, in
-    lexicographic order of (a, b, c, d).
+def truncation_set(m: int) -> list[IntMat2]:
+    """The box of bound m: a list of the nonsingular matrices with entries
+    and |det| at most m, in lexicographic order of (a, b, c, d).
 
     Walks (a, d, det) and factorizes b*c = a*d - det, so the cost is
     divisor-bounded rather than a full four-entry scan.
@@ -284,12 +284,6 @@ def _bounded_matrices(m: int) -> list[IntMat2]:
     return out
 
 
-def truncation_set(m: int):
-    """The box of bound m: nonsingular matrices with entries and |det| at
-    most m, in lexicographic order of (a, b, c, d)."""
-    yield from _bounded_matrices(m)
-
-
 # ---------------------------------------------------------------------------
 # The shell just outside the box
 
@@ -298,6 +292,6 @@ def shell_matrices(m: int, width: int = 1) -> list[IntMat2]:
     """Nonsingular matrices just outside the box of bound m: entries and
     |det| at most m + width, but some entry or |det| above m, in
     lexicographic order."""
-    return [c for c in _bounded_matrices(m + width)
+    return [c for c in truncation_set(m + width)
             if abs(c.det()) > m or max(map(abs, c.entries())) > m]
 

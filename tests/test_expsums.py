@@ -139,7 +139,7 @@ class TestFactored:
     def test_bit_identical_to_coset_sum(self, n):
         # the tally's counts are the enumerated table's, so value and terms
         # are equal, not close, on every box modulus (C' = I included)
-        moduli = list(truncation_set(SpectralParams(k=10, level=n).m_bound))
+        moduli = truncation_set(SpectralParams(k=10, level=n).m_bound)
         assert len(moduli) == 288
         for cmat in moduli:
             for q, t in self.FORMS:

@@ -241,7 +241,7 @@ class TestTruncation:
 
     def test_unit_box_count(self):
         # entries and determinant bounded by 1: exhaustive filter gives 40
-        elems = list(truncation_set(1))
+        elems = truncation_set(1)
         assert len(elems) == len(brute_box_members(1)) == 40
         assert all(abs(c.det()) == 1 for c in elems)
 

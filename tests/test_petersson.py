@@ -23,7 +23,6 @@ from siegelsums.petersson import (
     h_fourier,
     leading_coeff_fit,
     main_term_residue,
-    rank2_shell_sums,
     residue_fit_degree,
     spectral_gram,
 )
@@ -108,25 +107,80 @@ class TestHFourier:
     def test_rank1_terms_independent_of_completion(self, monkeypatch, level,
                                                    pairs):
         # _rank1_sum checks the first term of each (c, s) block against a
-        # second completion of U; here every term is recomputed with other
-        # completions of both U (free top row) and V (free second column)
-        real = petersson._rank1_term_value
+        # second completion of U; here every Salie argument it asks for is
+        # recomputed with other completions of both U (free top row, P ->
+        # E P E^T) and V (free second column, S -> F S F^T).  The memo asks
+        # once per distinct argument, so the spy sees every term's value.
+        e = IntMat2(1, -2, 0, 1)
+        f = IntMat2(1, -3, 0, 1)
+        real = petersson.salie
         for q, t in pairs:
             calls = []
 
-            def record(*args, **memo):
+            def record(*args):
                 calls.append(args)
-                return real(*args, **memo)
+                return real(*args)
 
-            monkeypatch.setattr(petersson, "_rank1_term_value", record)
+            monkeypatch.setattr(petersson, "salie", record)
             _rank1_sum(q, t, SpectralParams(k=10, level=level))
             assert calls, (q, t)
-            for _, _, u, v, c, sign in calls:
-                val = real(q, t, u, v, c, sign)
-                u_alt = IntMat2(u.a - 2 * u.c, u.b - 2 * u.d, u.c, u.d)
-                v_alt = IntMat2(v.a, v.b + 3 * v.a, v.c, v.d + 3 * v.c)
-                alt = real(q, t, u_alt, v_alt, c, sign)
-                assert abs(val - alt) <= 1e-8 * max(1.0, abs(val)), (u, v, c)
+            for p, s, c, sign in calls:
+                val = real(p, s, c, sign).value
+                alt = real(p.conjugate_right(e), s.conjugate_right(f), c,
+                           sign).value
+                assert abs(val - alt) <= 1e-8 * max(1.0, abs(val)), (p, s, c)
+
+    def test_rank1_representations_once_per_s(self, monkeypatch, params):
+        # the Salie arguments of s are built once per call, not once per
+        # (c, s) block: at most one representation list each of Q and T
+        real = petersson.representations
+        calls = []
+
+        def record(form, s):
+            calls.append(s)
+            return real(form, s)
+
+        monkeypatch.setattr(petersson, "representations", record)
+        _rank1_sum(HI, HI, params)
+        assert len(set(calls)) == 40
+        assert len(calls) <= 2 * len(set(calls))
+
+    @pytest.mark.parametrize("level", list(filter(is_prime, range(5, 68))))
+    def test_rank1_character_vanishing(self, monkeypatch, level):
+        # every Salie value of the rank-1 sum vanishes when the product of
+        # the discriminants is a non-residue mod N; when it is a residue
+        # some value is of size c^{3/2}, so the check is not vacuous.  From
+        # N = 71 on, the residue pair (1,1,1), (2,1,2) has no terms at all
+        # (its only block, c = N and s = 1, is empty), so the levels stop
+        # at 67
+        forms = [HalfIntegralForm(*f) for f in ((1, 1, 1), (1, 0, 1),
+                 (1, 1, 2), (1, 0, 2), (1, 1, 3), (1, 0, 3), (2, 1, 2))]
+        discs = {f: f.t2 * f.t2 - 4 * f.t1 * f.t4 for f in forms}
+        assert sorted(discs.values()) == [-15, -12, -11, -8, -7, -4, -3]
+        real = petersson.salie
+        params = SpectralParams(k=10, level=level)
+        seen = set()
+        for q in forms:
+            for t in forms:
+                dd = discs[q] * discs[t] % level
+                if dd == 0:
+                    continue
+                symbol = 1 if pow(dd, (level - 1) // 2, level) == 1 else -1
+                sizes = []
+
+                def record(p, s, c, sign):
+                    sv = real(p, s, c, sign)
+                    sizes.append(abs(sv.value) / c ** 1.5)
+                    return sv
+
+                monkeypatch.setattr(petersson, "salie", record)
+                _rank1_sum(q, t, params)
+                if symbol == -1:
+                    assert max(sizes, default=0.0) <= 1e-12, (q, t)
+                else:
+                    assert max(sizes) >= 1e-3, (q, t)
+                seen.add(symbol)
+        assert seen == {1, -1}
 
     def test_completion_dependence_raises(self, monkeypatch, params):
         # a stand-in Salie value that sees U's free top row through P = U Q U^T
@@ -136,9 +190,13 @@ class TestHFourier:
             h_fourier(HI, HI, params)
 
     def test_shell_decay(self, params):
-        shells = rank2_shell_sums(HI, HI, params)
-        dets = sorted(shells)
-        assert dets == [1, 2]
+        # partial rank-2 sums grouped by |det C'|
+        shells = {}
+        for cp, term in _rank2_terms(HI, HI, params,
+                                     truncation_set(params.m_bound)):
+            d = abs(cp.det())
+            shells[d] = shells.get(d, 0j) + term
+        assert sorted(shells) == [1, 2]
         assert abs(shells[2]) <= 0.5 * abs(shells[1])
 
     @pytest.mark.parametrize("level, pair", [
@@ -237,7 +295,7 @@ class TestHFourier:
             k_env = 8.0 * c1 * c1 * math.sqrt(c2) * math.sqrt(gcd)
             return k_env * abs(kernel(c)) / abs(c.det()) ** 1.5
 
-        box = list(truncation_set(params.m_bound))
+        box = truncation_set(params.m_bound)
         assert len(box) == 288
         direct = [direct_term(cp) for cp in box]
         real = petersson.kloosterman_factored
