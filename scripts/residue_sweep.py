@@ -4,12 +4,17 @@
 Example:
     python scripts/residue_sweep.py --q1 1 --q2 1 --k 10 \
         --levels 100,316,1000,3162,10000,31623,100000
+
+Bad input (a level that is not a finite number above 1, fewer levels
+than the fit's degree needs, a q1 or q2 that is neither 1 nor a
+fundamental discriminant, a pair that is not coprime, or a weight that is
+not an even integer >= 10) exits 2 with a usage line.
 """
 
 import argparse
 import sys
 
-from siegelsums.petersson import main_term_residue, leading_coeff_fit
+from siegelsums.petersson import leading_coeff_fit
 
 
 def main() -> int:
@@ -21,13 +26,16 @@ def main() -> int:
                     default="100,316,1000,3162,10000,31623,100000")
     ap.add_argument("--poly", choices=("1-s^2", "(1-s)^2"), default="(1-s)^2")
     args = ap.parse_args()
-    levels = [float(x) for x in args.levels.split(",")]
+    try:
+        levels = [float(x) for x in args.levels.split(",")]
+        # the fit's residues are main_term_residue at each level
+        fit = leading_coeff_fit(args.q1, args.q2, args.k, levels=levels,
+                                poly=args.poly)
+    except ValueError as exc:
+        ap.error(str(exc))
     print("N,residue")
-    for n in levels:
-        rep = main_term_residue(args.q1, args.q2, n, args.k, poly=args.poly)
-        print(f"{n},{rep.residue!r}")
-    fit = leading_coeff_fit(args.q1, args.q2, args.k, levels=levels,
-                            poly=args.poly)
+    for n, residue in zip(fit.levels, fit.residues):
+        print(f"{n},{residue!r}")
     print(f"# degree {fit.degree} fit in log N, leading coefficient "
           f"{fit.leading!r}, max residual {fit.residual:.3e}", file=sys.stderr)
     return 0

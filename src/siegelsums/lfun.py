@@ -6,10 +6,14 @@ L(s, chi) = m^{-s} sum_{a mod m} chi(a) zeta(s, a/m) with Euler-Maclaurin
 evaluation of the Hurwitz zeta on an outer grid u = s_i + t_j, the 1-D and
 scalar functions being its t = [0] case.  As x^{-u} = x^{-s_i} x^{-t_j},
 each Euler-Maclaurin term summed over the phi classes with chi(a) != 0 is a
-(len(s) x phi)(phi x len(t)) matrix product, 64 classes at a time, and only
-the singular part takes phi pointwise expm1 passes over the grid.  Accuracy
-is ~1e-12 on the region used here (Re s >= 1/4, |Im s| <= ~12), through
-s = 1 for non-principal characters.
+(len(s) x phi)(phi x len(t)) matrix product, 64 classes at a time.  So is
+the singular part w^{1-u}/(u - 1), w = 28 + a/m, away from u = 1: the
+product gives sum_a chi(a) w_a^{1-u}, and that sum less sum_a chi(a) is
+divided by u - 1.  Its cancellation costs a factor of about
+1/(|u - 1| log w) in rounding, so only the points with |u - 1| < 1/16 (a
+factor of at most about 5) sum the singular part pointwise, one expm1
+call per class and point.  Accuracy is ~1e-12 on the region used here
+(Re s >= 1/4, |Im s| <= ~12), through s = 1 for non-principal characters.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ _BERNOULLI = [
 _EM_TERMS = 28
 # classes per matrix product, so that its factors stay O(len(s) + len(t))
 _CLASS_BLOCK = 64
+# |u - 1| below which the singular part is summed pointwise (_hurwitz_grid)
+_SINGULAR_DELTA = 1.0 / 16
 
 
 def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
@@ -66,9 +72,18 @@ def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
     sum_a c_a != 0 and a point is within 1e-14 of u = 1.
 
     With w = _EM_TERMS + alpha and u = s_i + t_j the singular part
-    w^{1-u}/(u-1) is split as (w^{1-u} - 1)/(u - 1) + 1/(u - 1); the first
-    piece is computed with expm1 and takes its limit -log w at u = 1, so
-    the result is continuous through u = 1.
+    w^{1-u}/(u-1) is split as (w^{1-u} - 1)/(u - 1) + 1/(u - 1).  As
+    w^{1-u} = w^{1-s_i} w^{-t_j}, sum_a c_a w_a^{1-u} is one more matrix
+    product per block (its s-factor is exp((1 - s_i) log w), whose exponent
+    rounds with |1 - s_i|), and the first piece is that sum less sum_a c_a,
+    over u - 1.  The difference cancels: its rounding exceeds that of the
+    pointwise sum_a c_a expm1((1 - u) log w_a)/(u - 1) by a factor of about
+    1/(|u - 1| log w), with log w > log 28.  So only the points with
+    |u - 1| < _SINGULAR_DELTA = 1/16, where that factor would pass about 5
+    (two bits), take the pointwise form: one expm1 pass per class, with its
+    limit -sum_a c_a log w_a at u = 1, so the result is continuous through
+    u = 1.  The default residue contour has |u - 1| >= 0.08 and never
+    takes it.
     """
     u = s[:, None] + t[None, :]
 
@@ -76,14 +91,17 @@ def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
         return np.exp(-np.outer(s, lx)), np.exp(-np.outer(lx, t))
 
     total = np.zeros_like(u)
+    sing = np.zeros_like(u)   # sum_a c_a w_a^{1-u}
     for lo in range(0, len(alphas), _CLASS_BLOCK):
         alpha, c = alphas[lo:lo + _CLASS_BLOCK], coeffs[lo:lo + _CLASS_BLOCK]
         for n in range(_EM_TERMS):
             xs, xt = powers(np.log(n + alpha))
             total += (xs * c) @ xt
         w = _EM_TERMS + alpha
-        ws, wt = powers(np.log(w))
+        lw = np.log(w)
+        ws, wt = powers(lw)
         total += (ws * (0.5 * c)) @ wt
+        sing += (np.exp(np.outer(1 - s, lw)) * c) @ wt
         poch = u.copy()
         wpow = c / w
         fact = 2.0
@@ -94,14 +112,19 @@ def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
             wpow = wpow / (w * w)
             fact *= (2 * i + 3) * (2 * i + 4)
     d = u - 1
-    lw = np.log(_EM_TERMS + alphas)
-    num, arg = np.zeros_like(u), np.empty_like(u)
-    for ca, lwa in zip(coeffs, lw):
-        num += ca * np.expm1(np.multiply(d, -lwa, out=arg), out=arg)
-    total += np.divide(num, d, out=np.full_like(d, -(coeffs @ lw)),
-                       where=d != 0)
-    if coeffs.sum():
-        total += _pole(u, coeffs.sum())
+    csum = coeffs.sum()
+    near = np.abs(d) < _SINGULAR_DELTA
+    total += np.divide(sing - csum, d, out=np.zeros_like(d), where=~near)
+    if near.any():
+        dn = d[near]
+        lw = np.log(_EM_TERMS + alphas)
+        num = np.zeros_like(dn)
+        for ca, lwa in zip(coeffs, lw):
+            num += ca * np.expm1(-lwa * dn)
+        total[near] += np.divide(num, dn, out=np.full_like(dn, -(coeffs @ lw)),
+                                 where=dn != 0)
+    if csum:
+        total += _pole(u, csum)
     return total
 
 

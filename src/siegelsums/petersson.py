@@ -97,13 +97,21 @@ class SpectralParams:
 
 @dataclass(frozen=True)
 class HCoefficient:
-    """Assembled coefficient h_Q(T) * (det T)^{k/2 - 3/4} and its parts."""
+    """Assembled coefficient h_Q(T) * (det T)^{k/2 - 3/4} and its parts.
+
+    ``rank1_tail`` and ``rank2_tail`` are the truncation budgets of the
+    rank-1 and rank-2 sums, scaled like ``rank1`` and ``rank2``;
+    ``h_fourier`` sets ``tail_bound`` to their sum.  They default to 0 so
+    that a coefficient can still be built from a total and a bound alone.
+    """
 
     total: complex
     diagonal: complex
     rank1: complex
     rank2: complex
     tail_bound: float
+    rank1_tail: float = 0.0
+    rank2_tail: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +403,16 @@ def h_fourier(q: HalfIntegralForm, t: HalfIntegralForm,
     r2, tail2 = _rank2_sum(q, t, params)
     rank1 = det_ratio_pow * r1
     rank2 = 8 * math.pi ** 2 * det_ratio_pow * r2
-    tail = det_ratio_pow * tail1 + 8 * math.pi ** 2 * det_ratio_pow * tail2
+    rank1_tail = det_ratio_pow * tail1
+    rank2_tail = 8 * math.pi ** 2 * det_ratio_pow * tail2
     return HCoefficient(
         total=diag + rank1 + rank2,
         diagonal=diag,
         rank1=rank1,
         rank2=rank2,
-        tail_bound=tail,
+        tail_bound=rank1_tail + rank2_tail,
+        rank1_tail=rank1_tail,
+        rank2_tail=rank2_tail,
     )
 
 

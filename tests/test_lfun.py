@@ -9,6 +9,7 @@ from scipy.special import loggamma
 from siegelsums.lfun import (
     _BERNOULLI,
     _EM_TERMS,
+    _SINGULAR_DELTA,
     FundamentalDiscriminant,
     PoleError,
     character_period,
@@ -196,6 +197,27 @@ class TestGridAgainstReference:
                       3 + 1j])
         got = dirichlet_l_vec(s, q)
         want = dirichlet_l_reference(s, q)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("q", [1, 16, -4, 5, -1147])
+    def test_singular_part_both_sides_of_delta(self, q):
+        # points at |u - 1| on both sides of the switch between the
+        # pointwise and the matrix-product singular part, at several
+        # phases, each reached once with t = 0 and once with t = tau;
+        # q = -1147 has 17 class blocks, q = 1 and 16 are principal
+        delta = _SINGULAR_DELTA
+        radii = [1e-12, delta * (1 - 1e-6), delta * (1 + 1e-6), 2 * delta,
+                 0.08, 0.24]
+        phases = np.exp(1j * np.pi * np.array([0, 1 / 3, 1 / 2, 5 / 4, 1]))
+        d = np.outer(radii, phases).ravel()
+        tau = 0.3 + 0.4j
+        s, t = np.concatenate([1 + d, 1 + d - tau]), np.array([0, tau])
+        got = dirichlet_l_grid(s, t, q)
+        u = s[:, None] + t[None, :]
+        near = np.abs(u - 1) < delta
+        assert near[:len(d), 0].sum() == 2 * len(phases)
+        assert near[len(d):, 1].sum() == 2 * len(phases)
+        want = dirichlet_l_reference(u.ravel(), q).reshape(u.shape)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_pole_on_grid(self):

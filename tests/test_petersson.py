@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from siegelsums.petersson import (
     _rank2_terms,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 HI = HalfIntegralForm.identity()
 D12 = HalfIntegralForm(1, 0, 2)
 PAIRS = {"I-I": (HI, HI),
@@ -67,6 +72,12 @@ class TestHFourier:
         assert abs(h.total - 8) < 1.0
         assert abs(h.total - (h.diagonal + h.rank1 + h.rank2)) < 1e-13
         assert h.tail_bound >= 0
+
+    def test_tail_bound_splits_by_rank(self, params):
+        for q, t in ((HI, HI), (HI, D12)):
+            h = h_fourier(q, t, params)
+            assert h.rank1_tail >= 0 and h.rank2_tail >= 0
+            assert h.tail_bound == h.rank1_tail + h.rank2_tail
 
     def test_inequivalent_forms_small(self, params):
         h = h_fourier(HI, D12, params)
@@ -460,3 +471,26 @@ class TestMainTerm:
         assert abs(fit_a.leading - fit_b.leading) < 1e-9
         assert (abs(np.array(fit_a.coefficients)
                     - np.array(fit_b.coefficients)) > 1e-6).any()
+
+    @pytest.mark.parametrize("argv", [["--levels", "1"],
+                                      ["--q1", "5", "--q2", "13",
+                                       "--levels", "1"],
+                                      ["--q1", "5", "--q2", "13",
+                                       "--levels", "100,nan"],
+                                      ["--levels", "100,1e3,x"],
+                                      ["--levels", "100,1000"],
+                                      ["--q1", "5", "--q2", "5"],
+                                      ["--q1", "9"], ["--k", "9"]],
+                             ids=["level-one", "level-one-degree-0",
+                                  "level-nan", "level-literal",
+                                  "too-few-levels", "not-coprime",
+                                  "not-fundamental", "weight"])
+    def test_sweep_script_bad_input_exits_2(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "residue_sweep.py"), *argv],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
