@@ -1,19 +1,32 @@
 """Real Dirichlet characters via the Kronecker symbol, their Dirichlet
-coefficients, and numeric L-values near the real axis.
+coefficients, and numeric L-values.
 
 L(s, chi_q) is evaluated through the Hurwitz-zeta decomposition
 L(s, chi) = m^{-s} sum_{a mod m} chi(a) zeta(s, a/m) with Euler-Maclaurin
 evaluation of the Hurwitz zeta on an outer grid u = s_i + t_j, the 1-D and
 scalar functions being its t = [0] case.  As x^{-u} = x^{-s_i} x^{-t_j},
 each Euler-Maclaurin term summed over the phi classes with chi(a) != 0 is a
-(len(s) x phi)(phi x len(t)) matrix product, 64 classes at a time.  So is
-the singular part w^{1-u}/(u - 1), w = 28 + a/m, away from u = 1: the
-product gives sum_a chi(a) w_a^{1-u}, and that sum less sum_a chi(a) is
-divided by u - 1.  Its cancellation costs a factor of about
-1/(|u - 1| log w) in rounding, so only the points with |u - 1| < 1/16 (a
-factor of at most about 5) sum the singular part pointwise, one expm1
-call per class and point.  Accuracy is ~1e-12 on the region used here
-(Re s >= 1/4, |Im s| <= ~12), through s = 1 for non-principal characters.
+(len(s) x phi)(phi x len(t)) matrix product, 64 classes at a time.
+
+The number N of direct terms is set per call from the remainder bound of
+F. Johansson (Numer. Algorithms 69 (2015)) after the 12 Bernoulli terms:
+the smallest N with 4 |(u)_24| / (2 pi)^24 N^{-(Re u + 23)} / (Re u + 23)
+below 1e-17, taken at the grid's largest |u| and smallest Re u.  That is
+N = 8 on the residue contour |u - 1| <= 0.24, 18 at u = 1/2 + 12i, 93 at
+1/2 + 100i and 880 at 1/2 + 1000i.  Where N would pass MAX_DIRECT_TERMS
+(|Im u| above about 1.04e5 on the critical line, or Re u <= -23) the call
+raises ArithmeticError; a non-finite point raises ValueError.
+
+The singular part w^{1-u}/(u - 1), w = N + a/m, is a matrix product too
+away from u = 1: the product gives sum_a chi(a) w_a^{1-u}, and that sum
+less sum_a chi(a) is divided by u - 1.  Its cancellation costs a factor of
+about 1/(|u - 1| log w) in rounding.  A grid with a point within 1/16 of
+u = 1 gets N >= 8, so only the points with |u - 1| < 1/16 (a factor of at
+most 16/log 8 ~ 7.7) sum the singular part pointwise, one expm1 call per
+class and point.  The relative error is ~2e-15 on the residue contour,
+through s = 1 for non-principal characters.  On the critical line the phase
+of each term rounds with |Im s| log n, so there it is ~1e-13 at
+|Im s| = 100 and ~1e-11 at 1e4.
 """
 
 from __future__ import annotations
@@ -57,35 +70,83 @@ _BERNOULLI = [
     7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330,
     854513.0 / 138, -236364091.0 / 2730,
 ]
-_EM_TERMS = 28
+# Euler-Maclaurin remainder allowed per class (_em_terms), far below the
+# rounding of the class sums
+_EM_TARGET = 1e-17
+# Largest number of direct terms _em_terms returns, reached at |Im u| ~ 1.04e5
+# on the critical line.  A scalar dirichlet_l(s, 5) there took 1.3 s on two
+# vCPUs, and each further block of _CLASS_BLOCK classes adds about as much.
+MAX_DIRECT_TERMS = 100_000
 # classes per matrix product, so that its factors stay O(len(s) + len(t))
 _CLASS_BLOCK = 64
 # |u - 1| below which the singular part is summed pointwise (_hurwitz_grid)
 _SINGULAR_DELTA = 1.0 / 16
+_TWO_M = 2 * len(_BERNOULLI)
+
+
+def _em_log_bound(w: float, absu: float, sigma: float) -> float:
+    """log of Johansson's bound on the Euler-Maclaurin remainder of
+    zeta(u, alpha) after the direct terms n < N and the _TWO_M / 2 Bernoulli
+    terms, with w = N + alpha, |u| <= absu and Re u >= sigma > 1 - _TWO_M:
+    4 (absu)_24 / (2 pi)^24 w^{-(sigma + 23)} / (sigma + 23), as
+    |(u)_24| <= (|u|)_24 (F. Johansson, Rigorous high-precision computation
+    of the Hurwitz zeta function and its derivatives, Numer. Algorithms 69
+    (2015))."""
+    e = sigma + _TWO_M - 1
+    with np.errstate(divide="ignore"):
+        log_poch = float(np.log(absu + np.arange(_TWO_M)).sum())
+    return (math.log(4 / e) + log_poch - _TWO_M * math.log(2 * math.pi)
+            - e * math.log(w))
+
+
+def _em_terms(u: np.ndarray) -> int:
+    """The smallest N >= 1 whose _em_log_bound, taken at w = N (alpha > 0)
+    and the grid's worst point (largest |u|, smallest Re u), is below
+    _EM_TARGET.  Raises ArithmeticError when that N exceeds
+    MAX_DIRECT_TERMS."""
+    absu, sigma = float(np.abs(u).max()), float(u.real.min())
+    e = sigma + _TWO_M - 1
+    if e > 0:
+        # _em_log_bound(w) = log target solved for log w, clamped below so
+        # that exp cannot overflow
+        log_w = (_em_log_bound(1.0, absu, sigma) - math.log(_EM_TARGET)) / e
+        n = math.ceil(math.exp(min(log_w, math.log(MAX_DIRECT_TERMS) + 1)))
+        if n <= MAX_DIRECT_TERMS:
+            return max(1, n)
+    raise ArithmeticError(
+        f"Euler-Maclaurin needs more than {MAX_DIRECT_TERMS} terms at "
+        f"|Im u| = {float(np.abs(u.imag).max()):.3g}, Re u = {sigma:.3g}: "
+        "outside the range of this evaluator")
 
 
 def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
                   coeffs: np.ndarray) -> np.ndarray:
     """sum_a c_a zeta(s_i + t_j, alpha_a) on the outer grid s x t, by
-    Euler-Maclaurin after _EM_TERMS terms: one matrix product per term and
-    block of at most _CLASS_BLOCK classes.  Raises PoleError when
-    sum_a c_a != 0 and a point is within 1e-14 of u = 1.
+    Euler-Maclaurin after N = _em_terms(u) direct terms: one matrix product
+    per term and block of at most _CLASS_BLOCK classes.  Raises ValueError
+    for a non-finite point, ArithmeticError when N would exceed
+    MAX_DIRECT_TERMS, and PoleError when sum_a c_a != 0 and a point is within
+    1e-14 of u = 1.
 
-    With w = _EM_TERMS + alpha and u = s_i + t_j the singular part
+    With w = N + alpha and u = s_i + t_j the singular part
     w^{1-u}/(u-1) is split as (w^{1-u} - 1)/(u - 1) + 1/(u - 1).  As
     w^{1-u} = w^{1-s_i} w^{-t_j}, sum_a c_a w_a^{1-u} is one more matrix
     product per block (its s-factor is exp((1 - s_i) log w), whose exponent
     rounds with |1 - s_i|), and the first piece is that sum less sum_a c_a,
     over u - 1.  The difference cancels: its rounding exceeds that of the
     pointwise sum_a c_a expm1((1 - u) log w_a)/(u - 1) by a factor of about
-    1/(|u - 1| log w), with log w > log 28.  So only the points with
-    |u - 1| < _SINGULAR_DELTA = 1/16, where that factor would pass about 5
-    (two bits), take the pointwise form: one expm1 pass per class, with its
+    1/(|u - 1| log w).  A grid with a point within _SINGULAR_DELTA = 1/16 of
+    u = 1 gets N >= 8 from _em_terms, so log w > log 8, and only the points
+    with |u - 1| < 1/16, where that factor would pass 16/log 8 ~ 7.7 (three
+    bits), take the pointwise form: one expm1 pass per class, with its
     limit -sum_a c_a log w_a at u = 1, so the result is continuous through
     u = 1.  The default residue contour has |u - 1| >= 0.08 and never
     takes it.
     """
+    if not (np.isfinite(s).all() and np.isfinite(t).all()):
+        raise ValueError("L-values need finite points")
     u = s[:, None] + t[None, :]
+    n_terms = _em_terms(u)
 
     def powers(lx):
         return np.exp(-np.outer(s, lx)), np.exp(-np.outer(lx, t))
@@ -94,10 +155,10 @@ def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
     sing = np.zeros_like(u)   # sum_a c_a w_a^{1-u}
     for lo in range(0, len(alphas), _CLASS_BLOCK):
         alpha, c = alphas[lo:lo + _CLASS_BLOCK], coeffs[lo:lo + _CLASS_BLOCK]
-        for n in range(_EM_TERMS):
+        for n in range(n_terms):
             xs, xt = powers(np.log(n + alpha))
             total += (xs * c) @ xt
-        w = _EM_TERMS + alpha
+        w = n_terms + alpha
         lw = np.log(w)
         ws, wt = powers(lw)
         total += (ws * (0.5 * c)) @ wt
@@ -117,7 +178,7 @@ def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
     total += np.divide(sing - csum, d, out=np.zeros_like(d), where=~near)
     if near.any():
         dn = d[near]
-        lw = np.log(_EM_TERMS + alphas)
+        lw = np.log(n_terms + alphas)
         num = np.zeros_like(dn)
         for ca, lwa in zip(coeffs, lw):
             num += ca * np.expm1(-lwa * dn)
@@ -176,8 +237,8 @@ def dirichlet_l_grid(s: np.ndarray, t: np.ndarray, q: int) -> np.ndarray:
     chi = np.array([kronecker(q, a) for a in range(1, m + 1)], dtype=float)
     classes = np.flatnonzero(chi)
     lm = math.log(m)
-    return (np.outer(np.exp(-s * lm), np.exp(-t * lm))
-            * _hurwitz_grid(s, t, (classes + 1) / m, chi[classes]))
+    return (_hurwitz_grid(s, t, (classes + 1) / m, chi[classes])
+            * np.outer(np.exp(-s * lm), np.exp(-t * lm)))
 
 
 def dirichlet_l_vec(s: np.ndarray, q: int) -> np.ndarray:

@@ -164,6 +164,19 @@ class TestErrors:
         assert code == 1
         assert "error: q must be nonzero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s", ["0.5,1e12", "0.5,1e6"])
+    def test_lvalue_beyond_range_exits_1(self, capsys, s):
+        code = cli.main(["lvalue", "--s", s, "--q", "5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: Euler-Maclaurin needs more than" in captured.err
+        assert "|Im u|" in captured.err
+
+    def test_lvalue_critical_line(self, capsys):
+        rec = run_json(capsys, "lvalue", "--s", "0.5,100", "--q", "5")
+        got = complex(rec["value"]["re"], rec["value"]["im"])
+        assert abs(got - (0.21059417943142233 + 0.544811244593602j)) < 1e-12
 
     @pytest.mark.parametrize("cmax", ["0", "-3"])
     def test_nonpositive_cmax_exits_1(self, capsys, cmax):

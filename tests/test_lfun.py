@@ -8,10 +8,13 @@ from scipy.special import loggamma
 
 from siegelsums.lfun import (
     _BERNOULLI,
-    _EM_TERMS,
+    _EM_TARGET,
     _SINGULAR_DELTA,
+    MAX_DIRECT_TERMS,
     FundamentalDiscriminant,
     PoleError,
+    _em_log_bound,
+    _em_terms,
     character_period,
     dirichlet_l,
     dirichlet_l_grid,
@@ -24,14 +27,19 @@ from siegelsums.lfun import (
 )
 from siegelsums.matcore import kronecker
 
+# the reference keeps a fixed cut of its own, so that the grid tests compare
+# two different truncations
+_REFERENCE_TERMS = 28
+
 
 def _hurwitz_regular_reference(s, a):
-    """zeta(s, a) - 1/(s - 1) pointwise by Euler-Maclaurin, continuous
-    through s = 1 by the expm1 split of the singular part."""
+    """zeta(s, a) - 1/(s - 1) pointwise by Euler-Maclaurin after
+    _REFERENCE_TERMS direct terms, continuous through s = 1 by the expm1
+    split of the singular part."""
     total = np.zeros_like(s)
-    for n in range(_EM_TERMS):
+    for n in range(_REFERENCE_TERMS):
         total += np.exp(-s * math.log(n + a))
-    w = _EM_TERMS + a
+    w = _REFERENCE_TERMS + a
     lw = math.log(w)
     total += 0.5 * np.exp(-s * lw)
     poch = s.copy()
@@ -66,6 +74,21 @@ def dirichlet_l_reference(s, q):
             raise PoleError("pole")
         total += char_sum / (s - 1)
     return np.exp(-s * math.log(m)) * total
+
+
+def _check_functional_equation(s, q):
+    """L(s, chi_q) = G(1 - s) / G(s) L(1 - s, chi_q) for primitive real
+    chi_q, with G(s) = (|q|/pi)^{(s+a)/2} Gamma((s+a)/2), a = 0 for even and
+    a = 1 for odd characters."""
+    a = 0 if q > 0 else 1
+
+    def log_g(z):
+        return ((z + a) / 2 * math.log(abs(q) / math.pi)
+                + complex(loggamma((z + a) / 2)))
+
+    lhs = dirichlet_l_vec(np.array([s]), q)[0]
+    rhs = cmath.exp(log_g(1 - s) - log_g(s)) * dirichlet_l(1 - s, q).value
+    assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
 
 class TestRCoeff:
@@ -152,19 +175,19 @@ class TestDirichletL:
     @given(st.floats(0.3, 0.7), st.floats(-9.0, 9.0),
            st.sampled_from([1, -4, 5, 65, -20]))
     def test_functional_equation(self, re, im, q):
-        # L(s, chi_q) = G(1 - s) / G(s) L(1 - s, chi_q) for primitive real
-        # chi_q, with G(s) = (|q|/pi)^{(s+a)/2} Gamma((s+a)/2), a = 0 for
-        # even and a = 1 for odd characters
-        a = 0 if q > 0 else 1
+        _check_functional_equation(complex(re, im), q)
 
-        def log_g(z):
-            return ((z + a) / 2 * math.log(abs(q) / math.pi)
-                    + complex(loggamma((z + a) / 2)))
+    @pytest.mark.parametrize("height", [40.0, 100.0])
+    @pytest.mark.parametrize("q", [5, -4, 13])
+    def test_functional_equation_critical_line(self, height, q):
+        # a fixed cut of 28 direct terms missed this by up to 8e-8 at 100
+        _check_functional_equation(complex(0.5, height), q)
 
-        s = complex(re, im)
-        lhs = dirichlet_l_vec(np.array([s]), q)[0]
-        rhs = cmath.exp(log_g(1 - s) - log_g(s)) * dirichlet_l(1 - s, q).value
-        assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+    def test_critical_line_value(self):
+        # L(1/2 + 100i, chi_5) from mpmath's Hurwitz zeta at 30 digits
+        want = 0.21059417943142233 + 0.544811244593602j
+        got = dirichlet_l(0.5 + 100j, 5).value
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_continuous_through_one(self):
         # non-principal L-functions are analytic at s = 1 with slopes
@@ -233,6 +256,65 @@ class TestGridAgainstReference:
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError, match="q must be nonzero"):
             dirichlet_l_vec(np.array([2.0]), 0)
+
+
+class TestEulerMaclaurinCut:
+    @staticmethod
+    def _smallest_n(u):
+        # the bound at w = N, searched upward from N = 1
+        absu, sigma = np.abs(u).max(), u.real.min()
+        n = 1
+        while _em_log_bound(n, absu, sigma) > math.log(_EM_TARGET):
+            n += 1
+        return n
+
+    def test_residue_contour(self):
+        # the three grids of petersson._residue_kernel at its defaults:
+        # u = 1 + s, 1 + t and 1 + s + t, |s| = 0.16, |t| = 0.08
+        theta = 2 * np.pi * np.arange(128) / 128
+        s, t = 0.16 * np.exp(1j * theta), 0.08 * np.exp(1j * theta)
+        for u in (1 + s, 1 + t, 1 + s[:, None] + t[None, :]):
+            assert _em_terms(u) == self._smallest_n(u) == 8
+
+    def test_grows_with_height(self):
+        cuts = [_em_terms(np.array([0.5 + 1j * h]))
+                for h in (0, 12, 100, 1000, 1e4)]
+        assert cuts == sorted(set(cuts))
+        assert 16 <= cuts[1] <= 19 and 90 <= cuts[2] <= 96
+        assert 850 <= cuts[3] <= 950
+
+    @pytest.mark.parametrize("u", [1.0, 0.5 + 12j, 0.25 - 100j, 2.0 + 1000j,
+                                   40.0, 1 + 0.24j])
+    def test_minimal(self, u):
+        # the closed form is the first N whose bound is below the target,
+        # so the bound at N - 1 is above it
+        u = np.array([u])
+        assert _em_terms(u) == self._smallest_n(u)
+
+    def test_near_one_gets_eight(self):
+        # the rounding factor 16/log 8 of the pointwise singular part rests
+        # on N >= 8 whenever a point lies within _SINGULAR_DELTA of u = 1
+        phases = np.exp(2j * np.pi * np.arange(16) / 16)
+        for u in 1 + _SINGULAR_DELTA * phases:
+            assert _em_terms(np.array([u])) >= 8
+
+    @pytest.mark.parametrize("s", [0.5 + 1e12j, 0.5 - 1e6j, -23.0])
+    def test_outside_range_raises(self, s):
+        with pytest.raises(ArithmeticError, match=r"\|Im u\|"):
+            dirichlet_l(s, 5)
+
+    def test_cap(self):
+        assert _em_terms(np.array([0.5 + 1e5j])) <= MAX_DIRECT_TERMS
+        with pytest.raises(ArithmeticError, match="1.1e\\+05"):
+            _em_terms(np.array([0.5 + 1.1e5j]))
+
+    @pytest.mark.parametrize("s", [complex("nan"), complex("inf"),
+                                   complex(0.5, float("inf"))])
+    def test_non_finite_rejected(self, s):
+        with pytest.raises(ValueError, match="finite"):
+            dirichlet_l_vec(np.array([2.0, s]), -4)
+        with pytest.raises(ValueError, match="finite"):
+            dirichlet_l_grid(np.array([2.0]), np.array([s]), 1)
 
 
 class TestHurwitz:
