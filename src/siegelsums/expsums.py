@@ -53,9 +53,11 @@ def _roots_of_unity(m: int) -> np.ndarray:
     return w
 
 
-def _tally_value(numerators: np.ndarray, m: int) -> complex:
-    """sum of e(n/m) over the numerator array, via integer multiplicity counts."""
-    counts = np.bincount(numerators, minlength=m)
+def _tally_value(numerators: np.ndarray, m: int,
+                 weights: np.ndarray | None = None) -> complex:
+    """sum of w e(n/m) over the numerator array, via multiplicity counts;
+    w is the matching entry of ``weights``, or 1 without them."""
+    counts = np.bincount(numerators, weights=weights, minlength=m)
     return complex(np.dot(counts, _roots_of_unity(m)))
 
 
@@ -72,16 +74,14 @@ def kloosterman(q: HalfIntegralForm, t: HalfIntegralForm, c: IntMat2,
     summand does not depend on the choice of A: two completions differ by
     A -> A + S C with S symmetric integral, shifting the phase by the
     integer tr(S Q).  The phases come from ``sp4.coset_data``, built from
-    its Smith class (closed form for n*I, enumerated otherwise); every
-    coset still contributes one summand, so ``terms`` is the coset count.
+    the Smith form of C, which also rejects a singular C; every coset
+    still contributes one summand, so ``terms`` is the coset count.
     ``method`` is "brute", the name the CLI reports for this route.
 
     ``threads`` is accepted and ignored: the tally is one serial bincount
     (a per-call thread pool lost to it at every measured size), and the
     keyword stays only because the ``perfbench`` workloads pass it.
     """
-    if c.det() == 0:
-        raise SingularModulusError("singular modulus")
     data = sp4.coset_data(c)
     nums = (data.weights @ _form_vector(q, t)) % data.m
     value = _tally_value(nums, data.m)
@@ -112,10 +112,10 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
     of cosets of N*I and C whose summands are those of K(X Q X^T, T; N*I)
     and K(s^2 Q, T; C).  Their numerators, mod N and mod d = 2|det C|, are
     tallied into two histograms; the pair (i, j) lands at i*N*d + j*N^2
-    mod m = N^2 d (the coset table's modulus for N*C), so the product of
-    their counts is added there, with no float product: value and terms
-    equal ``kloosterman(q, t, c.scale(n))`` bit for bit, whatever the
-    Bezout pair (``bezout`` pins one).
+    mod m = N^2 d (the coset table's modulus for N*C), so one tally weighted
+    by the products of their counts (integers below 2^53, exact as floats)
+    gives value and terms equal to ``kloosterman(q, t, c.scale(n))`` bit
+    for bit, whatever the Bezout pair (``bezout`` pins one).
     """
     if not is_prime(n):
         raise ValueError(f"{n} is not prime")
@@ -139,10 +139,9 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
     right = np.bincount(
         (data.weights @ _form_vector(q.scale(s * s), t)) % d, minlength=d)
     index = (np.arange(n)[:, None] * (n * d) + np.arange(d) * (n * n)) % m
-    counts = np.zeros(m, dtype=np.int64)
-    np.add.at(counts, index, np.outer(left, right))
-    return SumValue(value=complex(np.dot(counts, _roots_of_unity(m))),
-                    terms=int(counts.sum()), method="factored")
+    value = _tally_value(index.ravel(), m, np.outer(left, right).ravel())
+    return SumValue(value=value, terms=int(left.sum() * right.sum()),
+                    method="factored")
 
 
 @lru_cache(maxsize=None)
@@ -254,9 +253,8 @@ def twisted_average(c: IntMat2, q1: int, q2: int) -> SumValue:
     w = data.weights
     nums = ((w[:, 0] + w[:, 2])[:, None, None] * mu2
             + (w[:, 3] + w[:, 5])[:, None, None] * mu1[:, None]) % data.m
-    counts = np.bincount(nums.ravel(), minlength=data.m,
-                         weights=np.broadcast_to(chi, nums.shape).ravel())
-    total = complex(np.dot(counts, _roots_of_unity(data.m)))
+    total = _tally_value(nums.ravel(), data.m,
+                         np.broadcast_to(chi, nums.shape).ravel())
     expected = 0j
     if q1 == 1 and q2 == 1:
         expected = complex(cdet * cdet * gaussian_totient(GaussianInt(c.a, c.b)))

@@ -15,7 +15,10 @@ below 1e-17, taken at the grid's largest |u| and smallest Re u.  That is
 N = 8 on the residue contour |u - 1| <= 0.24, 18 at u = 1/2 + 12i, 93 at
 1/2 + 100i and 880 at 1/2 + 1000i.  Where N would pass MAX_DIRECT_TERMS
 (|Im u| above about 1.04e5 on the critical line, or Re u <= -23) the call
-raises ArithmeticError; a non-finite point raises ValueError.
+raises ArithmeticError, and so does any point with Re u < MIN_RE_U = -1/2:
+there the direct terms (n + a/m)^{-u} grow with n and their sum rounds
+away the value (zeta(-10) would read -3.4e7).  A non-finite point raises
+ValueError.
 
 The singular part w^{1-u}/(u - 1), w = N + a/m, is a matrix product too
 away from u = 1: the product gives sum_a chi(a) w_a^{1-u}, and that sum
@@ -77,6 +80,10 @@ _EM_TARGET = 1e-17
 # on the critical line.  A scalar dirichlet_l(s, 5) there took 1.3 s on two
 # vCPUs, and each further block of _CLASS_BLOCK classes adds about as much.
 MAX_DIRECT_TERMS = 100_000
+# Smallest Re u that _hurwitz_grid accepts.  The residue contour stays
+# above it for every radius < 1/2 (Re u > 1 - 3/2), and at Re u = -0.47 the
+# functional equation still holds to 1e-13.
+MIN_RE_U = -0.5
 # classes per matrix product, so that its factors stay O(len(s) + len(t))
 _CLASS_BLOCK = 64
 # |u - 1| below which the singular part is summed pointwise (_hurwitz_grid)
@@ -125,8 +132,8 @@ def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
     Euler-Maclaurin after N = _em_terms(u) direct terms: one matrix product
     per term and block of at most _CLASS_BLOCK classes.  Raises ValueError
     for a non-finite point, ArithmeticError when N would exceed
-    MAX_DIRECT_TERMS, and PoleError when sum_a c_a != 0 and a point is within
-    1e-14 of u = 1.
+    MAX_DIRECT_TERMS or a point has Re u < MIN_RE_U, and PoleError when
+    sum_a c_a != 0 and a point is within 1e-14 of u = 1.
 
     With w = N + alpha and u = s_i + t_j the singular part
     w^{1-u}/(u-1) is split as (w^{1-u} - 1)/(u - 1) + 1/(u - 1).  As
@@ -147,6 +154,11 @@ def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
         raise ValueError("L-values need finite points")
     u = s[:, None] + t[None, :]
     n_terms = _em_terms(u)
+    sigma = float(u.real.min())
+    if sigma < MIN_RE_U:
+        raise ArithmeticError(
+            f"Re u = {sigma:.3g} is below {MIN_RE_U}: the direct sum of the "
+            "growing terms (n + alpha)^(-u) loses the value to rounding")
 
     def powers(lx):
         return np.exp(-np.outer(s, lx)), np.exp(-np.outer(lx, t))

@@ -8,15 +8,15 @@ over such D modulo the lattice C * Lambda of symmetric translates; this
 module enumerates canonical representatives and produces, for each, a
 completion (A, B) making the full 4x4 block matrix symplectic.
 
-Phase tables are built only for Smith classes diag(c1, c2).  With
+Phase tables are built only for moduli in Smith form diag(c1, c2).  With
 U C V = diag(c1, c2) (U, V unimodular), multiplying an element of Sp4(Z)
 by diag(U^-T, U) on the left and diag(V, V^-T) on the right maps the
 cosets of C one-to-one onto those of diag(c1, c2), and each summand of
 K(Q, T; C) onto the summand of K(U Q U^T, V^T T V; diag(c1, c2)).  The
-table of C is therefore the class table composed with that integer
-linear change of the form coordinates.  A scalar class takes its table
-from Kitaoka's closed form (``_pI_grid``), every other class from the
-enumeration, which also serves as the closed form's independent check.
+table of C is therefore its Smith form's table composed with that
+integer linear change of the form coordinates.  A scalar Smith form
+takes its table from Kitaoka's closed form (``_pI_grid``), every other
+one from the enumeration, which also checks the closed form.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def enumerate_bottom_cosets(c: IntMat2) -> list[IntMat2]:
 
 def _coset_pairs(c: IntMat2) -> tuple[tuple[IntMat2, IntMat2], ...]:
     """(D, A) pairs for all bottom-row cosets of modulus C (not cached:
-    ``_class_table`` memoizes the tables built from them)."""
+    ``coset_data`` memoizes the tables built from them)."""
     det = c.det()
     if det == 0:
         raise SingularModulusError("singular modulus")
@@ -180,7 +180,6 @@ class CosetData:
     already folded by the sign of det C.
     """
 
-    modulus: IntMat2
     m: int
     weights: np.ndarray
     count: int
@@ -225,7 +224,13 @@ def _enumerated_table(c: IntMat2) -> CosetData:
             shifted = a.add(IntMat2(1, 1, 1, 0).mul(c))
             assert _phase_row(shifted, d, adj, m, sgn) == list(rows[i])
     rows.setflags(write=False)
-    return CosetData(modulus=c, m=m, weights=rows, count=len(pairs))
+    return CosetData(m=m, weights=rows, count=len(pairs))
+
+
+# Largest n that ``_pI_grid`` accepts.  Its index arrays and table take
+# about 72 n^3 bytes at peak: 0.68 GB at n = 211, 1.0 GB at n = 240, but
+# 9 GB at n = 500 and 72 GB at n = 1009.
+MAX_PI_GRID_N = 240
 
 
 # One coefficient reads two grids, its level's and grid(1) for the
@@ -236,7 +241,11 @@ def _pI_grid(n: int) -> np.ndarray:
     """Kitaoka's closed form for n*I as a weight table mod n: the symmetric
     D = [[d1, d2], [d2, d4]] mod n with delta = det D a unit mod n, completed
     by A = inv(delta) adj(D), give the rows inv(delta) (d4, -d2, d1), d1,
-    d2, d4 (for n = 1 the one zero row)."""
+    d2, d4 (for n = 1 the one zero row).  Raises ValueError, before any
+    array is built, when n exceeds ``MAX_PI_GRID_N``."""
+    if n > MAX_PI_GRID_N:
+        raise ValueError(f"the pI grid of n = {n} exceeds the cap "
+                         f"{MAX_PI_GRID_N} (about 72 n^3 bytes)")
     d1, d2, d4 = (x.ravel() for x in np.meshgrid(
         *[np.arange(n, dtype=np.int64)] * 3, indexing="ij"))
     delta = (d1 * d4 - d2 * d2) % n
@@ -248,18 +257,6 @@ def _pI_grid(n: int) -> np.ndarray:
                      d1, d2, d4], axis=1)
     rows.setflags(write=False)
     return rows
-
-
-@lru_cache(maxsize=None)
-def _class_table(c1: int, c2: int) -> CosetData:
-    """Table of the Smith class diag(c1, c2) (cached).  For C = n*I,
-    E = A adj(C) = n A and F = adj(C) D = n D, so the phase row is 2n times
-    the row of ``_pI_grid(n)``, mod m = 2 n^2; other classes are enumerated."""
-    if c1 == c2:
-        rows = (2 * c1 * _pI_grid(c1)) % (2 * c1 * c1)
-        rows.setflags(write=False)
-        return CosetData(IntMat2.scalar(c1), 2 * c1 * c1, rows, len(rows))
-    return _enumerated_table(IntMat2.diag(c1, c2))
 
 
 def _conjugation_map(u: IntMat2, m: int) -> list[list[int]]:
@@ -276,29 +273,35 @@ def _conjugation_map(u: IntMat2, m: int) -> list[list[int]]:
 def coset_data(c: IntMat2) -> CosetData:
     """Phase-coefficient table for all cosets of modulus C (cached).
 
-    Derived from the table of the Smith class of C (``_class_table``): with
-    U C V = diag(c1, c2), the summand of a coset of C at the forms
-    (Q, T) is the summand of the matching coset of diag(c1, c2) at
-    (U Q U^T, V^T T V), so ``weights`` is the class table's weights times
-    the block-diagonal map M of (q1, q2, q4, t1, t2, t4) to those
-    forms' coordinates, reduced mod m.  Rows follow the class table's
-    coset order; ``kloosterman`` tallies them, so the order does not
-    matter.
+    A Smith form diag(n, n) takes 2n times the rows of ``_pI_grid(n)``
+    (E = A adj(C) = n A, F = adj(C) D = n D) mod m = 2 n^2; any other
+    Smith form is enumerated.  With U C V = diag(c1, c2), the summand of a
+    coset of any other C at (Q, T) is that of the matching coset of
+    diag(c1, c2) at (U Q U^T, V^T T V), so its ``weights`` are the Smith
+    form's times the block-diagonal map of (q1, q2, q4, t1, t2, t4) to
+    those forms' coordinates, mod m, in the Smith form's coset order
+    (``kloosterman`` tallies them, so the order does not matter).
     """
     c1, c2, u, v = elementary_divisors(c)
-    base = _class_table(c1, c2)
+    if c == IntMat2.diag(c1, c2):
+        if c1 != c2:
+            return _enumerated_table(c)
+        m = 2 * c1 * c1
+        rows = (2 * c1 * _pI_grid(c1)) % m
+        rows.setflags(write=False)
+        return CosetData(m=m, weights=rows, count=len(rows))
+    base = coset_data(IntMat2.diag(c1, c2))
     m = base.m
     conj = np.zeros((6, 6), dtype=np.int64)
     conj[:3, :3] = _conjugation_map(u, m)
     conj[3:, 3:] = _conjugation_map(v.t(), m)  # V^T T V
     rows = (base.weights @ conj) % m
     rows.setflags(write=False)
-    return CosetData(modulus=c, m=m, weights=rows, count=base.count)
+    return CosetData(m=m, weights=rows, count=base.count)
 
 
 def clear_caches() -> None:
-    """Drop the memoized coset and class tables and pI grids (used by
-    determinism re-runs)."""
+    """Drop the memoized coset tables and pI grids (used by determinism
+    re-runs)."""
     coset_data.cache_clear()
-    _class_table.cache_clear()
     _pI_grid.cache_clear()

@@ -173,6 +173,20 @@ class TestErrors:
         assert "error: Euler-Maclaurin needs more than" in captured.err
         assert "|Im u|" in captured.err
 
+    def test_oversized_pI_grid_exits_1(self, capsys):
+        # refused before any array is built
+        code = cli.main(["kloosterman", "--q", "1,0,1", "--t", "1,0,1",
+                         "--c", "10000,0;0,10000"])
+        assert code == 1
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_lvalue_left_of_range_exits_1(self, capsys):
+        code = cli.main(["lvalue", "--s", "-7", "--q", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: Re u = -7" in captured.err
+
     def test_lvalue_critical_line(self, capsys):
         rec = run_json(capsys, "lvalue", "--s", "0.5,100", "--q", "5")
         got = complex(rec["value"]["re"], rec["value"]["im"])

@@ -239,6 +239,13 @@ class TestTruncation:
         want = sorted(brute_box_members(m))
         assert got == want
 
+    @pytest.mark.parametrize("m, size", [(1, 40), (2, 288), (3, 896),
+                                         (8, 16_448), (16, 130_528)])
+    def test_box_sizes(self, m, size):
+        # counted independently of the scan, by a divisor walk over
+        # b*c = a*d - det
+        assert len(truncation_set(m)) == size
+
     def test_unit_box_count(self):
         # entries and determinant bounded by 1: exhaustive filter gives 40
         elems = truncation_set(1)

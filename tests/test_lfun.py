@@ -11,6 +11,7 @@ from siegelsums.lfun import (
     _EM_TARGET,
     _SINGULAR_DELTA,
     MAX_DIRECT_TERMS,
+    MIN_RE_U,
     FundamentalDiscriminant,
     PoleError,
     _em_log_bound,
@@ -76,7 +77,7 @@ def dirichlet_l_reference(s, q):
     return np.exp(-s * math.log(m)) * total
 
 
-def _check_functional_equation(s, q):
+def _check_functional_equation(s, q, tol=1e-11):
     """L(s, chi_q) = G(1 - s) / G(s) L(1 - s, chi_q) for primitive real
     chi_q, with G(s) = (|q|/pi)^{(s+a)/2} Gamma((s+a)/2), a = 0 for even and
     a = 1 for odd characters."""
@@ -88,7 +89,7 @@ def _check_functional_equation(s, q):
 
     lhs = dirichlet_l_vec(np.array([s]), q)[0]
     rhs = cmath.exp(log_g(1 - s) - log_g(s)) * dirichlet_l(1 - s, q).value
-    assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+    assert abs(lhs - rhs) < tol * max(1.0, abs(lhs))
 
 
 class TestRCoeff:
@@ -182,6 +183,26 @@ class TestDirichletL:
     def test_functional_equation_critical_line(self, height, q):
         # a fixed cut of 28 direct terms missed this by up to 8e-8 at 100
         _check_functional_equation(complex(0.5, height), q)
+
+    @pytest.mark.parametrize("height", [0.5, 10.0, 40.0, -40.0])
+    @pytest.mark.parametrize("q", [1, 5, -4, -1147])
+    def test_functional_equation_left_edge(self, height, q):
+        # Re u = -0.47 is the lowest point of the residue contour at radius
+        # 0.49; the loss measured there is at most 9e-14
+        _check_functional_equation(complex(-0.47, height), q, tol=2e-13)
+
+    def test_zeta_minus_half(self):
+        # zeta(-1/2) = -zeta(3/2) / (4 pi), to 20 digits
+        assert abs(zeta(-0.5) - (-0.20788622497735456602)) < 2e-14
+
+    @pytest.mark.parametrize("s, q", [(-7.0, 1), (-10.0, 1), (-3.0, 5),
+                                      (-0.51 + 3j, -4)])
+    def test_left_of_min_re_u_raises(self, s, q):
+        # the direct sum of growing terms would round zeta(-10) to -3.4e7 and
+        # zeta(-7) to 0.0063 (1/240 is right)
+        assert s.real < MIN_RE_U
+        with pytest.raises(ArithmeticError, match="Re u = "):
+            dirichlet_l(s, q)
 
     def test_critical_line_value(self):
         # L(1/2 + 100i, chi_5) from mpmath's Hurwitz zeta at 30 digits

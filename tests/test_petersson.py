@@ -393,6 +393,12 @@ class TestMainTerm:
         with pytest.raises(ValueError, match="nodes"):
             main_term_residue(5, 13, 1e3, 10, nodes=0)
 
+    def test_largest_radius_stays_in_lfun_range(self):
+        # at radius 0.49 the coupled factor reaches Re u = 1 - 3 * 0.49,
+        # just above lfun.MIN_RE_U
+        rep = main_term_residue(1, 1, 1e3, 10, radius=0.49)
+        assert math.isfinite(rep.residue)
+
     def test_radius_must_leave_out_the_gamma_pole(self):
         # the s-circle has radius 2r; from r = 1/2 on it encloses the pole
         # of Gamma(s+1) at s = -1

@@ -180,3 +180,36 @@ class TestDerivedTables:
         # 1331^3 candidates would take minutes; scalar classes never get here
         with pytest.raises(ValueError, match="enumeration cap"):
             sp4._enumerated_table(IntMat2.diag(11, 121))
+
+    def test_smith_form_cached_once(self):
+        # the table of diag(1, 2) is built once, as the base of the table of
+        # the non-Smith modulus, and served from the one cache afterwards
+        sp4.clear_caches()
+        HI = HalfIntegralForm(1, 0, 1)
+        expsums.kloosterman(HI, HI, IntMat2(0, 1, 2, 0))
+        before = sp4.coset_data.cache_info()
+        sp4.coset_data(IntMat2.diag(1, 2))
+        after = sp4.coset_data.cache_info()
+        assert before.currsize == after.currsize == 2
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+class TestPIGridCap:
+    # an n far above the cap: were the check missing, building its grid
+    # would fail at once for want of memory, not run for minutes
+    N = 10_007
+
+    def test_cap_admits_level_211_within_a_gigabyte(self):
+        # about 72 n^3 bytes at peak
+        assert 211 <= sp4.MAX_PI_GRID_N < self.N
+        assert 72 * sp4.MAX_PI_GRID_N ** 3 <= 1.1e9
+
+    def test_refused_on_every_route(self):
+        HI = HalfIntegralForm(1, 0, 1)
+        for call in (lambda: sp4._pI_grid(self.N),
+                     lambda: expsums.kloosterman_pI(HI, HI, self.N),
+                     lambda: expsums.kloosterman(HI, HI,
+                                                 IntMat2.scalar(self.N)),
+                     lambda: expsums.kloosterman_factored(HI, HI, self.N, I)):
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                call()
