@@ -107,9 +107,6 @@ def _hqt(a):
 
 def _gram(a):
     params = petersson.SpectralParams(k=a.k, level=a.n)
-    if not a.forms:
-        return 0j, 0, "assembled", {"matrix": [], "hermitian_defect": 0.0,
-                                    "min_eigenvalue": 0.0}
     m = len(a.forms)
     print(f"# assembling {m}x{m} Gram matrix", file=sys.stderr)
     res = petersson.spectral_gram(a.forms, params)

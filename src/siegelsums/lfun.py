@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import divisors, kronecker, require_fundamental_discriminant
+from .matcore import kronecker, prime_factors, require_fundamental_discriminant
 
 
 class PoleError(ZeroDivisionError):
@@ -282,14 +282,17 @@ def r_coeff(q: int, n: int) -> float:
     """Dirichlet coefficient r_q(n) = chi_q(n) n^{-1/2} sum_{d | n} chi_{-4}(d).
 
     These are the coefficients of L(s + 1/2, chi_q) L(s + 1/2, chi_{-4q});
-    for q = 1 that product is the shifted Dedekind zeta of Q(i).
+    for q = 1 that product is the shifted Dedekind zeta of Q(i).  As chi_{-4}
+    is completely multiplicative, the divisor sum is the integer
+    prod_{p^e || n} sum_{i <= e} chi_{-4}(p)^i.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     ch = kronecker(q, n)
     if ch == 0:
         return 0.0
-    return ch * sum(kronecker(-4, d) for d in divisors(n)) / math.sqrt(n)
+    return ch * math.prod(sum(kronecker(-4, p) ** i for i in range(e + 1))
+                          for p, e in prime_factors(n)) / math.sqrt(n)
 
 
 def euler_product_l(s: complex, q: int, prime_count: int = 10_000) -> complex:

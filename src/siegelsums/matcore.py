@@ -172,22 +172,13 @@ class GaussianInt:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and prime_factors(n) == [(n, 1)]
 
 
 def prime_factors(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization of |n| as [(p, e), ...]."""
+    """Trial-division factorization of |n| != 0 as [(p, e), ...]."""
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
     n = abs(n)
     out = []
     for p in [2, 3]:
@@ -210,19 +201,6 @@ def prime_factors(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
 
 
 def is_squarefree(n: int) -> bool:

@@ -233,18 +233,27 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
 
 
 def _rank1_tail_bound(det_tq: float, n: int, z: float, ell: float) -> float:
-    """Envelope bound on the dropped rank-1 terms with c*s > z.
+    """Envelope bound on the dropped rank-1 terms, those with c = N j and
+    c s > z.
 
-    Uses |H| <= c^{3/2} (c, s4)^{1/2} <= c^{3/2} s^{1/2}, the power-series
-    Bessel envelope, and a crude 400 s^2 cap on the number of (U, V) pairs
-    times the two signs.  test_rank1_pair_count_within_tail_cap in
-    tests/test_petersson.py checks that cap for s <= 200 on the 43 forms
-    with t1, t4 <= 3 and |t2| <= 2.
+    |H| <= c^{3/2} (c, s4)^{1/2} <= c^{3/2} s^{1/2} cancels the coefficient's
+    c^{-3/2} s^{-1/2}, the power-series Bessel envelope is (w / (c s))^ell /
+    Gamma(ell + 1) with w = 2 pi (det Q det T)^{1/2}, and a crude 400 s^2
+    caps the (U, V) pairs times the two signs, so each term is at most
+    k_const s^2 (c s)^{-ell}.  The least dropped s0 of one c exceeds
+    x = z / c (s0 = 1 when x < 1), so sum_{s >= s0} s^{2 - ell} <=
+    s0^{2 - ell} + s0^{3 - ell} / (ell - 3) <= x^{2 - ell} + x^{3 - ell} /
+    (ell - 3).  That times c^{-ell}, summed over c = N j, is the bound
+    k_const (zeta(2) z^{2-ell} / N^2 + zeta(3) z^{3-ell} / ((ell - 3) N^3)).
+    tests/test_petersson.py checks the 400 s^2 cap for s <= 200 on the 43
+    forms with t1, t4 <= 3 and |t2| <= 2, and the bound against the summed
+    envelope at the primes 3 to 199.
     """
     w = 2 * math.pi * math.sqrt(det_tq)
     k_const = 400 * math.sqrt(2) * math.pi * w ** ell / math.gamma(ell + 1)
-    zeta3_over = sum((n * j) ** -3.0 for j in range(1, 50))
-    return k_const * zeta3_over * (z ** (3 - ell) / (ell - 3) + z ** (2 - ell))
+    zeta2, zeta3 = math.pi ** 2 / 6, 1.2020569031595942
+    return k_const * (zeta2 * z ** (2 - ell) / n ** 2
+                      + zeta3 * z ** (3 - ell) / ((ell - 3) * n ** 3))
 
 
 # ---------------------------------------------------------------------------

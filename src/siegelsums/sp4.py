@@ -46,19 +46,13 @@ class SymplecticCompletion:
 
 
 def is_symplectic(m: list[list[int]]) -> bool:
-    """True iff the 4x4 integer matrix satisfies M^T J M = J."""
-    j = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-    mt_j_m = _mat4_mul(_mat4_mul(_mat4_transpose(m), j), m)
-    return mt_j_m == j
-
-
-def _mat4_mul(x, y):
-    return [[sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4)]
-            for i in range(4)]
-
-
-def _mat4_transpose(x):
-    return [[x[j][i] for j in range(4)] for i in range(4)]
+    """True iff the 4x4 integer matrix M = [[A, B], [C, D]] satisfies
+    M^T J M = J, that is iff A^T C and B^T D are symmetric and
+    A^T D - C^T B = I."""
+    a, b, c, d = (IntMat2(m[i][j], m[i][j + 1], m[i + 1][j], m[i + 1][j + 1])
+                  for i in (0, 2) for j in (0, 2))
+    return (a.t().mul(c).is_symmetric() and b.t().mul(d).is_symmetric()
+            and a.t().mul(d).add(c.t().mul(b).scale(-1)) == IntMat2.identity())
 
 
 def blocks_to_mat4(a: IntMat2, b: IntMat2, c: IntMat2, d: IntMat2):
@@ -132,14 +126,9 @@ def enumerate_bottom_cosets(c: IntMat2) -> list[IntMat2]:
 
     The coset key is the symmetric rational P = C^{-1} D reduced to entries
     in [0, 1); representatives are emitted in lexicographic order of the
-    numerator triple of P, so the output order is deterministic.
+    numerator triple of P, so the output order is deterministic.  It solves
+    no completion and caches nothing; ``coset_data`` memoizes the tables.
     """
-    return [pair[0] for pair in _coset_pairs(c)]
-
-
-def _coset_pairs(c: IntMat2) -> tuple[tuple[IntMat2, IntMat2], ...]:
-    """(D, A) pairs for all bottom-row cosets of modulus C (not cached:
-    ``coset_data`` memoizes the tables built from them)."""
     det = c.det()
     if det == 0:
         raise SingularModulusError("singular modulus")
@@ -162,10 +151,9 @@ def _coset_pairs(c: IntMat2) -> tuple[tuple[IntMat2, IntMat2], ...]:
                 if e22 % n:
                     continue
                 d = IntMat2(e11 // n, e12 // n, e21 // n, e22 // n)
-                if minor_gcd(c, d) != 1:
-                    continue
-                out.append((d, _complete_generic(c, d)[0]))
-    return tuple(out)
+                if minor_gcd(c, d) == 1:
+                    out.append(d)
+    return out
 
 
 @dataclass(frozen=True)
@@ -205,18 +193,20 @@ MAX_ENUMERATED_DET = 400
 
 
 def _enumerated_table(c: IntMat2) -> CosetData:
-    """Phase-coefficient table of C, one row per coset from ``_coset_pairs``;
-    raises ValueError when |det C| exceeds ``MAX_ENUMERATED_DET``."""
+    """Phase-coefficient table of C, one row per coset D from
+    ``enumerate_bottom_cosets``, completed by ``_complete_generic``; raises
+    ValueError when |det C| exceeds ``MAX_ENUMERATED_DET``."""
     det = c.det()
     if abs(det) > MAX_ENUMERATED_DET:
         raise ValueError(f"|det C| = {abs(det)} exceeds the enumeration cap "
                          f"{MAX_ENUMERATED_DET}")
-    pairs = _coset_pairs(c)
+    ds = enumerate_bottom_cosets(c)
     m = 2 * abs(det)
     sgn = 1 if det > 0 else -1
     adj = c.adj()
-    rows = np.empty((len(pairs), 6), dtype=np.int64)
-    for i, (d, a) in enumerate(pairs):
+    rows = np.empty((len(ds), 6), dtype=np.int64)
+    for i, d in enumerate(ds):
+        a = _complete_generic(c, d)[0]
         rows[i] = _phase_row(a, d, adj, m, sgn)
         if __debug__ and i == 0:
             # well-definedness spot check: completions differ by A -> A + S C,
@@ -224,7 +214,7 @@ def _enumerated_table(c: IntMat2) -> CosetData:
             shifted = a.add(IntMat2(1, 1, 1, 0).mul(c))
             assert _phase_row(shifted, d, adj, m, sgn) == list(rows[i])
     rows.setflags(write=False)
-    return CosetData(m=m, weights=rows, count=len(pairs))
+    return CosetData(m=m, weights=rows, count=len(ds))
 
 
 # Largest n that ``_pI_grid`` accepts.  Its index arrays and table take

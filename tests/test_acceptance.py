@@ -1,9 +1,9 @@
 """Acceptance battery: every criterion at its stated tolerance.
 
-Runs the full set once (module scope), prints one pass/fail line per
+Runs the nine criteria once (module scope), prints one pass/fail line per
 criterion, and asserts each criterion plus its stated runtime budget.
-Criterion 10 drops all caches, re-runs the battery and requires
-byte-identical JSON records.
+The cache-state determinism test then drops all caches, re-runs the
+battery and requires byte-identical JSON records.
 """
 
 import importlib

@@ -261,6 +261,7 @@ class TestErrors:
         assert "error: level must be prime" in capsys.readouterr().err
         rec = run_json(capsys, "gram", "--n", "3", "--k", "10")
         assert rec["matrix"] == [] and rec["terms"] == 0
+        assert rec["tail_budget"] == []
 
 
 class TestDeterminism:

@@ -92,6 +92,20 @@ def _check_functional_equation(s, q, tol=1e-11):
     assert abs(lhs - rhs) < tol * max(1.0, abs(lhs))
 
 
+def divisors_reference(n):
+    """The positive divisors of n >= 1 in increasing order, by walking
+    f up to sqrt(n)."""
+    small, large = [], []
+    f = 1
+    while f * f <= n:
+        if n % f == 0:
+            small.append(f)
+            if f != n // f:
+                large.append(n // f)
+        f += 1
+    return small + large[::-1]
+
+
 class TestRCoeff:
     def test_examples(self):
         assert r_coeff(1, 1) == 1.0
@@ -105,6 +119,17 @@ class TestRCoeff:
         with pytest.raises(ValueError):
             r_coeff(1, 0)
 
+    def test_matches_divisor_walk(self):
+        # the divisor sum is an integer either way, so the floats agree
+        # to the last bit
+        qs = (1, -4, 5, -3, 8, -20, 12, 13)
+        for n in range(1, 10_001):
+            sigma = sum(kronecker(-4, d) for d in divisors_reference(n))
+            for q in qs:
+                assert (r_coeff(q, n)
+                        == (kronecker(q, n) * sigma / math.sqrt(n)
+                            if kronecker(q, n) else 0.0)), (q, n)
+
     def test_multiplicative_divisor_identity(self):
         def a(q, n):
             return r_coeff(q, n) * math.sqrt(n)
@@ -116,12 +141,7 @@ class TestRCoeff:
 
     def test_divisor_bound(self):
         for n in range(1, 10_001):
-            d = 0
-            f = 1
-            while f * f <= n:
-                if n % f == 0:
-                    d += 2 if f * f != n else 1
-                f += 1
+            d = len(divisors_reference(n))
             assert abs(r_coeff(1, n)) <= d / math.sqrt(n) + 1e-12
 
 

@@ -16,7 +16,9 @@ from siegelsums.matcore import (
     gl2_equivalence,
     is_fundamental_discriminant,
     is_go2,
+    is_prime,
     kronecker,
+    prime_factors,
     representations,
     solve_integer_system,
 )
@@ -231,3 +233,38 @@ def test_fundamental_discriminants():
         assert is_fundamental_discriminant(q)
     for q in (2, 3, -5, 16, 0, -12, 9, 45):
         assert not is_fundamental_discriminant(q)
+
+
+def is_prime_reference(n):
+    """Primality by its own odd trial division, independent of
+    ``prime_factors``."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+class TestPrimeFactors:
+    def test_is_prime_matches_reference(self):
+        for n in range(-50, 100_001):
+            assert is_prime(n) == is_prime_reference(n), n
+
+    def test_factorization_round_trip(self):
+        for n in (*range(1, 2_000), -360, 2 ** 31 - 1, 3 ** 5 * 7 ** 2 * 101):
+            fs = prime_factors(n)
+            assert math.prod(p ** e for p, e in fs) == abs(n)
+            assert all(is_prime_reference(p) and e >= 1 for p, e in fs)
+            assert [p for p, _ in fs] == sorted({p for p, _ in fs})
+
+    def test_zero_rejected(self):
+        # the trial loop would divide 0 by 2 for ever
+        with pytest.raises(ValueError):
+            prime_factors(0)

@@ -33,6 +33,7 @@ from siegelsums.petersson import (
 from siegelsums.petersson import (
     _primitive_reps,
     _rank1_sum,
+    _rank1_tail_bound,
     _rank2_shell_bound,
     _rank2_sum,
     _rank2_terms,
@@ -45,6 +46,18 @@ PAIRS = {"I-I": (HI, HI),
          "111-112": (HalfIntegralForm(1, 1, 1), HalfIntegralForm(1, 1, 2)),
          "I-D12": (HI, D12)}
 A4 = math.pi / 4  # L(1, chi_{-4})
+
+
+def rank1_envelope_sum(n, z, ell):
+    """sum of s^2 (c s)^{-ell} over c = n j and s >= 1 with c s > z, term by
+    term up to j < 10 z / n + 400 and s < 10 z / c + 400: a partial sum, so
+    at most the full envelope."""
+    total = 0.0
+    for j in range(1, 10 * z // n + 400):
+        c = n * j
+        s = np.arange(z // c + 1, 10 * (z // c) + 400, dtype=float)
+        total += float(np.sum(s ** 2 * (c * s) ** -ell))
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +122,26 @@ class TestHFourier:
             u = max(len(_primitive_reps(f, s, True)) for f in forms)
             v = max(len(_primitive_reps(f, s, False)) for f in forms)
             assert 2 * u * v <= 400 * s * s, s
+
+    def test_rank1_tail_covers_envelope(self):
+        # the budget bounds the termwise envelope k_const s^2 (c s)^{-ell}
+        # summed over every dropped block (c = N j, c s > z); a 49-term
+        # partial sum of sum_j (N j)^{-3} in its place fell short of it for
+        # (I, I) at N = 31, 41, 43, 67, 71 and 73
+        ell = SpectralParams(k=10, level=3).ell
+        z0 = 2.0 * (1e-16 * math.gamma(ell + 1)) ** (1.0 / ell)
+        for n in filter(is_prime, range(3, 200)):
+            for q, t in PAIRS.values():
+                det_tq = q.det() * t.det()
+                w = 2 * math.pi * math.sqrt(det_tq)
+                k_const = (400 * math.sqrt(2) * math.pi * w ** ell
+                           / math.gamma(ell + 1))
+                # the cs_max of _rank1_sum
+                cs_max = max(n, math.ceil(4 * math.pi * math.sqrt(det_tq) / z0))
+                for z in (n, 2 * n, cs_max):
+                    envelope = k_const * rank1_envelope_sum(n, z, ell)
+                    assert _rank1_tail_bound(det_tq, n, z, ell) >= envelope, (
+                        n, z)
 
     @pytest.mark.parametrize("level, pairs", [
         (3, [(HalfIntegralForm(1, b, 1), HalfIntegralForm(1, d, 2))

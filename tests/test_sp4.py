@@ -20,6 +20,15 @@ I = IntMat2.identity()
 J4 = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
 
 
+def is_symplectic_reference(m):
+    """M^T J M == J by plain 4x4 products, independent of ``IntMat2``."""
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4)]
+                for i in range(4)]
+    mt = [[m[j][i] for j in range(4)] for i in range(4)]
+    return mul(mul(mt, J4), m) == J4
+
+
 class TestPredicates:
     def test_identity_symplectic(self):
         assert is_symplectic([[1, 0, 0, 0], [0, 1, 0, 0],
@@ -42,6 +51,31 @@ class TestPredicates:
     def test_singular_rejected(self):
         with pytest.raises(SingularModulusError):
             is_bottom_pair(IntMat2(1, 1, 1, 1), IntMat2.zero())
+
+    def test_symplectic_matches_reference_on_random(self):
+        rng = random.Random(3)
+        for _ in range(20_000):
+            m = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+            assert is_symplectic(m) == is_symplectic_reference(m), m
+
+    def test_symplectic_matches_reference_on_completions(self):
+        # every completion is symplectic; with one entry moved by +-1 it
+        # mostly is not (a move of A by S C keeps it)
+        rng = random.Random(5)
+        checked = broken = 0
+        for entries in itertools.product(range(-3, 4), repeat=4):
+            c = IntMat2(*entries)
+            if not 0 < abs(c.det()) <= 12:
+                continue
+            for d in enumerate_bottom_cosets(c):
+                comp = complete_to_symplectic(c, d)
+                m = blocks_to_mat4(comp.a, comp.b, c, d)
+                assert is_symplectic(m) and is_symplectic_reference(m)
+                m[rng.randrange(4)][rng.randrange(4)] += rng.choice((1, -1))
+                broken += not is_symplectic_reference(m)
+                assert is_symplectic(m) == is_symplectic_reference(m)
+                checked += 1
+        assert (checked, broken) == (6096, 5890)
 
 
 class TestCompletion:
@@ -116,6 +150,24 @@ class TestCosets:
                 sgn = 1 if c.det() > 0 else -1
                 keys.add(tuple((sgn * x) % n for x in p.entries()))
             assert len(keys) == len(ds)
+
+    def test_enumeration_solves_no_completion(self, monkeypatch):
+        # the public enumerator returns D only; the table built from it
+        # completes each coset once
+        calls = []
+        real = sp4.solve_integer_system
+
+        def spy(rows, rhs):
+            calls.append(rows)
+            return real(rows, rhs)
+
+        monkeypatch.setattr(sp4, "solve_integer_system", spy)
+        for c in (IntMat2.diag(2, 4), IntMat2(2, 1, 0, 3), IntMat2.scalar(-3)):
+            ds = enumerate_bottom_cosets(c)
+            assert ds and calls == []
+            table = sp4._enumerated_table(c)
+            assert len(calls) == table.count == len(ds)
+            calls.clear()
 
     def test_count_invariant_under_unimodular(self):
         # the count depends only on the elementary divisors (c1, c2)
