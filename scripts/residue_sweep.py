@@ -5,8 +5,8 @@ Example:
     python scripts/residue_sweep.py --q1 1 --q2 1 --k 10 \
         --levels 100,316,1000,3162,10000,31623,100000
 
-Bad input (a level that is not a finite number above 1, fewer levels
-than the fit's degree needs, a q1 or q2 that is neither 1 nor a
+Bad input (a level that is not a finite number above 1, fewer distinct
+levels than the fit's degree + 1, a q1 or q2 that is neither 1 nor a
 fundamental discriminant, a pair that is not coprime, or a weight that is
 not an even integer >= 10) exits 2 with a usage line.
 """

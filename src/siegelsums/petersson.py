@@ -12,6 +12,7 @@ contours (trapezoid rule, spectrally accurate).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -138,23 +139,17 @@ def _complete_bottom_row(u3: int, u4: int) -> IntMat2:
     return IntMat2(a + t * u3, b + t * u4, u3, u4)
 
 
-def _complete_first_column(v1: int, v3: int) -> IntMat2:
-    """A determinant-one matrix [[v1, b], [v3, d]] via extended Euclid."""
-    g, x, y = _xgcd(v1, v3)
-    assert g == 1
-    b, d = -y, x
-    nrm = v1 * v1 + v3 * v3
-    t = -((v1 * b + v3 * d + nrm // 2) // nrm)
-    return IntMat2(v1, b + t * v1, v3, d + t * v3)
-
-
 def _rank1_forms(q: HalfIntegralForm, t: HalfIntegralForm, s: int):
     """The Salie arguments of the rank-1 terms of s, or None if there are
-    none: P = U Q U^T for each primitive representation (u3, u4) of s by Q
-    up to sign, the bottom row of U; S = V^{-1} T V^{-T} for each (w1, w2)
-    by T, with first column (w2, -w1) of V; and the P of the first U with
-    its free top row shifted by the bottom row, for the completion check.
-    Both completions have determinant one, so V^{-1} = adj V."""
+    none: (P, S, multiplicity) for each distinct pair, the first from the
+    first U and V, and the P of the first U with its free top row shifted
+    by the bottom row, for the completion check.
+
+    P = U Q U^T for each primitive representation (u3, u4) of s by Q up to
+    sign, the bottom row of U; S = V^{-1} T V^{-T} for each (w1, w2) by T,
+    where V^{-1} = adj V has determinant one and bottom row (w1, w2).  P
+    depends on U alone and S on V alone, so the multiplicity of (P, S) is
+    the count of P among the U's times the count of S among the V's."""
     ureps = _primitive_reps(q, s, mod_sign=True)
     if not ureps:
         return None
@@ -162,27 +157,28 @@ def _rank1_forms(q: HalfIntegralForm, t: HalfIntegralForm, s: int):
     if not wreps:
         return None
     us = [_complete_bottom_row(u3, u4) for (u3, u4) in ureps]
+    ps = Counter(q.conjugate_right(u) for u in us)
+    ss = Counter(t.conjugate_right(_complete_bottom_row(w1, w2))
+                 for (w1, w2) in wreps)
     first = us[0]
     shifted = IntMat2(first.a + first.c, first.b + first.d, first.c, first.d)
-    return ([q.conjugate_right(u) for u in us],
-            [t.conjugate_right(_complete_first_column(w2, -w1).adj())
-             for (w1, w2) in wreps],
-            q.conjugate_right(shifted))
+    pairs = [(p, sf, mp * ms) for p, mp in ps.items() for sf, ms in ss.items()]
+    return pairs, q.conjugate_right(shifted)
 
 
 def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
                params: SpectralParams) -> tuple[complex, float]:
     """Rank-1 sum over c = N, 2N, ... and s, and its tail bound.
 
-    P = U Q U^T depends on U alone and S = V^{-1} T V^{-T} on V alone, so
-    both are built once per call for each s (``_rank1_forms``).  Distinct
-    (c, U, V, sign) terms often share Salie arguments (P, S, c, sign): at
-    N = 3 the 792 terms and 54 completion checks of ((1,1,1), (1,1,2)) ask
-    for 900 Salie values on 278 distinct keys, the 2,368 terms and 82
-    checks of (I, I) for 2,532 on 378.  A dict that lives for this call
-    keeps each value, so ``salie`` (looked up on the module at call time)
-    runs once per key.  Every term is still added, in order, and ``salie``
-    is deterministic, so the sum is unchanged bit for bit.
+    The loop runs s outer, so the Salie arguments of s are built once per
+    call (``_rank1_forms``), and c inner over the same (c, s) blocks as a
+    loop over c first: c <= cs_max / s, and every c up to the cutoff for
+    s = 1.  A block sums each distinct (P, S) once, times its multiplicity,
+    with ``salie`` (looked up on the module at call time) run once for each
+    (P, S, c, sign): at N = 3 the 792 terms and 54 completion checks of
+    ((1,1,1), (1,1,2)) take 278 Salie values, the 2,368 terms and 82
+    checks of (I, I) 378.  The result is the term-by-term sum up to
+    rounding (tests/test_petersson.py: within n 2^{-52} sum |term|).
 
     When (D_Q D_T | N) = -1 every Salie value is zero up to rounding
     (tests/test_petersson.py checks |H| <= 1e-12 c^{3/2}), so the sum is
@@ -197,37 +193,31 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
     cs_max = max(n, int(math.ceil(4 * math.pi * math.sqrt(det_tq) / z0)))
     c_hi = cs_max if params.rank1_cutoff is None else params.rank1_cutoff
     sign_k = -1 if (params.k // 2) % 2 else 1
-    salie_memo: dict = {}
-
-    def value(*key) -> complex:
-        if key not in salie_memo:
-            salie_memo[key] = salie(*key).value
-        return salie_memo[key]
-
-    forms_of: dict = {}
     total = 0j
-    for c in range(n, c_hi + 1, n):
-        s_hi = max(1, cs_max // c)
-        for s in range(1, s_hi + 1):
-            if s not in forms_of:
-                forms_of[s] = _rank1_forms(q, t, s)
-            if forms_of[s] is None:
-                continue
-            ps, ss, p_shifted = forms_of[s]
+    s_hi = max(1, cs_max // n) if c_hi >= n else 0
+    for s in range(1, s_hi + 1):
+        forms = _rank1_forms(q, t, s)
+        if forms is None:
+            continue
+        pairs, p_shifted = forms
+        _, s0, _ = pairs[0]
+        for c in range(n, (c_hi if s == 1 else min(c_hi, cs_max // s)) + 1, n):
             bess = bessel_j(ell, 4 * math.pi * math.sqrt(det_tq) / (c * s))
             coeff = sign_k * math.sqrt(2) * math.pi / (c ** 1.5 * math.sqrt(s))
+            values = [(mult, salie(p, sf, c, 1).value,
+                       salie(p, sf, c, -1).value) for p, sf, mult in pairs]
             # one completion check per (c, s) block, on its first term;
             # tests/test_petersson.py checks every term
-            val = value(ps[0], ss[0], c, 1)
-            alt = value(p_shifted, ss[0], c, 1)
+            val = values[0][1]
+            alt = salie(p_shifted, s0, c, 1).value
             if abs(val - alt) > 1e-8 * max(1.0, abs(val)):
                 raise ArithmeticError(
                     f"Salie term at c = {c}, s = {s} depends on the "
                     f"completion of U: {val} vs {alt}")
-            for p in ps:
-                for sf in ss:
-                    for sg in (1, -1):
-                        total += coeff * bess * value(p, sf, c, sg)
+            block = 0j
+            for mult, plus, minus in values:
+                block += mult * (plus + minus)
+            total += coeff * bess * block
     tail = _rank1_tail_bound(det_tq, n, min(cs_max, c_hi), ell)
     return total, tail
 
@@ -267,46 +257,45 @@ def _script_j_cached(ell: float, e1: float, e2: float) -> float:
     return script_j(ell, KernelArg(e1, e2))
 
 
-def _reuse_negated(moduli, term_of):
-    """Yields (C', term_of(C')) over ``moduli`` in order, but calls
-    ``term_of`` only once for each pair C', -C' that ``moduli`` holds: the
-    later of the two reuses the earlier one's term.  Exact for the rank-2
-    terms and shell envelopes below, which are equal at C' and -C'."""
-    kept = {}
-    for cp in moduli:
-        term = kept.pop(cp.scale(-1), None)
-        if term is None:
-            term = kept[cp] = term_of(cp)
-        yield cp, term
+def _one_of_each_pair(moduli: list[IntMat2]) -> list[IntMat2]:
+    """One of each pair C', -C' of a box or shell: the second half of the
+    lexicographic list, which is mirrored (entry i is minus entry n-1-i),
+    the matrices whose first nonzero entry is positive."""
+    return moduli[len(moduli) // 2:]
+
+
+def _kernel_weight(q: HalfIntegralForm, t: HalfIntegralForm, ell: float,
+                   c: IntMat2) -> float:
+    """The rank-2 kernel at the modulus c = N C'."""
+    arg = script_j_for_forms(ell, t, q, c)
+    return _script_j_cached(ell, arg.eig1, arg.eig2)
 
 
 def _rank2_terms(q: HalfIntegralForm, t: HalfIntegralForm,
-                 params: SpectralParams, moduli):
-    """Yields (C', term) over the moduli C' (the box or its shell), with
-    term = K(Q, T; N C') / |det N C'|^{3/2} * kernel.  K is the factored
-    tally when N does not divide det C' (the whole box at the default beta,
-    where |det C'| <= M < N) and the coset sum otherwise.
+                 params: SpectralParams, moduli: list[IntMat2]):
+    """Yields (C', term) for one C' of each pair C', -C' in ``moduli`` (the
+    box or its shell, see ``_one_of_each_pair``), with term =
+    K(Q, T; N C') / |det N C'|^{3/2} * kernel.  Each term stands for two:
+    the sum over ``moduli`` is twice the sum of the terms.  K is the
+    factored tally when N does not divide det C' (the whole box at the
+    default beta, where |det C'| <= M < N) and the coset sum otherwise.
 
-    The term of -C' is the term of C', bit for bit, so it is computed once
-    (``_reuse_negated``).  -I_4 in Sp4(Z) carries the cosets of C onto
-    those of -C and leaves A C^{-1} and C^{-1} D unchanged, so the phase
-    histograms, and with them the tallied values, are equal; and
-    ``script_j_for_forms`` negates C^{-T} exactly, on both sides, so the
-    kernel argument is the same float pair."""
+    The term of -C' is the term of C', bit for bit.  -I_4 in Sp4(Z)
+    carries the cosets of C onto those of -C and leaves A C^{-1} and
+    C^{-1} D unchanged, so the phase histograms, and with them the tallied
+    values, are equal; and ``script_j_for_forms`` negates C^{-T} exactly,
+    on both sides, so the kernel argument is the same float pair."""
     n = params.level
     ell = params.ell
-
-    def term_of(cp: IntMat2) -> complex:
+    for cp in _one_of_each_pair(moduli):
         c = cp.scale(n)
         kv = (kloosterman_factored(q, t, n, cp) if cp.det() % n
               else kloosterman(q, t, c))
         if kv.value == 0:
-            return 0j
-        arg = script_j_for_forms(ell, t, q, c)
-        kern = _script_j_cached(ell, arg.eig1, arg.eig2)
-        return kv.value * kern / abs(c.det()) ** 1.5
-
-    return _reuse_negated(moduli, term_of)
+            yield cp, 0j
+            continue
+        kern = _kernel_weight(q, t, ell, c)
+        yield cp, kv.value * kern / abs(c.det()) ** 1.5
 
 
 def _rank2_sum(q: HalfIntegralForm, t: HalfIntegralForm,
@@ -314,7 +303,7 @@ def _rank2_sum(q: HalfIntegralForm, t: HalfIntegralForm,
     total = 0j
     for _, term in _rank2_terms(q, t, params, truncation_set(params.m_bound)):
         total += term
-    return total, _rank2_shell_bound(q, t, params)
+    return 2.0 * total, _rank2_shell_bound(q, t, params)
 
 
 def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
@@ -333,30 +322,27 @@ def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
     from width 1 to 3, and the budget (3.5e-14 and 1.2e-20 against exact
     sums of 4.1e-16 and 8.3e-23) covers them by the envelope's slack.
 
-    The envelope of -C' is that of C', bit for bit, so it is computed once
-    (``_reuse_negated``).  The kernel factor is equal as in
-    ``_rank2_terms``, and c1, c2 are.  For t4: ``_xgcd(-a, -b)`` is
-    ``(g, -s, -t)`` when ``_xgcd(a, b)`` is ``(g, s, t)`` (negating both
-    arguments keeps every floor quotient), so ``elementary_divisors`` runs
-    on -C through the same steps as on C up to signs, and returns -V or V
-    (tests/test_matcore.py checks this); V^T T V is the same form.
+    The shell sum visits one C' of each pair C', -C' and counts it twice,
+    as ``_rank2_terms`` does: the envelope of -C' is that of C', bit for
+    bit.  The kernel factor is equal as in ``_rank2_terms``, and c1, c2
+    are.  For t4: ``_xgcd(-a, -b)`` is ``(g, -s, -t)`` when ``_xgcd(a, b)``
+    is ``(g, s, t)`` (negating both arguments keeps every floor quotient),
+    so ``elementary_divisors`` runs on -C through the same steps as on C
+    up to signs, and returns -V or V (tests/test_matcore.py checks this);
+    V^T T V is the same form.
     """
     n = params.level
     ell = params.ell
-
-    def envelope(cp: IntMat2) -> float:
+    bound = 0.0
+    for cp in _one_of_each_pair(shell_matrices(params.m_bound, 1)):
         c = cp.scale(n)
         c1, c2, _, v = elementary_divisors(c)
         t4 = t.conjugate_left(v).t4  # (2,2)-entry of V^T T V
         k_env = 8.0 * c1 * c1 * math.sqrt(c2) * math.sqrt(math.gcd(c2, t4))
-        arg = script_j_for_forms(ell, t, q, c)
-        kern = _script_j_cached(ell, arg.eig1, arg.eig2)
-        return k_env * abs(kern) / abs(c.det()) ** 1.5
-
-    bound = 0.0
-    for _, env in _reuse_negated(shell_matrices(params.m_bound, 1), envelope):
-        bound += env
-    return 2.0 * bound
+        kern = _kernel_weight(q, t, ell, c)
+        bound += k_env * abs(kern) / abs(c.det()) ** 1.5
+    # twice for the pairs, twice again for the moduli beyond the shell
+    return 4.0 * bound
 
 
 @dataclass(frozen=True)
@@ -377,14 +363,15 @@ def tail_diagnostic(m1: int, m2: int, level: int, k: int, beta: float,
 
     Sums |K(m2 I, m1 I; N C)| / (N^3 |det C|^{3/2}) * |kernel| over a finite
     shell around the box and reports it next to the predicted envelope
-    N^{-1-beta+5(1+beta)/(2 ell)}.
+    N^{-1-beta+5(1+beta)/(2 ell)}.  The shell is summed as in
+    ``_rank2_terms``: one C of each pair C, -C, counted twice.
     """
     params = SpectralParams(k=k, level=level)
     m = box_bound(level, params.ell, beta)
     shell = shell_matrices(m, shell_width)  # empty when shell_width <= 0
     terms = _rank2_terms(HalfIntegralForm.scalar(m2),
                          HalfIntegralForm.scalar(m1), params, shell)
-    observed = sum(abs(term) for _, term in terms)
+    observed = 2.0 * sum(abs(term) for _, term in terms)
     exponent = -1.0 - beta + 5.0 * (1.0 + beta) / (2.0 * params.ell)
     return TailReport(
         level=level, weight=k, beta=beta, m_bound=m,
@@ -573,15 +560,19 @@ def leading_coeff_fit(q1: int, q2: int, k: int,
                       degree: int | None = None,
                       poly: str = "(1-s)^2") -> FitResult:
     """Least-squares polynomial fit of residue(N) against log N, with the
-    residues at the default radius and nodes of ``main_term_residue``."""
+    residues at the default radius and nodes of ``main_term_residue``.
+    Needs degree + 1 distinct levels: with fewer the fit is not
+    determined, and a repeated level adds no condition."""
     _check_discriminant_pair(q1, q2)
     require_weight(k)
     if degree is None:
         degree = residue_fit_degree(q1, q2)
     if levels is None:
         levels = [10.0 ** e for e in range(2, 3 + max(degree, 1) + 1)]
-    if len(levels) < degree + 1:
-        raise ValueError("not enough sample levels for the requested degree")
+    if len(set(levels)) < degree + 1:
+        raise ValueError(
+            f"a degree {degree} fit needs {degree + 1} distinct sample levels,"
+            f" got {len(set(levels))}")
     residues = [main_term_residue(q1, q2, nn, k, poly=poly).residue
                 for nn in levels]
     logs = np.log(np.array(levels))

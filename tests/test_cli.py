@@ -216,6 +216,15 @@ class TestErrors:
         assert captured.out == ""
         assert "error: radius must lie in (0, 1/2)" in captured.err
 
+    def test_fit_repeated_levels_exits_1(self, capsys):
+        # four levels but one distinct value cannot determine the cubic
+        code = cli.main(["fit", "--q1", "1", "--q2", "1", "--k", "10",
+                         "--ns", "100,100,100,100"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs 4 distinct sample levels, got 1" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["mainterm", "--q1", "5", "--q2", "13", "--bign", "1000", "--k", "9"],
         ["fit", "--q1", "5", "--q2", "13", "--k", "9", "--ns", "100,1000"],

@@ -60,7 +60,7 @@ class TestElementaryDivisors:
                               math.gcd(abs(c.c), abs(c.d)))
 
     def test_negated_modulus_keeps_v_up_to_sign(self):
-        # the shell budget of petersson reuses the envelope of C for -C,
+        # the shell budget of petersson counts the envelope of C for -C,
         # which reads V^T T V; every nonsingular matrix with entries in
         # [-4, 4] (box and shell moduli at N <= 211), and the same times 13
         for entries in itertools.product(range(-4, 5), repeat=4):

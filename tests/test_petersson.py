@@ -10,6 +10,7 @@ import pytest
 from siegelsums import acceptance, petersson, sp4
 from siegelsums.expsums import SumValue, kloosterman, kloosterman_factored
 from siegelsums.kernels import (
+    bessel_j,
     script_j,
     script_j_for_forms,
     shell_matrices,
@@ -18,6 +19,7 @@ from siegelsums.kernels import (
 from siegelsums.matcore import (
     HalfIntegralForm,
     IntMat2,
+    _xgcd,
     elementary_divisors,
     is_prime,
 )
@@ -31,6 +33,7 @@ from siegelsums.petersson import (
     spectral_gram,
 )
 from siegelsums.petersson import (
+    _complete_bottom_row,
     _primitive_reps,
     _rank1_sum,
     _rank1_tail_bound,
@@ -58,6 +61,115 @@ def rank1_envelope_sum(n, z, ell):
         s = np.arange(z // c + 1, 10 * (z // c) + 400, dtype=float)
         total += float(np.sum(s ** 2 * (c * s) ** -ell))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Term-by-term references for the rank-1 and rank-2 sums: every rank-1 term
+# is added in turn, its Salie value taken from a per-call memo, and every
+# modulus of the box in turn, the term of -C' taken from C'.  They call
+# the library's functions through ``petersson``, so spies see them too.
+
+
+def reference_completion(v1, v3):
+    """A determinant-one matrix [[v1, b], [v3, d]], its second column
+    reduced toward the smallest norm."""
+    g, x, y = _xgcd(v1, v3)
+    assert g == 1
+    b, d = -y, x
+    nrm = v1 * v1 + v3 * v3
+    t = -((v1 * b + v3 * d + nrm // 2) // nrm)
+    return IntMat2(v1, b + t * v1, v3, d + t * v3)
+
+
+def reference_rank1(q, t, params):
+    """(rank-1 sum, number of terms, sum of |term|), term by term."""
+    ell, n = params.ell, params.level
+    det_tq = q.det() * t.det()
+    z0 = 2.0 * (1e-16 * math.gamma(ell + 1)) ** (1.0 / ell)
+    cs_max = max(n, int(math.ceil(4 * math.pi * math.sqrt(det_tq) / z0)))
+    c_hi = cs_max if params.rank1_cutoff is None else params.rank1_cutoff
+    sign_k = -1 if (params.k // 2) % 2 else 1
+    memo, forms_of = {}, {}
+
+    def value(*key):
+        if key not in memo:
+            memo[key] = petersson.salie(*key).value
+        return memo[key]
+
+    def forms(s):
+        ureps = _primitive_reps(q, s, mod_sign=True)
+        wreps = _primitive_reps(t, s, mod_sign=False) if ureps else []
+        if not wreps:
+            return None
+        us = [_complete_bottom_row(u3, u4) for u3, u4 in ureps]
+        u = us[0]
+        shifted = IntMat2(u.a + u.c, u.b + u.d, u.c, u.d)
+        return ([q.conjugate_right(u) for u in us],
+                [t.conjugate_right(reference_completion(w2, -w1).adj())
+                 for w1, w2 in wreps],
+                q.conjugate_right(shifted))
+
+    total, count, size = 0j, 0, 0.0
+    for c in range(n, c_hi + 1, n):
+        for s in range(1, max(1, cs_max // c) + 1):
+            if s not in forms_of:
+                forms_of[s] = forms(s)
+            if forms_of[s] is None:
+                continue
+            ps, ss, p_shifted = forms_of[s]
+            bess = bessel_j(params.ell,
+                            4 * math.pi * math.sqrt(det_tq) / (c * s))
+            coeff = sign_k * math.sqrt(2) * math.pi / (c ** 1.5 * math.sqrt(s))
+            value(ps[0], ss[0], c, 1)
+            value(p_shifted, ss[0], c, 1)
+            for p in ps:
+                for sf in ss:
+                    for sg in (1, -1):
+                        term = coeff * bess * value(p, sf, c, sg)
+                        total += term
+                        count += 1
+                        size += abs(term)
+    return total, count, size
+
+
+def reference_rank2_terms(q, t, params, moduli):
+    """{C': term} over every C' of ``moduli``, with the term of -C' taken
+    from C' where ``moduli`` holds C' first."""
+    n, ell = params.level, params.ell
+    terms = {}
+    for cp in moduli:
+        if cp.scale(-1) in terms:
+            terms[cp] = terms[cp.scale(-1)]
+            continue
+        c = cp.scale(n)
+        kv = (petersson.kloosterman_factored(q, t, n, cp) if cp.det() % n
+              else petersson.kloosterman(q, t, c))
+        if kv.value == 0:
+            terms[cp] = 0j
+            continue
+        arg = petersson.script_j_for_forms(ell, t, q, c)
+        kern = petersson._script_j_cached(ell, arg.eig1, arg.eig2)
+        terms[cp] = kv.value * kern / abs(c.det()) ** 1.5
+    return terms
+
+
+def reference_shell_envelopes(q, t, params):
+    """{C': envelope} over the shell of width 1, the envelope of -C' taken
+    from C'."""
+    n, ell = params.level, params.ell
+    envs = {}
+    for cp in shell_matrices(params.m_bound, 1):
+        if cp.scale(-1) in envs:
+            envs[cp] = envs[cp.scale(-1)]
+            continue
+        c = cp.scale(n)
+        c1, c2, _, v = petersson.elementary_divisors(c)
+        gcd = math.gcd(c2, t.conjugate_left(v).t4)
+        k_env = 8.0 * c1 * c1 * math.sqrt(c2) * math.sqrt(gcd)
+        arg = petersson.script_j_for_forms(ell, t, q, c)
+        kern = petersson._script_j_cached(ell, arg.eig1, arg.eig2)
+        envs[cp] = k_env * abs(kern) / abs(c.det()) ** 1.5
+    return envs
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +265,7 @@ class TestHFourier:
         # _rank1_sum checks the first term of each (c, s) block against a
         # second completion of U; here every Salie argument it asks for is
         # recomputed with other completions of both U (free top row, P ->
-        # E P E^T) and V (free second column, S -> F S F^T).  The memo asks
+        # E P E^T) and V^{-1} (free top row, S -> F S F^T).  The sum asks
         # once per distinct argument, so the spy sees every term's value.
         e = IntMat2(1, -2, 0, 1)
         f = IntMat2(1, -3, 0, 1)
@@ -253,7 +365,9 @@ class TestHFourier:
         params = SpectralParams(k=10, level=level)
         q, t = PAIRS[pair]
         shell = shell_matrices(params.m_bound, 3)
-        exact = sum(abs(term) for _, term in _rank2_terms(q, t, params, shell))
+        # each term stands for the pair C', -C'
+        exact = 2 * sum(abs(term)
+                        for _, term in _rank2_terms(q, t, params, shell))
         assert _rank2_shell_bound(q, t, params) >= exact
 
     @pytest.mark.parametrize("level", [3, 5])
@@ -294,8 +408,8 @@ class TestHFourier:
         assert cache.cache_info().maxsize == 4096
 
     def test_rank1_salie_called_once_per_argument(self, monkeypatch, params):
-        # the per-call memo computes each distinct (P, S, c, sign) once and
-        # leaves the coefficient unchanged; a second call starts afresh
+        # each distinct (P, S, c, sign) is computed once per call, and a
+        # second call computes it again and gives the same coefficient
         q, t = PAIRS["111-112"]
         want = h_fourier(q, t, params)
         real = petersson.salie
@@ -315,14 +429,18 @@ class TestHFourier:
     @pytest.mark.parametrize("pair", PAIRS)
     def test_rank2_reuse_of_negated_modulus_is_exact(self, monkeypatch,
                                                      level, pair):
-        # the term and the shell envelope of -C' are taken from C'; here
-        # every one is computed afresh and compared with ==
+        # the rank-2 sum and the shell budget visit one C' of each pair
+        # C', -C' and count it twice; that rests on term(-C') == term(C')
+        # and envelope(-C') == envelope(C'), here computed afresh for every
+        # modulus of the box and the shell and compared with ==
         q, t = PAIRS[pair]
         params = SpectralParams(k=10, level=level)
         n, ell = params.level, params.ell
-
-        def kernel(c):
-            return script_j(ell, script_j_for_forms(ell, t, q, c))
+        box = truncation_set(params.m_bound)
+        shell = shell_matrices(params.m_bound, 1)
+        assert len(box) == 288
+        kernel = {cp: script_j(ell, script_j_for_forms(ell, t, q, cp.scale(n)))
+                  for cp in box + shell}
 
         def direct_term(cp):
             c = cp.scale(n)
@@ -330,18 +448,21 @@ class TestHFourier:
                   else kloosterman(q, t, c))
             if kv.value == 0:
                 return 0j
-            return kv.value * kernel(c) / abs(c.det()) ** 1.5
+            return kv.value * kernel[cp] / abs(c.det()) ** 1.5
 
         def direct_envelope(cp):
             c = cp.scale(n)
             c1, c2, _, v = elementary_divisors(c)
             gcd = math.gcd(c2, t.conjugate_left(v).t4)
             k_env = 8.0 * c1 * c1 * math.sqrt(c2) * math.sqrt(gcd)
-            return k_env * abs(kernel(c)) / abs(c.det()) ** 1.5
+            return k_env * abs(kernel[cp]) / abs(c.det()) ** 1.5
 
-        box = truncation_set(params.m_bound)
-        assert len(box) == 288
-        direct = [direct_term(cp) for cp in box]
+        term = {cp: direct_term(cp) for cp in box + shell}
+        envelope = {cp: direct_envelope(cp) for cp in shell}
+        for cp in box + shell:
+            assert term[cp.scale(-1)] == term[cp], cp
+        for cp in shell:
+            assert envelope[cp.scale(-1)] == envelope[cp], cp
         real = petersson.kloosterman_factored
         calls = []
 
@@ -350,16 +471,76 @@ class TestHFourier:
             return real(*args)
 
         monkeypatch.setattr(petersson, "kloosterman_factored", counted)
-        assert [term for _, term in _rank2_terms(q, t, params, box)] == direct
+        terms = list(_rank2_terms(q, t, params, box))
         assert len(calls) == 144
-        total = 0j
-        for term in direct:
-            total += term
-        assert _rank2_sum(q, t, params)[0] == total
-        bound = 0.0
-        for cp in shell_matrices(params.m_bound, 1):
-            bound += direct_envelope(cp)
-        assert _rank2_shell_bound(q, t, params) == 2.0 * bound
+        assert [cp for cp, _ in terms] == box[144:]
+        assert [term for _, term in terms] == [term[cp] for cp in box[144:]]
+
+    def test_box_and_shell_lists_are_mirrored(self):
+        # entry i is minus entry n - 1 - i, so the second half holds one
+        # C' of each pair C', -C', the one whose first nonzero entry is
+        # positive
+        lists = [truncation_set(m) for m in range(1, 5)]
+        lists += [shell_matrices(m, w) for m in range(1, 5)
+                  for w in range(1, 4)]
+        for mats in lists:
+            assert mats and len(mats) % 2 == 0
+            assert mats == [cp.scale(-1) for cp in reversed(mats)]
+            for cp in mats[len(mats) // 2:]:
+                assert next(x for x in cp.entries() if x) > 0, cp
+
+    @pytest.mark.parametrize("level", [2, 3, 5, 7, 13])
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_rank_sums_match_term_by_term_reference(self, monkeypatch, level,
+                                                    pair):
+        # the multiplicity sums against the term-by-term references: each
+        # part within n 2^-52 sum |term| (n terms), the rank-2 terms equal,
+        # and the same Salie, Kloosterman and kernel work.  Level 2 is the
+        # only default-beta level whose box takes the coset route
+        q, t = PAIRS[pair]
+        params = SpectralParams(k=10, level=level)
+        box = truncation_set(params.m_bound)
+        shell = shell_matrices(params.m_bound, 1)
+        eps = 2.0 ** -52
+
+        def run(compute):
+            counts = {}
+            for name in ("salie", "kloosterman_factored", "kloosterman"):
+                def spy(*args, _name=name, _real=getattr(petersson, name)):
+                    counts[_name] = counts.get(_name, 0) + 1
+                    return _real(*args)
+                monkeypatch.setattr(petersson, name, spy)
+            acceptance.clear_all_caches()
+            out = compute()
+            counts["kernel misses"] = (
+                petersson._script_j_cached.cache_info().misses)
+            monkeypatch.undo()
+            return out, counts
+
+        (r1, r2, bound), counts = run(lambda: (
+            _rank1_sum(q, t, params)[0], _rank2_sum(q, t, params)[0],
+            _rank2_shell_bound(q, t, params)))
+        (ref1, ref_terms, ref_envs), ref_counts = run(lambda: (
+            reference_rank1(q, t, params),
+            reference_rank2_terms(q, t, params, box),
+            reference_shell_envelopes(q, t, params)))
+        assert counts == ref_counts
+        assert ("kloosterman" in counts) == (level == 2)
+
+        ref_r1, n1, size1 = ref1
+        assert abs(r1 - ref_r1) <= n1 * eps * size1
+        for cp, term in _rank2_terms(q, t, params, box):
+            assert term == ref_terms[cp] == ref_terms[cp.scale(-1)], cp
+        ref_r2 = 0j
+        for cp in box:
+            ref_r2 += ref_terms[cp]
+        size2 = sum(abs(ref_terms[cp]) for cp in box)
+        assert abs(r2 - ref_r2) <= len(box) * eps * size2
+        ref_bound = 0.0
+        for cp in shell:
+            ref_bound += ref_envs[cp]
+        ref_bound *= 2.0
+        assert abs(bound - ref_bound) <= len(shell) * eps * ref_bound
 
 
 class TestGram:
@@ -501,6 +682,9 @@ class TestMainTerm:
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError):
             leading_coeff_fit(1, 1, 10, levels=[1e2, 1e3])
+        # four levels, but one distinct: the cubic is not determined
+        with pytest.raises(ValueError, match="4 distinct sample levels"):
+            leading_coeff_fit(1, 1, 10, levels=[1e2] * 4)
 
     def test_poly_variant_changes_subleading_only(self):
         fit_a = leading_coeff_fit(1, 1, 10, levels=[1e2, 1e3, 1e4, 1e5],
@@ -518,11 +702,13 @@ class TestMainTerm:
                                        "--levels", "100,nan"],
                                       ["--levels", "100,1e3,x"],
                                       ["--levels", "100,1000"],
+                                      ["--levels", "100,100,100,100"],
                                       ["--q1", "5", "--q2", "5"],
                                       ["--q1", "9"], ["--k", "9"]],
                              ids=["level-one", "level-one-degree-0",
                                   "level-nan", "level-literal",
-                                  "too-few-levels", "not-coprime",
+                                  "too-few-levels", "repeated-levels",
+                                  "not-coprime",
                                   "not-fundamental", "weight"])
     def test_sweep_script_bad_input_exits_2(self, argv):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
