@@ -2,9 +2,12 @@
 the gamma and polynomial factors of the smooth Mellin weight, and the
 rank-2 truncation set and its shell.
 
-The production Bessel evaluator delegates to scipy's jv; an ascending
-series and an integral-representation quadrature are kept alongside as
-mutually independent cross-check routes for half-integral orders.
+Bessel functions come from scipy's jv alone, imported on the first call
+of ``bessel_j`` or ``script_j``, so the exact sums, the L-values and the
+main term run without loading scipy.special.  The gamma factor takes its
+log-gamma from ``lfun.log_gamma``.  An ascending series and an
+integral-representation quadrature for J_nu are kept in the tests as
+oracles.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv as _scipy_jv, loggamma as _loggamma
 
+from .lfun import log_gamma
 from .matcore import HalfIntegralForm, IntMat2
 
 
@@ -23,64 +26,19 @@ from .matcore import HalfIntegralForm, IntMat2
 # Bessel functions of real order
 
 
+def _jv(nu, x):
+    """scipy.special.jv, imported here so that only the Bessel routes
+    load scipy.special."""
+    import scipy.special
+
+    return scipy.special.jv(nu, x)
+
+
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function J_nu(x) for nu >= 1/2, x > 0."""
     if x <= 0:
         raise ValueError("x must be positive")
-    return float(_scipy_jv(nu, x))
-
-
-def bessel_j_series(nu: float, x: float) -> float:
-    """Ascending power series for J_nu(x).
-
-    Stops at the first term below 1e-17 of the partial sum.  Raises
-    ArithmeticError when 500 terms do not get there, or when the rounding
-    left by cancellation (largest term * 2^-52) exceeds 1e-10 * max(1, |J|);
-    at nu = 1/2 the latter happens from about x = 20.
-    """
-    if x <= 0:
-        raise ValueError("x must be positive")
-    log_lead = nu * math.log(x / 2) - math.lgamma(nu + 1)
-    term = math.exp(log_lead)
-    total = term
-    largest = abs(term)
-    q = -0.25 * x * x
-    for m in range(1, 501):
-        term *= q / (m * (m + nu))
-        total += term
-        largest = max(largest, abs(term))
-        if abs(term) < 1e-17 * max(abs(total), 1e-300):
-            break
-    else:
-        raise ArithmeticError(
-            f"bessel_j_series({nu}, {x}) did not converge in 500 terms")
-    if largest * 2.0 ** -52 > 1e-10 * max(1.0, abs(total)):
-        raise ArithmeticError(
-            f"bessel_j_series({nu}, {x}) loses its accuracy to cancellation")
-    return total
-
-
-def bessel_j_integral(nu: float, x: float) -> float:
-    """J_nu(x) from the Schlaefli integral representation.
-
-    (1/pi) * int_0^pi cos(nu*tau - x*sin(tau)) dtau
-        - sin(nu*pi)/pi * int_0^inf exp(-nu*t - x*sinh(t)) dt
-    """
-    if x <= 0:
-        raise ValueError("x must be positive")
-    panels = max(24, int(x / 2) + 24)
-    first = _panel_sum(lambda tau: np.cos(nu * tau - x * np.sin(tau)),
-                       math.pi / panels, panels) / math.pi
-    s = math.sin(nu * math.pi)
-    if abs(s) < 1e-15:
-        return first
-    # find T with nu*T + x*sinh(T) ~ 46 so the dropped tail is ~1e-20
-    t_hi = 1.0
-    while nu * t_hi + x * math.sinh(t_hi) < 46:
-        t_hi *= 1.5
-    total2 = _panel_sum(lambda t: np.exp(-nu * t - x * np.sinh(t)),
-                        t_hi / 24, 24)
-    return first - s / math.pi * total2
+    return float(_jv(nu, x))
 
 
 # 16-point Gauss-Legendre nodes and weights, moved from [-1, 1] to [0, 1]
@@ -156,7 +114,7 @@ def script_j(ell: float, arg: KernelArg, tol: float = 1e-11) -> float:
 
     def integrand(t):
         st = np.sin(t)
-        return _scipy_jv(ell, a1 * st) * _scipy_jv(ell, a2 * st) * st
+        return _jv(ell, a1 * st) * _jv(ell, a2 * st) * st
 
     prev = None
     panels = max(4, int((a1 + a2) / 8) + 4)
@@ -216,8 +174,8 @@ def weight_w(x: float, k: int, poly: str = "1-s^2") -> float:
 
 def gamma_factor(s: np.ndarray, k: int) -> np.ndarray:
     """(2 pi)^{-2s} Gamma(s+1) Gamma(s+k-1) / Gamma(k-1)."""
-    return np.exp(-2 * s * math.log(2 * math.pi) + _loggamma(s + 1)
-                  + _loggamma(s + k - 1) - math.lgamma(k - 1))
+    return np.exp(-2 * s * math.log(2 * math.pi) + log_gamma(s + 1)
+                  + log_gamma(s + k - 1) - math.lgamma(k - 1))
 
 
 def poly_factor(s, poly: str):

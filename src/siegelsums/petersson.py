@@ -119,6 +119,21 @@ class HCoefficient:
 # Rank-1 helpers
 
 
+# The floor of _rank1_sum's completion check, in ulps (2^-52) of the two
+# compared Salie values' summed SumValue.terms.  A Salie value is a tally:
+# exact counts, summing to its terms, dotted with the rounded roots e(r/c).
+# A root's argument 2 pi r / c < 2 pi takes three roundings, at most
+# 3 * 2^-53 * 2 pi ~ 9.4 ulps of 1, and exp adds at most one more, so the
+# roots move a tally by at most 10 ulps of its terms.  The dot's additions
+# add errors of random sign: for Q = T = (1, 1, 100) at N = 101 and
+# c <= 2,424, the two compared values, equal but for rounding, differed by
+# at most 0.3 ulps of their summed terms, every source included.  The floor
+# is 2.9e-7 at c = 9,191 (6.6e7 terms each), where that pair's values are
+# noise near 1e-8 and the relative tolerance 1e-8 * max(1, |val|) alone
+# raised.
+_TALLY_ULPS = 10
+
+
 def _primitive_reps(form: HalfIntegralForm, s: int,
                     mod_sign: bool) -> list[tuple[int, int]]:
     reps = [v for v in representations(form, s) if math.gcd(v[0], v[1]) == 1]
@@ -204,19 +219,21 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
         for c in range(n, (c_hi if s == 1 else min(c_hi, cs_max // s)) + 1, n):
             bess = bessel_j(ell, 4 * math.pi * math.sqrt(det_tq) / (c * s))
             coeff = sign_k * math.sqrt(2) * math.pi / (c ** 1.5 * math.sqrt(s))
-            values = [(mult, salie(p, sf, c, 1).value,
+            values = [(mult, salie(p, sf, c, 1),
                        salie(p, sf, c, -1).value) for p, sf, mult in pairs]
             # one completion check per (c, s) block, on its first term;
             # tests/test_petersson.py checks every term
-            val = values[0][1]
-            alt = salie(p_shifted, s0, c, 1).value
-            if abs(val - alt) > 1e-8 * max(1.0, abs(val)):
+            first = values[0][1]
+            alt = salie(p_shifted, s0, c, 1)
+            tol = max(1e-8 * max(1.0, abs(first.value)),
+                      _TALLY_ULPS * 2.0 ** -52 * (first.terms + alt.terms))
+            if abs(first.value - alt.value) > tol:
                 raise ArithmeticError(
                     f"Salie term at c = {c}, s = {s} depends on the "
-                    f"completion of U: {val} vs {alt}")
+                    f"completion of U: {first.value} vs {alt.value}")
             block = 0j
             for mult, plus, minus in values:
-                block += mult * (plus + minus)
+                block += mult * (plus.value + minus)
             total += coeff * bess * block
     tail = _rank1_tail_bound(det_tq, n, min(cs_max, c_hi), ell)
     return total, tail
@@ -562,11 +579,14 @@ def leading_coeff_fit(q1: int, q2: int, k: int,
     """Least-squares polynomial fit of residue(N) against log N, with the
     residues at the default radius and nodes of ``main_term_residue``.
     Needs degree + 1 distinct levels: with fewer the fit is not
-    determined, and a repeated level adds no condition."""
+    determined, and a repeated level adds no condition.  A negative
+    ``degree`` raises ValueError before any residue is computed."""
     _check_discriminant_pair(q1, q2)
     require_weight(k)
     if degree is None:
         degree = residue_fit_degree(q1, q2)
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
     if levels is None:
         levels = [10.0 ** e for e in range(2, 3 + max(degree, 1) + 1)]
     if len(set(levels)) < degree + 1:

@@ -225,6 +225,14 @@ class TestErrors:
         assert captured.out == ""
         assert "needs 4 distinct sample levels, got 1" in captured.err
 
+    def test_fit_negative_degree_exits_1(self, capsys):
+        code = cli.main(["fit", "--q1", "5", "--q2", "13", "--k", "10",
+                         "--ns", "100,1000", "--degree", "-1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: degree must be non-negative, got -1" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["mainterm", "--q1", "5", "--q2", "13", "--bign", "1000", "--k", "9"],
         ["fit", "--q1", "5", "--q2", "13", "--k", "9", "--ns", "100,1000"],

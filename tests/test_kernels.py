@@ -6,16 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from siegelsums import kernels
+from siegelsums.lfun import _STIRLING, _STIRLING_MIN_RE
 from siegelsums.matcore import HalfIntegralForm, IntMat2
 from siegelsums.kernels import (
     KernelArg,
     _panel_sum,
     bessel_j,
-    bessel_j_integral,
-    bessel_j_series,
     default_beta,
+    gamma_factor,
     require_weight,
     script_j,
     script_j_for_forms,
@@ -28,7 +29,95 @@ from siegelsums.petersson import SpectralParams, tail_diagnostic
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def bessel_j_series(nu: float, x: float) -> float:
+    """Ascending power series for J_nu(x), an oracle for bessel_j.
+
+    Stops at the first term below 1e-17 of the partial sum.  Raises
+    ArithmeticError when 500 terms do not get there, or when the rounding
+    left by cancellation (largest term * 2^-52) exceeds 1e-10 * max(1, |J|);
+    at nu = 1/2 the latter happens from about x = 20.
+    """
+    if x <= 0:
+        raise ValueError("x must be positive")
+    log_lead = nu * math.log(x / 2) - math.lgamma(nu + 1)
+    term = math.exp(log_lead)
+    total = term
+    largest = abs(term)
+    q = -0.25 * x * x
+    for m in range(1, 501):
+        term *= q / (m * (m + nu))
+        total += term
+        largest = max(largest, abs(term))
+        if abs(term) < 1e-17 * max(abs(total), 1e-300):
+            break
+    else:
+        raise ArithmeticError(
+            f"bessel_j_series({nu}, {x}) did not converge in 500 terms")
+    if largest * 2.0 ** -52 > 1e-10 * max(1.0, abs(total)):
+        raise ArithmeticError(
+            f"bessel_j_series({nu}, {x}) loses its accuracy to cancellation")
+    return total
+
+
+def bessel_j_integral(nu: float, x: float) -> float:
+    """J_nu(x) from the Schlaefli integral representation, an oracle for
+    bessel_j independent of the series.
+
+    (1/pi) * int_0^pi cos(nu*tau - x*sin(tau)) dtau
+        - sin(nu*pi)/pi * int_0^inf exp(-nu*t - x*sinh(t)) dt
+    """
+    if x <= 0:
+        raise ValueError("x must be positive")
+    panels = max(24, int(x / 2) + 24)
+    first = kernels._panel_sum(lambda tau: np.cos(nu * tau - x * np.sin(tau)),
+                               math.pi / panels, panels) / math.pi
+    s = math.sin(nu * math.pi)
+    if abs(s) < 1e-15:
+        return first
+    # find T with nu*T + x*sinh(T) ~ 46 so the dropped tail is ~1e-20
+    t_hi = 1.0
+    while nu * t_hi + x * math.sinh(t_hi) < 46:
+        t_hi *= 1.5
+    total2 = kernels._panel_sum(lambda t: np.exp(-nu * t - x * np.sinh(t)),
+                                t_hi / 24, 24)
+    return first - s / math.pi * total2
+
+
+# Run in a fresh interpreter: the other tests load scipy.special.
+SCIPY_SPECIAL_PROBE = """
+import sys
+
+from siegelsums import (HalfIntegralForm, IntMat2, KernelArg, dirichlet_l,
+                        kloosterman, leading_coeff_fit, main_term_residue,
+                        salie, script_j, weight_w)
+
+form = HalfIntegralForm(1, 0, 1)
+steps = [
+    ("import", lambda: None),
+    ("kloosterman", lambda: kloosterman(form, form, IntMat2(3, 0, 0, 3))),
+    ("salie", lambda: salie(form, form, 5, 1)),
+    ("dirichlet_l", lambda: dirichlet_l(0.5 + 3j, 5)),
+    ("main_term_residue", lambda: main_term_residue(1, 1, 1000.0, 10)),
+    ("leading_coeff_fit", lambda: leading_coeff_fit(5, 13, 10)),
+    ("weight_w", lambda: weight_w(1.0, 10)),
+]
+for name, run in steps:
+    run()
+    assert "scipy.special" not in sys.modules, name
+script_j(8.5, KernelArg(1.0, 2.0))
+assert "scipy.special" in sys.modules, "script_j"
+"""
+
+
 class TestBessel:
+    def test_scipy_special_loaded_by_the_bessel_route_alone(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", SCIPY_SPECIAL_PROBE],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_half_order_closed_form(self):
         # J_{1/2}(x) = sqrt(2/(pi x)) sin x; at x = pi/2 the value is 2/pi
         assert abs(bessel_j(0.5, math.pi / 2) - 2 / math.pi) < 1e-12
@@ -201,6 +290,67 @@ class TestWeight:
             weight_w(-1.0, 10)
         with pytest.raises(ValueError):
             weight_w(1.0, 9)
+
+
+def gamma_factor_scipy(s, k):
+    """gamma_factor with scipy's complex loggamma as the log-gamma."""
+    return np.exp(-2 * s * math.log(2 * math.pi) + loggamma(s + 1)
+                  + loggamma(s + k - 1) - math.lgamma(k - 1))
+
+
+def gamma_exponent_magnitudes(s, k):
+    """The sum M of the magnitudes of the summands of the exponent that
+    gamma_factor forms: |2 s log 2 pi|, lgamma(k - 1) and, for z = s + 1 and
+    z = s + k - 1 shifted to w = z + n, the five pieces of lfun.log_gamma:
+    (w - 1/2) log w, w, log(2 pi) / 2, the Stirling series and the log of
+    the shift product z (z + 1) ... (z + n - 1)."""
+    total = np.abs(2 * s * math.log(2 * math.pi)) + math.lgamma(k - 1)
+    for z in (s + 1, s + k - 1):
+        n = max(0, math.ceil(_STIRLING_MIN_RE - z.real.min()))
+        w = z + n
+        prod = np.ones_like(z)
+        for j in range(n):
+            prod *= z + j
+        series = sum(c / w ** (2 * i + 1) for i, c in enumerate(_STIRLING))
+        total += (np.abs((w - 0.5) * np.log(w)) + np.abs(w)
+                  + 0.5 * math.log(2 * math.pi) + np.abs(series)
+                  + np.abs(np.log(prod)))
+    return total
+
+
+# Ulps (2^-52) of gamma_exponent_magnitudes by which gamma_factor may differ
+# from gamma_factor_scipy, relative to the value.  The exponent has 12
+# summands; its 11 additions each round by at most 2^-53 of a partial sum,
+# and every partial sum is at most M: 5.5 ulps.  Each summand carries at
+# most 3 ulps of its own magnitude (a complex log, then a product), and the
+# log of the shift product, of at most 11 factors, an absolute
+# 11 (sqrt 5 + 1) 2^-53 < 18 ulps of 1, below 1 ulp of M >= 2 |w| >= 20.
+# exp adds 1 ulp: 10.5 ulps in all.  scipy's loggamma forms a log-sum of the
+# same magnitudes, so the oracle is granted as much: 24 ulps.
+GAMMA_FACTOR_ULPS = 24
+
+
+def assert_gamma_factor_matches_scipy(s, k):
+    want = gamma_factor_scipy(s, k)
+    tol = GAMMA_FACTOR_ULPS * 2.0 ** -52 * gamma_exponent_magnitudes(s, k)
+    assert np.all(np.abs(gamma_factor(s, k) - want) <= tol * np.abs(want))
+
+
+class TestGammaFactor:
+    @pytest.mark.parametrize("k", [10, 12, 14, 20])
+    @pytest.mark.parametrize("radius", [0.08, 0.16])
+    def test_matches_scipy_on_residue_contours(self, radius, k):
+        # the s- and t-circles of main_term_residue at 128 nodes
+        theta = 2 * np.pi * np.arange(128) / 128
+        for r in (2 * radius, radius):
+            assert_gamma_factor_matches_scipy(r * np.exp(1j * theta), k)
+
+    @pytest.mark.parametrize("k", [10, 12, 14, 20])
+    @pytest.mark.parametrize("sigma", [2.0, -0.5])
+    def test_matches_scipy_on_weight_lines(self, sigma, k):
+        # weight_w's lines, out to its truncation |Im s| = 60
+        s = sigma + 1j * np.linspace(-60.0, 60.0, 2401)
+        assert_gamma_factor_matches_scipy(s, k)
 
 
 def brute_box_members(m):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -22,6 +23,7 @@ from siegelsums.matcore import (
     _xgcd,
     elementary_divisors,
     is_prime,
+    prime_factors,
 )
 from siegelsums.lfun import dirichlet_l
 from siegelsums.petersson import (
@@ -35,6 +37,7 @@ from siegelsums.petersson import (
 from siegelsums.petersson import (
     _complete_bottom_row,
     _primitive_reps,
+    _rank1_forms,
     _rank1_sum,
     _rank1_tail_bound,
     _rank2_shell_bound,
@@ -344,6 +347,40 @@ class TestHFourier:
             complex(p.t1, p.t2), 1, "stand-in"))
         with pytest.raises(ArithmeticError, match="completion"):
             h_fourier(HI, HI, params)
+
+    @pytest.mark.parametrize("discrepancy", [0.0, 1e-6])
+    def test_completion_check_floor_grows_with_terms(self, monkeypatch,
+                                                     discrepancy):
+        # Q = T = (1, 1, 100) at N = 101 runs c up to 12,019.  From about
+        # c = 9,000 on its real Salie values are rounding noise near 1e-8,
+        # which the relative tolerance 1e-8 * max(1, |val|) alone rejected
+        # at c = 9,191 (the real sum takes minutes and 2 GB).  The stand-in
+        # returns noise of 1 ulp of each tally's terms, phi(c) * c, with
+        # phase -i for the checked value and i for the shifted completion,
+        # so the two differ by 2 ulps of one tally (2.9e-8 at c = 9,191):
+        # this must pass.  A genuine 1e-6 discrepancy of the shifted
+        # completion from c = 9,000 on must still raise, at its first c.
+        q = HalfIntegralForm(1, 1, 100)
+        pairs, shifted = _rank1_forms(q, q, 1)
+        assert pairs[0][0] != shifted
+
+        def noise(p, s, c, sign):
+            phi = c
+            for prime, _ in prime_factors(c):
+                phi = phi // prime * (prime - 1)
+            value = phi * c * 2.0 ** -52 * cmath.exp(0.5j * math.pi * p.t2)
+            if p == shifted and c >= 9000:
+                value += discrepancy
+            return SumValue(value, phi * c, "stand-in")
+
+        monkeypatch.setattr(petersson, "salie", noise)
+        params = SpectralParams(k=10, level=101)
+        if discrepancy:
+            with pytest.raises(ArithmeticError,
+                               match="c = 9090, s = 1 depends"):
+                _rank1_sum(q, q, params)
+        else:
+            _rank1_sum(q, q, params)
 
     def test_shell_decay(self, params):
         # partial rank-2 sums grouped by |det C'|
@@ -685,6 +722,14 @@ class TestMainTerm:
         # four levels, but one distinct: the cubic is not determined
         with pytest.raises(ValueError, match="4 distinct sample levels"):
             leading_coeff_fit(1, 1, 10, levels=[1e2] * 4)
+
+    def test_negative_degree_rejected_before_any_residue(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(petersson, "main_term_residue",
+                            lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            leading_coeff_fit(5, 13, 10, levels=[1e2, 1e3], degree=-1)
+        assert calls == []
 
     def test_poly_variant_changes_subleading_only(self):
         fit_a = leading_coeff_fit(1, 1, 10, levels=[1e2, 1e3, 1e4, 1e5],
