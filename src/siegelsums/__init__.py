@@ -13,13 +13,7 @@ from .matcore import (
     is_go2,
     kronecker,
 )
-from .sp4 import (
-    SymplecticCompletion,
-    complete_to_symplectic,
-    enumerate_bottom_cosets,
-    is_bottom_pair,
-    is_symplectic,
-)
+from .sp4 import complete_to_symplectic, enumerate_bottom_cosets
 from .expsums import (
     SumValue,
     congruence_count,
@@ -37,14 +31,7 @@ from .kernels import (
     truncation_set,
     weight_w,
 )
-from .lfun import (
-    FundamentalDiscriminant,
-    LValue,
-    dirichlet_l,
-    r_coeff,
-    zeta,
-    zeta_gaussian,
-)
+from .lfun import dirichlet_l, r_coeff
 from .petersson import (
     HCoefficient,
     ResidueReport,

@@ -383,11 +383,11 @@ def criterion_8() -> dict:
     lead11_ok = abs(fit11.leading - (4.0 / 3.0) * a_val ** 2) <= 1e-4
     fitmx = petersson.leading_coeff_fit(1, -4, 10,
                                         levels=[1e2, 1e3, 1e4, 1e5])
-    mixed_expected = 2.0 * lfun.dirichlet_l(1.0, -4).value.real ** 3
+    mixed_expected = 2.0 * lfun.dirichlet_l(1.0, -4).real ** 3
     leadmx_ok = abs(fitmx.leading - mixed_expected) <= 1e-4
     prod = 4.0
     for q in (5, -20, 13, -52, 65):
-        prod *= lfun.dirichlet_l(1.0, q).value.real
+        prod *= lfun.dirichlet_l(1.0, q).real
     r_a = petersson.main_term_residue(5, 13, 1e3, 10)
     r_b = petersson.main_term_residue(5, 13, 1e5, 10)
     prod_ok = abs(r_a.residue - prod) <= 1e-6

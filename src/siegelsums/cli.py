@@ -91,11 +91,6 @@ def _exact(sv) -> tuple:
     return sv.value, sv.terms, sv.method, {}
 
 
-def _lvalue(a):
-    lv = lfun.dirichlet_l(a.s, a.q)
-    return lv.value, 0, lv.method, {}
-
-
 def _hqt(a):
     params = petersson.SpectralParams(k=a.k, level=a.n, rank1_cutoff=a.cmax)
     print(f"# assembling coefficient at level {a.n}", file=sys.stderr)
@@ -180,7 +175,8 @@ COMMANDS = {
         lambda a: (lfun.r_coeff(a.q, a.n), 0, "divisor-sum", {})),
     "lvalue": (
         "L(s, chi_q)",
-        {"s": {"type": parse_complex, "required": True}, "q": INT}, _lvalue),
+        {"s": {"type": parse_complex, "required": True}, "q": INT},
+        lambda a: (lfun.dirichlet_l(a.s, a.q), 0, "euler-maclaurin", {})),
     "hqt": (
         "assembled Fourier coefficient",
         {"q": FORM, "t": FORM, "n": INT, "k": INT,

@@ -100,13 +100,18 @@ class KernelArg:
         return math.sqrt(self.eig1), math.sqrt(self.eig2)
 
 
-def script_j(ell: float, arg: KernelArg, tol: float = 1e-11) -> float:
+# Relative change between two panel doublings at which script_j stops
+SCRIPT_J_TOL = 1e-11
+
+
+def script_j(ell: float, arg: KernelArg) -> float:
     """int_0^{pi/2} J_ell(4 pi s1 sin t) J_ell(4 pi s2 sin t) sin t dt.
 
     Composite Gauss-Legendre quadrature with panel doubling until the value
-    moves by at most ``tol`` times its size (the kernels of one coefficient
-    span many decades, from 1e-21 up at level 13); deterministic for fixed
-    inputs.  Raises ArithmeticError if 12 doublings do not reach ``tol``.
+    moves by at most SCRIPT_J_TOL times its size (the kernels of one
+    coefficient span many decades, from 1e-21 up at level 13);
+    deterministic for fixed inputs.  Raises ArithmeticError if 12 doublings
+    do not reach SCRIPT_J_TOL.
     """
     s1, s2 = arg.s_values()
     a1 = 4.0 * math.pi * s1
@@ -120,12 +125,13 @@ def script_j(ell: float, arg: KernelArg, tol: float = 1e-11) -> float:
     panels = max(4, int((a1 + a2) / 8) + 4)
     for _ in range(12):
         total = _panel_sum(integrand, (math.pi / 2) / panels, panels)
-        if prev is not None and abs(total - prev) <= tol * abs(total):
+        if prev is not None and abs(total - prev) <= SCRIPT_J_TOL * abs(total):
             return float(total)
         prev = total
         panels *= 2
     raise ArithmeticError(
-        f"script_j({ell}, {arg}) did not converge to {tol} in 12 doublings")
+        f"script_j({ell}, {arg}) did not converge to {SCRIPT_J_TOL} in 12 "
+        "doublings")
 
 
 def script_j_for_forms(ell: float, t_form: HalfIntegralForm,

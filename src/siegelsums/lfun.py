@@ -34,37 +34,15 @@ of each term rounds with |Im s| log n, so there it is ~1e-13 at
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import kronecker, prime_factors, require_fundamental_discriminant
+from .matcore import kronecker, prime_factors
 
 
 class PoleError(ZeroDivisionError):
     """Evaluation at the pole of the Riemann zeta function."""
-
-
-@dataclass(frozen=True)
-class FundamentalDiscriminant:
-    """1 or the discriminant of a quadratic field."""
-
-    q: int
-
-    def __post_init__(self):
-        require_fundamental_discriminant(self.q)
-
-    def chi(self, n: int) -> int:
-        return kronecker(self.q, n)
-
-
-@dataclass(frozen=True)
-class LValue:
-    s: complex
-    value: complex
-    method: str
 
 
 # Bernoulli numbers B_2 .. B_24 for the Euler-Maclaurin correction and
@@ -213,21 +191,6 @@ def _pole(u: np.ndarray, residue: float) -> np.ndarray:
     return residue / (u - 1)
 
 
-def hurwitz_zeta_vec(s: np.ndarray, a: float) -> np.ndarray:
-    """zeta(s, a) = sum_{n >= 0} (n + a)^{-s} for 0 < a <= 1 over an array
-    of s values; raises PoleError when an entry is within 1e-14 of 1."""
-    if a <= 0 or a > 1:
-        raise ValueError("a must satisfy 0 < a <= 1")
-    s = np.asarray(s, dtype=complex)
-    vals = _hurwitz_grid(s.ravel(), np.zeros(1), np.array([a]), np.ones(1))
-    return vals[:, 0].reshape(s.shape)
-
-
-def hurwitz_zeta(s: complex, a: float) -> complex:
-    """Scalar form of hurwitz_zeta_vec."""
-    return complex(hurwitz_zeta_vec(np.array([complex(s)]), a)[0])
-
-
 def log_gamma(z: np.ndarray) -> np.ndarray:
     """log Gamma(z) over an array of complex z off the poles, right only up
     to an integer multiple of 2 pi i: exp of it is Gamma(z), but its
@@ -293,23 +256,14 @@ def dirichlet_l_vec(s: np.ndarray, q: int) -> np.ndarray:
     return dirichlet_l_grid(s.ravel(), np.zeros(1), q)[:, 0].reshape(s.shape)
 
 
-def dirichlet_l(s: complex, q: int) -> LValue:
+def dirichlet_l(s: complex, q: int) -> complex:
     """Scalar form of dirichlet_l_vec; the imaginary part of a real-axis
     value is rounded to zero below 1e-14."""
     s = complex(s)
     val = complex(dirichlet_l_vec(np.array([s]), q)[0])
     if abs(val.imag) < 1e-14 and abs(s.imag) == 0:
         val = complex(val.real, 0.0)
-    return LValue(s=s, value=val, method="euler-maclaurin")
-
-
-def zeta(s: complex) -> complex:
-    return dirichlet_l(s, 1).value
-
-
-def zeta_gaussian(s: complex) -> complex:
-    """Dedekind zeta of Q(i): zeta(s) * L(s, chi_{-4})."""
-    return zeta(s) * dirichlet_l(s, -4).value
+    return val
 
 
 def r_coeff(q: int, n: int) -> float:
@@ -318,8 +272,10 @@ def r_coeff(q: int, n: int) -> float:
     These are the coefficients of L(s + 1/2, chi_q) L(s + 1/2, chi_{-4q});
     for q = 1 that product is the shifted Dedekind zeta of Q(i).  As chi_{-4}
     is completely multiplicative, the divisor sum is the integer
-    prod_{p^e || n} sum_{i <= e} chi_{-4}(p)^i.
+    prod_{p^e || n} sum_{i <= e} chi_{-4}(p)^i.  Raises ValueError for
+    q = 0 (as character_period does) and for n < 1.
     """
+    character_period(q)
     if n < 1:
         raise ValueError("n must be >= 1")
     ch = kronecker(q, n)
@@ -327,26 +283,3 @@ def r_coeff(q: int, n: int) -> float:
         return 0.0
     return ch * math.prod(sum(kronecker(-4, p) ** i for i in range(e + 1))
                           for p, e in prime_factors(n)) / math.sqrt(n)
-
-
-def euler_product_l(s: complex, q: int, prime_count: int = 10_000) -> complex:
-    """Truncated Euler product of L(s, chi_q) over the first ``prime_count``
-    primes; a slowly-converging independent cross-check for Re s > 1."""
-    total = 1.0 + 0j
-    for p in _first_primes(prime_count):
-        ch = kronecker(q, p)
-        if ch:
-            total /= (1 - ch * cmath.exp(-s * math.log(p)))
-    return total
-
-
-def _first_primes(count: int) -> list[int]:
-    # sieve sized by the prime-counting asymptotics
-    bound = max(30, int(count * (math.log(count) + math.log(math.log(count + 2)) + 1)) + 10)
-    sieve = np.ones(bound, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(bound ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    primes = np.flatnonzero(sieve)[:count]
-    return [int(p) for p in primes]

@@ -1,12 +1,15 @@
-"""Sp4(Z) bottom rows: predicates, coset enumeration, symplectic completion,
-and the per-modulus phase tables of the Kloosterman sums.
+"""Sp4(Z) bottom rows: coset enumeration, symplectic completion, and the
+per-modulus phase tables of the Kloosterman sums.
 
 A pair of integer 2x2 matrices (C, D) is the bottom block-row of some
-element of Sp4(Z) exactly when C^{-1} D is symmetric and the 2x4 block
+element of Sp4(Z) exactly when C D^T is symmetric and the 2x4 block
 (C D) has coprime 2x2 minors.  The Kloosterman sums in :mod:`expsums` run
-over such D modulo the lattice C * Lambda of symmetric translates; this
-module enumerates canonical representatives and produces, for each, a
-completion (A, B) making the full 4x4 block matrix symplectic.
+over such D modulo the lattice C * Lambda of symmetric translates, with
+det C != 0; this module enumerates canonical representatives and, for
+each, solves for a completion (A, B) making the full 4x4 block matrix
+symplectic.  The completion is that integer solve alone: it returns the
+tuple (A, B), accepts a singular C, and raises CompletionError exactly
+when (C, D) is not a bottom row.
 
 Phase tables are built only for moduli in Smith form diag(c1, c2).  With
 U C V = diag(c1, c2) (U, V unimodular), multiplying an element of Sp4(Z)
@@ -39,31 +42,6 @@ class CompletionError(ValueError):
     """Raised when (C, D) is not a symplectic bottom row."""
 
 
-@dataclass(frozen=True)
-class SymplecticCompletion:
-    a: IntMat2
-    b: IntMat2
-
-
-def is_symplectic(m: list[list[int]]) -> bool:
-    """True iff the 4x4 integer matrix M = [[A, B], [C, D]] satisfies
-    M^T J M = J, that is iff A^T C and B^T D are symmetric and
-    A^T D - C^T B = I."""
-    a, b, c, d = (IntMat2(m[i][j], m[i][j + 1], m[i + 1][j], m[i + 1][j + 1])
-                  for i in (0, 2) for j in (0, 2))
-    return (a.t().mul(c).is_symmetric() and b.t().mul(d).is_symmetric()
-            and a.t().mul(d).add(c.t().mul(b).scale(-1)) == IntMat2.identity())
-
-
-def blocks_to_mat4(a: IntMat2, b: IntMat2, c: IntMat2, d: IntMat2):
-    return [
-        [a.a, a.b, b.a, b.b],
-        [a.c, a.d, b.c, b.d],
-        [c.a, c.b, d.a, d.b],
-        [c.c, c.d, d.c, d.d],
-    ]
-
-
 def minor_gcd(c: IntMat2, d: IntMat2) -> int:
     """gcd of the six 2x2 minors of the 2x4 block (C D)."""
     cols = [(c.a, c.c), (c.b, c.d), (d.a, d.c), (d.b, d.d)]
@@ -74,30 +52,15 @@ def minor_gcd(c: IntMat2, d: IntMat2) -> int:
     return g
 
 
-def is_bottom_pair(c: IntMat2, d: IntMat2) -> bool:
-    """C^{-1} D symmetric and (C D) primitive; requires det C != 0."""
-    if c.det() == 0:
-        raise SingularModulusError("singular modulus")
-    # C^{-1} D symmetric <=> adj(C) D symmetric (scalar multiple)
-    if not c.adj().mul(d).is_symmetric():
-        return False
-    return minor_gcd(c, d) == 1
+def complete_to_symplectic(c: IntMat2, d: IntMat2) -> tuple[IntMat2, IntMat2]:
+    """Some (A, B) with [[A, B], [C, D]] in Sp4(Z), C singular or not.
 
-
-def complete_to_symplectic(c: IntMat2, d: IntMat2) -> SymplecticCompletion:
-    """Some (A, B) with [[A, B], [C, D]] in Sp4(Z), solving the six linear
-    conditions (A^T D - C^T B = I plus the two symmetry constraints)
-    exactly over the integers; completions differ by A -> A + S C."""
-    if c.det() == 0 or not is_bottom_pair(c, d):
-        raise CompletionError("not a symplectic bottom row")
-    a_mat, b_mat = _complete_generic(c, d)
-    assert is_symplectic(blocks_to_mat4(a_mat, b_mat, c, d))
-    return SymplecticCompletion(a_mat, b_mat)
-
-
-def _complete_generic(c: IntMat2, d: IntMat2) -> tuple[IntMat2, IntMat2]:
-    # unknowns z = (a1, a2, a3, a4, b1, b2, b3, b4)
-    # A^T D - C^T B = I, (A^T C) symmetric, (B^T D) symmetric
+    The unknowns z = (a1, a2, a3, a4, b1, b2, b3, b4) solve, exactly over
+    the integers, the six linear conditions A^T D - C^T B = I, A^T C and
+    B^T D symmetric.  These are M^T J M = J for the 4x4 block matrix M,
+    so a solution exists exactly when (C, D) is a bottom row, and
+    CompletionError is raised otherwise.  Completions differ by
+    A -> A + S C, B -> B + S D with S symmetric."""
     rows = [
         # (A^T D)_11 - (C^T B)_11 = 1
         [d.a, 0, d.c, 0, -c.a, 0, -c.c, 0],
@@ -112,13 +75,10 @@ def _complete_generic(c: IntMat2, d: IntMat2) -> tuple[IntMat2, IntMat2]:
         # (B^T D)_12 - (B^T D)_21 = 0
         [0, 0, 0, 0, d.b, -d.a, d.d, -d.c],
     ]
-    rhs = [1, 0, 0, 1, 0, 0]
-    z = solve_integer_system(rows, rhs)
-    if z is None:  # cannot happen for a genuine bottom pair
+    z = solve_integer_system(rows, [1, 0, 0, 1, 0, 0])
+    if z is None:
         raise CompletionError("not a symplectic bottom row")
-    a = IntMat2(z[0], z[1], z[2], z[3])
-    b = IntMat2(z[4], z[5], z[6], z[7])
-    return a, b
+    return IntMat2(z[0], z[1], z[2], z[3]), IntMat2(z[4], z[5], z[6], z[7])
 
 
 def enumerate_bottom_cosets(c: IntMat2) -> list[IntMat2]:
@@ -194,7 +154,7 @@ MAX_ENUMERATED_DET = 400
 
 def _enumerated_table(c: IntMat2) -> CosetData:
     """Phase-coefficient table of C, one row per coset D from
-    ``enumerate_bottom_cosets``, completed by ``_complete_generic``; raises
+    ``enumerate_bottom_cosets``, completed by ``complete_to_symplectic``; raises
     ValueError when |det C| exceeds ``MAX_ENUMERATED_DET``."""
     det = c.det()
     if abs(det) > MAX_ENUMERATED_DET:
@@ -206,7 +166,7 @@ def _enumerated_table(c: IntMat2) -> CosetData:
     adj = c.adj()
     rows = np.empty((len(ds), 6), dtype=np.int64)
     for i, d in enumerate(ds):
-        a = _complete_generic(c, d)[0]
+        a = complete_to_symplectic(c, d)[0]
         rows[i] = _phase_row(a, d, adj, m, sgn)
         if __debug__ and i == 0:
             # well-definedness spot check: completions differ by A -> A + S C,

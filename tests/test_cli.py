@@ -89,57 +89,73 @@ class TestSubcommands:
 
 RECORD = ["op", "params", "value", "terms", "method"]
 
-# one invocation per subcommand: argv, the record's keys, and its params
+# one invocation per subcommand: argv, the record's keys, its params and
+# its method
 PINNED = [
     (["kloosterman", "--q", "1,0,1", "--t", "1,0,1", "--c", "3,0;0,3"],
-     RECORD, [("q", [1, 0, 1]), ("t", [1, 0, 1]), ("c", [3, 0, 0, 3])]),
+     RECORD, [("q", [1, 0, 1]), ("t", [1, 0, 1]), ("c", [3, 0, 0, 3])],
+     "brute"),
     (["salie", "--p", "1,0,1", "--s", "1,0,2", "--c", "3"],
-     RECORD, [("p", [1, 0, 1]), ("s", [1, 0, 2]), ("c", 3), ("sign", "+")]),
+     RECORD, [("p", [1, 0, 1]), ("s", [1, 0, 2]), ("c", 3), ("sign", "+")],
+     "salie"),
     (["gauss", "--a", "1", "--b", "0", "--c", "3"],
-     RECORD, [("a", 1), ("b", 0), ("c", 3)]),
+     RECORD, [("a", 1), ("b", 0), ("c", 3)],
+     "brute"),
     (["count", "--n", "3", "--c1", "1", "--c2", "0", "--c4", "1",
       "--h1", "0", "--h2", "0"],
      RECORD, [("n", 3), ("c1", 1), ("c2", 0), ("c4", 1), ("h1", 0),
-              ("h2", 0), ("a", 1), ("b", 1)]),
+              ("h2", 0), ("a", 1), ("b", 1)],
+     "brute"),
     (["twisted", "--c", "1,1;-1,1", "--q1", "1", "--q2", "1"],
-     RECORD, [("c", [1, 1, -1, 1]), ("q1", 1), ("q2", 1)]),
+     RECORD, [("c", [1, 1, -1, 1]), ("q1", 1), ("q2", 1)],
+     "brute"),
     (["besselkernel", "--ell", "8.5", "--eig1", "1", "--eig2", "2"],
-     RECORD, [("ell", 8.5), ("eig1", 1.0), ("eig2", 2.0)]),
+     RECORD, [("ell", 8.5), ("eig1", 1.0), ("eig2", 2.0)],
+     "quadrature"),
     (["weight", "--x", "100", "--k", "10"],
-     RECORD, [("x", 100.0), ("k", 10), ("poly", "1-s^2")]),
+     RECORD, [("x", 100.0), ("k", 10), ("poly", "1-s^2")],
+     "contour"),
     (["rcoeff", "--q", "1", "--n", "5"],
-     RECORD, [("q", 1), ("n", 5)]),
+     RECORD, [("q", 1), ("n", 5)],
+     "divisor-sum"),
     (["lvalue", "--s", "2,1", "--q", "5"],
-     RECORD, [("s", [2.0, 1.0]), ("q", 5)]),
+     RECORD, [("s", [2.0, 1.0]), ("q", 5)],
+     "euler-maclaurin"),
     (["hqt", "--q", "1,0,1", "--t", "1,0,1", "--n", "3", "--k", "10"],
      RECORD + ["tail_bound", "diagonal", "rank1", "rank2"],
      [("q", [1, 0, 1]), ("t", [1, 0, 1]), ("n", 3), ("k", 10),
-      ("cmax", None)]),
+      ("cmax", None)],
+     "assembled"),
     (["gram", "--form", "1,0,1", "--n", "3", "--k", "10"],
      RECORD + ["matrix", "hermitian_defect", "min_eigenvalue", "tail_budget"],
-     [("forms", [[1, 0, 1]]), ("n", 3), ("k", 10)]),
+     [("forms", [[1, 0, 1]]), ("n", 3), ("k", 10)],
+     "assembled"),
     (["mainterm", "--q1", "5", "--q2", "13", "--bign", "1000", "--k", "10"],
      RECORD + ["imag_defect"],
      [("q1", 5), ("q2", 13), ("bign", 1000.0), ("k", 10), ("radius", 0.08),
-      ("nodes", 128), ("poly", "(1-s)^2")]),
+      ("nodes", 128), ("poly", "(1-s)^2")],
+     "contour"),
     (["fit", "--q1", "5", "--q2", "13", "--k", "10", "--ns", "100,1000"],
      RECORD + ["coefficients", "residual"],
-     [("q1", 5), ("q2", 13), ("k", 10), ("ns", "100,1000"), ("degree", 0)]),
+     [("q1", 5), ("q2", 13), ("k", 10), ("ns", "100,1000"), ("degree", 0)],
+     "polyfit"),
     (["verify", "--module", "kernels"],
-     RECORD + ["failures"], [("module", "kernels")]),
+     RECORD + ["failures"], [("module", "kernels")],
+     "suite"),
 ]
 
 
-@pytest.mark.parametrize("argv, keys, params", PINNED,
-                         ids=[argv[0] for argv, _, _ in PINNED])
-def test_params_pinned(capsys, argv, keys, params):
+@pytest.mark.parametrize("argv, keys, params, method", PINNED,
+                         ids=[row[0][0] for row in PINNED])
+def test_params_pinned(capsys, argv, keys, params, method):
     rec = run_json(capsys, *argv)
     assert list(rec) == keys
     assert list(rec["params"].items()) == params
+    assert rec["method"] == method
 
 
 def test_pinned_covers_every_subcommand():
-    assert sorted(argv[0] for argv, _, _ in PINNED) == sorted(cli.COMMANDS)
+    assert sorted(row[0][0] for row in PINNED) == sorted(cli.COMMANDS)
 
 
 class TestErrors:
@@ -163,6 +179,13 @@ class TestErrors:
         code = cli.main(["lvalue", "--q", "0", "--s", "2"])
         assert code == 1
         assert "error: q must be nonzero" in capsys.readouterr().err
+
+    def test_zero_modulus_rcoeff_exits_1(self, capsys):
+        code = cli.main(["rcoeff", "--q", "0", "--n", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: q must be nonzero" in captured.err
 
     @pytest.mark.parametrize("s", ["0.5,1e12", "0.5,1e6"])
     def test_lvalue_beyond_range_exits_1(self, capsys, s):

@@ -215,15 +215,18 @@ class TestScriptJ:
                                  HalfIntegralForm.scalar(3), c)
         assert abs(arg.eig1 - 6 / 5) < 1e-12 and abs(arg.eig2 - 6 / 5) < 1e-12
 
-    def test_dual_resolution(self):
+    def test_dual_resolution(self, monkeypatch):
         for eigs in ((1.0, 1.0), (0.04, 9.0), (2.5, 0.3)):
             v1 = script_j(8.5, KernelArg(*eigs))
-            v2 = script_j(8.5, KernelArg(*eigs), tol=1e-13)
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "SCRIPT_J_TOL", 1e-13)
+                v2 = script_j(8.5, KernelArg(*eigs))
             assert abs(v1 - v2) < 1e-10
 
-    def test_unconverged_raises(self):
+    def test_unconverged_raises(self, monkeypatch):
+        monkeypatch.setattr(kernels, "SCRIPT_J_TOL", 1e-30)
         with pytest.raises(ArithmeticError, match="did not converge"):
-            script_j(8.5, KernelArg(1.0, 2.0), tol=1e-30)
+            script_j(8.5, KernelArg(1.0, 2.0))
 
     def test_tolerance_is_relative(self, monkeypatch):
         # a value near 1e-17 whose doublings move it by a relative 1e-6

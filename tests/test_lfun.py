@@ -12,21 +12,17 @@ from siegelsums.lfun import (
     _SINGULAR_DELTA,
     MAX_DIRECT_TERMS,
     MIN_RE_U,
-    FundamentalDiscriminant,
     PoleError,
     _em_log_bound,
     _em_terms,
+    _hurwitz_grid,
     character_period,
     dirichlet_l,
     dirichlet_l_grid,
     dirichlet_l_vec,
-    euler_product_l,
-    hurwitz_zeta,
     r_coeff,
-    zeta,
-    zeta_gaussian,
 )
-from siegelsums.matcore import kronecker
+from siegelsums.matcore import kronecker, require_fundamental_discriminant
 
 # the reference keeps a fixed cut of its own, so that the grid tests compare
 # two different truncations
@@ -77,6 +73,30 @@ def dirichlet_l_reference(s, q):
     return np.exp(-s * math.log(m)) * total
 
 
+def first_primes(count):
+    """The first ``count`` primes by a sieve sized from the prime-counting
+    asymptotics."""
+    bound = max(30, int(count * (math.log(count)
+                                 + math.log(math.log(count + 2)) + 1)) + 10)
+    sieve = np.ones(bound, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(bound ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return [int(p) for p in np.flatnonzero(sieve)[:count]]
+
+
+def euler_product_l(s, q, prime_count=10_000):
+    """Truncated Euler product of L(s, chi_q) over the first ``prime_count``
+    primes; a slowly-converging independent cross-check for Re s > 1."""
+    total = 1.0 + 0j
+    for p in first_primes(prime_count):
+        ch = kronecker(q, p)
+        if ch:
+            total /= (1 - ch * cmath.exp(-s * math.log(p)))
+    return total
+
+
 def _check_functional_equation(s, q, tol=1e-11):
     """L(s, chi_q) = G(1 - s) / G(s) L(1 - s, chi_q) for primitive real
     chi_q, with G(s) = (|q|/pi)^{(s+a)/2} Gamma((s+a)/2), a = 0 for even and
@@ -88,7 +108,7 @@ def _check_functional_equation(s, q, tol=1e-11):
                 + complex(loggamma((z + a) / 2)))
 
     lhs = dirichlet_l_vec(np.array([s]), q)[0]
-    rhs = cmath.exp(log_g(1 - s) - log_g(s)) * dirichlet_l(1 - s, q).value
+    rhs = cmath.exp(log_g(1 - s) - log_g(s)) * dirichlet_l(1 - s, q)
     assert abs(lhs - rhs) < tol * max(1.0, abs(lhs))
 
 
@@ -119,6 +139,12 @@ class TestRCoeff:
         with pytest.raises(ValueError):
             r_coeff(1, 0)
 
+    def test_rejects_zero_modulus(self):
+        # kronecker(0, 1) = 1, but q = 0 has no character, as for L-values
+        for n in (1, 5):
+            with pytest.raises(ValueError, match="q must be nonzero"):
+                r_coeff(0, n)
+
     def test_matches_divisor_walk(self):
         # the divisor sum is an integer either way, so the floats agree
         # to the last bit
@@ -148,13 +174,13 @@ class TestRCoeff:
 class TestDirichletL:
     def test_zeta_two(self):
         # Euler-Maclaurin value against the closed form pi^2/6
-        assert abs(zeta(2.0) - math.pi ** 2 / 6) < 1e-12
+        assert abs(dirichlet_l(2.0, 1) - math.pi ** 2 / 6) < 1e-12
 
     def test_leibniz_value(self):
         # accelerated Leibniz oracle for L(1, chi_{-4}) = pi/4
         partial = sum((-1) ** k / (2 * k + 1) for k in range(10_000))
         accel = partial + 0.5 * ((-1) ** 10_000 / (2 * 10_000 + 1))
-        got = dirichlet_l(1.0, -4).value
+        got = dirichlet_l(1.0, -4)
         assert abs(got - math.pi / 4) < 1e-12
         assert abs(got - accel) < 1e-8
 
@@ -162,35 +188,41 @@ class TestDirichletL:
         with pytest.raises(PoleError):
             dirichlet_l(1.0, 1)
         for eps in (1e-3, -1e-3):
-            assert abs(eps * zeta(1 + eps) - 1) < 2e-3
+            assert abs(eps * dirichlet_l(1 + eps, 1) - 1) < 2e-3
 
     def test_conjugate_symmetry(self):
         for q in (1, -4, 13):
             s = 1.4 + 0.9j
-            assert abs(dirichlet_l(s, q).value.conjugate()
-                       - dirichlet_l(s.conjugate(), q).value) < 1e-12
+            assert abs(dirichlet_l(s, q).conjugate()
+                       - dirichlet_l(s.conjugate(), q)) < 1e-12
 
     def test_euler_product(self):
         for q in (1, -4, 5):
             ep = euler_product_l(3.0, q, 10_000)
-            assert abs(ep - dirichlet_l(3.0, q).value) < 1e-8
+            assert abs(ep - dirichlet_l(3.0, q)) < 1e-8
 
     def test_dedekind_factorization(self):
-        for s in (2.0, 1.1 + 0.4j, 0.7 + 2.0j):
-            assert abs(zeta_gaussian(s)
-                       - zeta(s) * dirichlet_l(s, -4).value) < 1e-12
+        # zeta(s) L(s, chi_{-4}) = sum_n a(n) n^{-s}, a(n) = sqrt(n) r_1(n)
+        # the divisor sum of chi_{-4}; as |a(n)| <= d(n) <= 2 sqrt(n), the
+        # tail past n = 2000 is below 2 / (3.5 * 2000^3.5) at Re s = 5
+        n = np.arange(1, 2001)
+        a = np.array([r_coeff(1, int(k)) for k in n]) * np.sqrt(n)
+        for s in (5.0, 5.0 + 2.0j, 5.0 - 7.5j):
+            series = np.sum(a * np.exp(-s * np.log(n)))
+            lhs = dirichlet_l(s, 1) * dirichlet_l(s, -4)
+            assert abs(lhs - series) < 2 / (3.5 * 2000 ** 3.5) + 1e-14
 
     def test_imprimitive_euler_factor(self):
         # chi_16 is principal on odd integers: L(s, chi_16) = zeta(s)(1 - 2^-s)
         for s in (1.5, 2.0 + 0.5j, 0.9 + 0.1j):
-            lhs = dirichlet_l(s, 16).value
-            rhs = zeta(s) * (1 - 2 ** (-complex(s)))
+            lhs = dirichlet_l(s, 16)
+            rhs = dirichlet_l(s, 1) * (1 - 2 ** (-complex(s)))
             assert abs(lhs - rhs) < 1e-11
 
     def test_class_number_value(self):
         # L(1, chi_5) = 2 log((1 + sqrt 5)/2) / sqrt 5
         want = 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)
-        assert abs(dirichlet_l(1.0, 5).value - want) < 1e-12
+        assert abs(dirichlet_l(1.0, 5) - want) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.3, 0.7), st.floats(-9.0, 9.0),
@@ -213,7 +245,7 @@ class TestDirichletL:
 
     def test_zeta_minus_half(self):
         # zeta(-1/2) = -zeta(3/2) / (4 pi), to 20 digits
-        assert abs(zeta(-0.5) - (-0.20788622497735456602)) < 2e-14
+        assert abs(dirichlet_l(-0.5, 1) - (-0.20788622497735456602)) < 2e-14
 
     @pytest.mark.parametrize("s, q", [(-7.0, 1), (-10.0, 1), (-3.0, 5),
                                       (-0.51 + 3j, -4)])
@@ -227,7 +259,7 @@ class TestDirichletL:
     def test_critical_line_value(self):
         # L(1/2 + 100i, chi_5) from mpmath's Hurwitz zeta at 30 digits
         want = 0.21059417943142233 + 0.544811244593602j
-        got = dirichlet_l(0.5 + 100j, 5).value
+        got = dirichlet_l(0.5 + 100j, 5)
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_continuous_through_one(self):
@@ -235,7 +267,7 @@ class TestDirichletL:
         # L'(1) between -0.2 and 0.4 for these characters, so the vector
         # path must stay within |s - 1| of L(1) down to s = 1 itself
         for q in (-4, 5, -52, 8, -3):
-            at_one = dirichlet_l(1.0, q).value
+            at_one = dirichlet_l(1.0, q)
             for h in [10.0 ** -e for e in range(3, 13)] + [0.0]:
                 val = dirichlet_l_vec(np.array([1.0 + h]), q)[0]
                 assert cmath.isfinite(val)
@@ -359,23 +391,25 @@ class TestEulerMaclaurinCut:
 
 
 class TestHurwitz:
+    @staticmethod
+    def _hurwitz(s, a):
+        # zeta(s, a) as the evaluator's grid at the single class a
+        return _hurwitz_grid(np.array([complex(s)]), np.zeros(1),
+                             np.array([a]), np.ones(1))[0, 0]
+
     def test_reduces_to_zeta(self):
-        assert abs(hurwitz_zeta(2.0, 1.0) - math.pi ** 2 / 6) < 1e-12
+        assert abs(self._hurwitz(2.0, 1.0) - math.pi ** 2 / 6) < 1e-12
 
     def test_splitting_identity(self):
         # zeta(s, a/2) decomposition: zeta(s) (2^s - ...) spot check via
         # zeta(s, 1/2) = (2^s - 1) zeta(s)
         for s in (2.0, 3.5, 1.5 + 1.0j):
-            lhs = hurwitz_zeta(s, 0.5)
-            rhs = (2 ** complex(s) - 1) * zeta(s)
+            lhs = self._hurwitz(s, 0.5)
+            rhs = (2 ** complex(s) - 1) * dirichlet_l(s, 1)
             assert abs(lhs - rhs) < 1e-10
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            hurwitz_zeta(2.0, 1.5)
 
 
 def test_fundamental_discriminant_type():
-    assert FundamentalDiscriminant(5).chi(2) == -1
-    with pytest.raises(ValueError):
-        FundamentalDiscriminant(9)
+    assert kronecker(5, 2) == -1
+    with pytest.raises(ValueError, match="not 1 or a fundamental"):
+        require_fundamental_discriminant(9)

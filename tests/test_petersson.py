@@ -624,7 +624,7 @@ class TestMainTerm:
     def test_five_l_product(self):
         prod = 4.0
         for q in (5, -20, 13, -52, 65):
-            prod *= dirichlet_l(1.0, q).value.real
+            prod *= dirichlet_l(1.0, q).real
         rep = main_term_residue(5, 13, 1000.0, 10)
         assert abs(rep.residue - prod) < 1e-6
         assert rep.imag_defect < 1e-10

@@ -8,11 +8,8 @@ from siegelsums.acceptance import _random_unimodular
 from siegelsums.matcore import HalfIntegralForm, IntMat2, SingularModulusError
 from siegelsums.sp4 import (
     CompletionError,
-    blocks_to_mat4,
     complete_to_symplectic,
     enumerate_bottom_cosets,
-    is_bottom_pair,
-    is_symplectic,
     minor_gcd,
 )
 
@@ -29,17 +26,39 @@ def is_symplectic_reference(m):
     return mul(mul(mt, J4), m) == J4
 
 
+def blocks_to_mat4(a, b, c, d):
+    """The 4x4 integer matrix [[A, B], [C, D]] as nested lists."""
+    return [
+        [a.a, a.b, b.a, b.b],
+        [a.c, a.d, b.c, b.d],
+        [c.a, c.b, d.a, d.b],
+        [c.c, c.d, d.c, d.d],
+    ]
+
+
+def is_bottom_pair(c, d):
+    """(C, D) is the bottom row of some element of Sp4(Z): C D^T symmetric
+    and the 2x4 block (C D) primitive.  Holds for singular C too; for
+    det C != 0 the first condition is C^{-1} D symmetric."""
+    return c.mul(d.t()).is_symmetric() and minor_gcd(c, d) == 1
+
+
+def completed(c, d):
+    """The 4x4 matrix of ``complete_to_symplectic``'s completion of (C, D)."""
+    return blocks_to_mat4(*complete_to_symplectic(c, d), c, d)
+
+
 class TestPredicates:
     def test_identity_symplectic(self):
-        assert is_symplectic([[1, 0, 0, 0], [0, 1, 0, 0],
-                              [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert is_symplectic_reference([[1, 0, 0, 0], [0, 1, 0, 0],
+                                        [0, 0, 1, 0], [0, 0, 0, 1]])
 
     def test_j_symplectic(self):
-        assert is_symplectic(J4)
+        assert is_symplectic_reference(J4)
 
     def test_diag_2111_not(self):
-        assert not is_symplectic([[2, 0, 0, 0], [0, 1, 0, 0],
-                                  [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert not is_symplectic_reference([[2, 0, 0, 0], [0, 1, 0, 0],
+                                            [0, 0, 1, 0], [0, 0, 0, 1]])
 
     def test_bottom_pair_examples(self):
         assert is_bottom_pair(I, IntMat2.zero())
@@ -49,14 +68,9 @@ class TestPredicates:
         assert not is_bottom_pair(IntMat2.scalar(3), IntMat2(1, 1, 1, 1))
 
     def test_singular_rejected(self):
+        # a singular C is a bottom row but no Kloosterman modulus
         with pytest.raises(SingularModulusError):
-            is_bottom_pair(IntMat2(1, 1, 1, 1), IntMat2.zero())
-
-    def test_symplectic_matches_reference_on_random(self):
-        rng = random.Random(3)
-        for _ in range(20_000):
-            m = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
-            assert is_symplectic(m) == is_symplectic_reference(m), m
+            enumerate_bottom_cosets(IntMat2(1, 1, 1, 1))
 
     def test_symplectic_matches_reference_on_completions(self):
         # every completion is symplectic; with one entry moved by +-1 it
@@ -68,32 +82,33 @@ class TestPredicates:
             if not 0 < abs(c.det()) <= 12:
                 continue
             for d in enumerate_bottom_cosets(c):
-                comp = complete_to_symplectic(c, d)
-                m = blocks_to_mat4(comp.a, comp.b, c, d)
-                assert is_symplectic(m) and is_symplectic_reference(m)
+                m = completed(c, d)
+                assert is_symplectic_reference(m)
                 m[rng.randrange(4)][rng.randrange(4)] += rng.choice((1, -1))
                 broken += not is_symplectic_reference(m)
-                assert is_symplectic(m) == is_symplectic_reference(m)
                 checked += 1
         assert (checked, broken) == (6096, 5890)
 
 
 class TestCompletion:
     def test_identity_zero(self):
-        comp = complete_to_symplectic(I, IntMat2.zero())
-        assert comp.a == IntMat2.zero() and comp.b == IntMat2(-1, 0, 0, -1)
-        assert is_symplectic(blocks_to_mat4(comp.a, comp.b, I, IntMat2.zero()))
+        a, b = complete_to_symplectic(I, IntMat2.zero())
+        assert a == IntMat2.zero() and b == IntMat2(-1, 0, 0, -1)
+        assert is_symplectic_reference(blocks_to_mat4(a, b, I, IntMat2.zero()))
 
     def test_scalar_modulus_valid_pairs(self):
         c = IntMat2.scalar(3)
         for d in enumerate_bottom_cosets(c):
-            comp = complete_to_symplectic(c, d)
-            assert is_symplectic(blocks_to_mat4(comp.a, comp.b, c, d))
+            assert is_symplectic_reference(completed(c, d))
 
     def test_invalid_pair_rejected(self):
-        with pytest.raises(CompletionError,
-                           match="not a symplectic bottom row"):
-            complete_to_symplectic(IntMat2.scalar(3), IntMat2(1, 1, 1, 1))
+        # an imprimitive and an asymmetric pair: no integer solution
+        for c, d in ((IntMat2.scalar(3), IntMat2(1, 1, 1, 1)),
+                     (I, IntMat2(0, 1, 0, 0))):
+            assert not is_bottom_pair(c, d)
+            with pytest.raises(CompletionError,
+                               match="not a symplectic bottom row"):
+                complete_to_symplectic(c, d)
 
     def test_generic_moduli(self):
         rng = random.Random(7)
@@ -103,8 +118,7 @@ class TestCompletion:
             if c.det() == 0 or c.is_scalar():
                 continue
             for d in enumerate_bottom_cosets(c)[:4]:
-                comp = complete_to_symplectic(c, d)
-                assert is_symplectic(blocks_to_mat4(comp.a, comp.b, c, d))
+                assert is_symplectic_reference(completed(c, d))
                 done += 1
 
     def test_completions_differ_by_symmetric_multiple(self):
@@ -112,17 +126,45 @@ class TestCompletion:
         # = tr(S Q) is an integer for every half-integral Q
         c = IntMat2(2, 1, 0, 3)
         d = enumerate_bottom_cosets(c)[0]
-        comp = complete_to_symplectic(c, d)
+        a, b = complete_to_symplectic(c, d)
         for s in (IntMat2(1, 0, 0, 0), IntMat2(0, 1, 1, 0), IntMat2(2, 1, 1, -1)):
-            a2 = comp.a.add(s.mul(c))
-            b2 = comp.b.add(s.mul(d))
-            assert is_symplectic(blocks_to_mat4(a2, b2, c, d))
-            diff = a2.add(comp.a.scale(-1))
+            a2 = a.add(s.mul(c))
+            b2 = b.add(s.mul(d))
+            assert is_symplectic_reference(blocks_to_mat4(a2, b2, c, d))
+            diff = a2.add(a.scale(-1))
             # recover S = diff C^{-1} and check integrality of tr(S Q)
             q = HalfIntegralForm(2, 1, 3)
             num = diff.mul(c.adj()).mul(q.doubled())
             tr2det = num.a + num.d  # 2 det(C) tr(S Q)
             assert tr2det % (2 * c.det()) == 0
+
+
+class TestSingularCompletion:
+    @pytest.mark.parametrize("c, d", [
+        (IntMat2.zero(), I),
+        (IntMat2.diag(1, 0), IntMat2.diag(0, 1)),
+    ], ids=["0-I", "diag10-diag01"])
+    def test_singular_bottom_rows_complete(self, c, d):
+        # (0, I) is the bottom row of I4; det C = 0 is no obstruction
+        assert is_bottom_pair(c, d)
+        assert is_symplectic_reference(completed(c, d))
+
+    def test_completes_exactly_the_bottom_rows(self):
+        # every (C, D) with entries in {-1, 0, 1}: the solve succeeds
+        # exactly on the oracle's bottom rows, singular C included, and
+        # each completion is symplectic
+        completed_rows = singular = 0
+        for entries in itertools.product((-1, 0, 1), repeat=8):
+            c, d = IntMat2(*entries[:4]), IntMat2(*entries[4:])
+            try:
+                m = completed(c, d)
+            except CompletionError:
+                assert not is_bottom_pair(c, d), (c, d)
+                continue
+            assert is_bottom_pair(c, d) and is_symplectic_reference(m), (c, d)
+            completed_rows += 1
+            singular += c.det() == 0
+        assert (completed_rows, singular) == (1440, 488)
 
 
 class TestCosets:
