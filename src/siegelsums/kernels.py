@@ -83,19 +83,6 @@ class KernelArg:
         if self.eig1 <= 0 or self.eig2 <= 0:
             raise ValueError("eigenvalues must be positive")
 
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "KernelArg":
-        """Eigenvalues via the quadratic formula; they must be real positive."""
-        tr = float(m[0, 0] + m[1, 1])
-        det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        disc = tr * tr - 4.0 * det
-        if disc < 0:
-            if disc < -1e-9 * max(tr * tr, 1.0):
-                raise ValueError("matrix has non-real eigenvalues")
-            disc = 0.0
-        r = math.sqrt(disc)
-        return KernelArg(0.5 * (tr - r), 0.5 * (tr + r))
-
     def s_values(self) -> tuple[float, float]:
         return math.sqrt(self.eig1), math.sqrt(self.eig2)
 
@@ -134,14 +121,32 @@ def script_j(ell: float, arg: KernelArg) -> float:
         "doublings")
 
 
-def script_j_for_forms(ell: float, t_form: HalfIntegralForm,
-                       q_form: HalfIntegralForm, c: IntMat2) -> KernelArg:
-    """Eigenvalue argument of the kernel attached to T C^{-1} Q C^{-T}."""
-    det = c.det()
-    cinvt = np.array([[c.d, -c.b], [-c.c, c.a]], dtype=float) / det
-    tm = np.array([[t_form.t1, t_form.t2 / 2], [t_form.t2 / 2, t_form.t4]])
-    qm = np.array([[q_form.t1, q_form.t2 / 2], [q_form.t2 / 2, q_form.t4]])
-    return KernelArg.from_matrix(tm @ cinvt @ qm @ cinvt.T)
+def script_j_for_forms(t_form: HalfIntegralForm, q_form: HalfIntegralForm,
+                       c: IntMat2) -> KernelArg:
+    """Eigenvalue argument of the kernel attached to T C^{-1} Q C^{-T}.
+
+    With A = adj C and delta = det C, the matrix is T A Q A^T / delta^2 for
+    the symmetric matrices of the forms.  Its trace is x / den and its
+    determinant y / den for the integers x = 16 tr(T A Q A^T), y = det4 T
+    det4 Q and den = 16 delta^2, taken in lowest terms.  The eigenvalues
+    are (x +- sqrt(x^2 - 4 y den)) / (2 den), the smaller one formed as
+    2 y / (x + sqrt(x^2 - 4 y den)): the discriminant is an exact integer
+    and no subtraction follows.  The reduced triple is unique for a given
+    trace and determinant, so equal arguments give bit-equal floats and
+    one cached kernel each."""
+    a, b, c21, d = c.entries()
+    q1, q2, q4 = q_form.t1, q_form.t2, q_form.t4
+    # A Q A^T as a form (p1, p2, p4), A = [[d, -b], [-c21, a]]
+    p1 = q1 * d * d - q2 * b * d + q4 * b * b
+    p2 = q2 * (a * d + b * c21) - 2 * (q1 * c21 * d + q4 * a * b)
+    p4 = q1 * c21 * c21 - q2 * a * c21 + q4 * a * a
+    x = 16 * (t_form.t1 * p1 + t_form.t4 * p4) + 8 * t_form.t2 * p2
+    y = t_form.det4() * q_form.det4()
+    den = 16 * (a * d - b * c21) ** 2
+    g = math.gcd(x, y, den)
+    x, y, den = x // g, y // g, den // g
+    root = x + math.sqrt(x * x - 4 * y * den)
+    return KernelArg(2 * y / root, root / (2 * den))
 
 
 # ---------------------------------------------------------------------------

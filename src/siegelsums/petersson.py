@@ -267,7 +267,8 @@ def _rank1_tail_bound(det_tq: float, n: int, z: float, ell: float) -> float:
 # Rank-2 helpers
 
 
-# one cold coefficient misses 121-155 times at N <= 43 and 302 at N = 47;
+# one cold coefficient of ((1,1,1), (1,1,2)) misses 69 times at N <= 43 and
+# 145 at N = 47, once per distinct exact argument (``script_j_for_forms``);
 # the bound keeps a sweep over levels from growing without end
 @lru_cache(maxsize=4096)
 def _script_j_cached(ell: float, e1: float, e2: float) -> float:
@@ -284,7 +285,7 @@ def _one_of_each_pair(moduli: list[IntMat2]) -> list[IntMat2]:
 def _kernel_weight(q: HalfIntegralForm, t: HalfIntegralForm, ell: float,
                    c: IntMat2) -> float:
     """The rank-2 kernel at the modulus c = N C'."""
-    arg = script_j_for_forms(ell, t, q, c)
+    arg = script_j_for_forms(t, q, c)
     return _script_j_cached(ell, arg.eig1, arg.eig2)
 
 
@@ -300,8 +301,10 @@ def _rank2_terms(q: HalfIntegralForm, t: HalfIntegralForm,
     The term of -C' is the term of C', bit for bit.  -I_4 in Sp4(Z)
     carries the cosets of C onto those of -C and leaves A C^{-1} and
     C^{-1} D unchanged, so the phase histograms, and with them the tallied
-    values, are equal; and ``script_j_for_forms`` negates C^{-T} exactly,
-    on both sides, so the kernel argument is the same float pair."""
+    values, are equal.  ``script_j_for_forms`` reads the kernel argument
+    from the exact integers tr(T adj(C) Q adj(C)^T) and (det C)^2, which
+    adj(-C) = -adj(C) leaves unchanged, so the argument is the same float
+    pair."""
     n = params.level
     ell = params.ell
     for cp in _one_of_each_pair(moduli):
@@ -341,9 +344,10 @@ def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
 
     The shell sum visits one C' of each pair C', -C' and counts it twice,
     as ``_rank2_terms`` does: the envelope of -C' is that of C', bit for
-    bit.  The kernel factor is equal as in ``_rank2_terms``, and c1, c2
-    are.  For t4: ``_xgcd(-a, -b)`` is ``(g, -s, -t)`` when ``_xgcd(a, b)``
-    is ``(g, s, t)`` (negating both arguments keeps every floor quotient),
+    bit.  The kernel factor is equal as in ``_rank2_terms`` (its argument
+    comes from integers that C -> -C leaves unchanged), and c1, c2 are.
+    For t4: ``_xgcd(-a, -b)`` is ``(g, -s, -t)`` when ``_xgcd(a, b)`` is
+    ``(g, s, t)`` (negating both arguments keeps every floor quotient),
     so ``elementary_divisors`` runs on -C through the same steps as on C
     up to signs, and returns -V or V (tests/test_matcore.py checks this);
     V^T T V is the same form.

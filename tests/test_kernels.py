@@ -29,6 +29,22 @@ from siegelsums.petersson import SpectralParams, tail_diagnostic
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def kernel_arg_from_matrix(m: np.ndarray) -> KernelArg:
+    """Eigenvalues of a float 2x2 matrix via the quadratic formula, an
+    oracle for the exact route of script_j_for_forms; they must be real
+    and positive.  The smaller one, 0.5 * (tr - r), loses digits to
+    cancellation."""
+    tr = float(m[0, 0] + m[1, 1])
+    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    disc = tr * tr - 4.0 * det
+    if disc < 0:
+        if disc < -1e-9 * max(tr * tr, 1.0):
+            raise ValueError("matrix has non-real eigenvalues")
+        disc = 0.0
+    r = math.sqrt(disc)
+    return KernelArg(0.5 * (tr - r), 0.5 * (tr + r))
+
+
 def bessel_j_series(nu: float, x: float) -> float:
     """Ascending power series for J_nu(x), an oracle for bessel_j.
 
@@ -204,16 +220,17 @@ class TestScriptJ:
     def test_depends_only_on_eigenvalues(self):
         m = np.array([[2.0, 0.3], [0.1, 1.0]])
         u = np.array([[1.0, 1.0], [0.0, 1.0]])
-        a1 = KernelArg.from_matrix(m)
-        a2 = KernelArg.from_matrix(u @ m @ np.linalg.inv(u))
+        a1 = kernel_arg_from_matrix(m)
+        a2 = kernel_arg_from_matrix(u @ m @ np.linalg.inv(u))
         assert abs(a1.eig1 - a2.eig1) < 1e-12 and abs(a1.eig2 - a2.eig2) < 1e-12
         assert abs(script_j(8.5, a1) - script_j(8.5, a2)) < 1e-10
 
     def test_go2_moduli_reduce_to_scalar(self):
+        # C C^T = 5 I, so T C^{-1} Q C^{-T} = (6 / 5) I: the reduced triple
+        # is (x, y, den) = (60, 36, 25) with a zero discriminant
         c = IntMat2(2, 1, -1, 2)
-        arg = script_j_for_forms(8.5, HalfIntegralForm.scalar(2),
-                                 HalfIntegralForm.scalar(3), c)
-        assert abs(arg.eig1 - 6 / 5) < 1e-12 and abs(arg.eig2 - 6 / 5) < 1e-12
+        t, q = HalfIntegralForm.scalar(2), HalfIntegralForm.scalar(3)
+        assert script_j_for_forms(t, q, c) == KernelArg(6 / 5, 6 / 5)
 
     def test_dual_resolution(self, monkeypatch):
         for eigs in ((1.0, 1.0), (0.04, 9.0), (2.5, 0.3)):

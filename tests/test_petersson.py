@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from siegelsums import acceptance, petersson, sp4
 from siegelsums.expsums import SumValue, kloosterman, kloosterman_factored
 from siegelsums.kernels import (
+    KernelArg,
     bessel_j,
     script_j,
     script_j_for_forms,
@@ -150,7 +153,7 @@ def reference_rank2_terms(q, t, params, moduli):
         if kv.value == 0:
             terms[cp] = 0j
             continue
-        arg = petersson.script_j_for_forms(ell, t, q, c)
+        arg = petersson.script_j_for_forms(t, q, c)
         kern = petersson._script_j_cached(ell, arg.eig1, arg.eig2)
         terms[cp] = kv.value * kern / abs(c.det()) ** 1.5
     return terms
@@ -169,10 +172,75 @@ def reference_shell_envelopes(q, t, params):
         c1, c2, _, v = petersson.elementary_divisors(c)
         gcd = math.gcd(c2, t.conjugate_left(v).t4)
         k_env = 8.0 * c1 * c1 * math.sqrt(c2) * math.sqrt(gcd)
-        arg = petersson.script_j_for_forms(ell, t, q, c)
+        arg = petersson.script_j_for_forms(t, q, c)
         kern = petersson._script_j_cached(ell, arg.eig1, arg.eig2)
         envs[cp] = k_env * abs(kern) / abs(c.det()) ** 1.5
     return envs
+
+
+def exact_trace_det(t, q, c):
+    """Trace and determinant of T C^{-1} Q C^{-T} in exact rationals."""
+    det = c.det()
+    cinv = [[Fraction(c.d, det), Fraction(-c.b, det)],
+            [Fraction(-c.c, det), Fraction(c.a, det)]]
+    tm, qm = ([[Fraction(f.t1), Fraction(f.t2, 2)],
+               [Fraction(f.t2, 2), Fraction(f.t4)]] for f in (t, q))
+
+    def mul(x, y):
+        return [[sum(x[i][j] * y[j][k] for j in range(2)) for k in range(2)]
+                for i in range(2)]
+
+    m = mul(mul(mul(tm, cinv), qm), [list(r) for r in zip(*cinv)])
+    return m[0][0] + m[1][1], m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def exact_eigenvalues(tr, det):
+    """The two eigenvalues of trace tr and determinant det, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        disc = tr * tr - 4 * det
+        root = (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
+        trace = Decimal(tr.numerator) / Decimal(tr.denominator)
+        return (trace - root) / 2, (trace + root) / 2
+
+
+def numpy_script_j_for_forms(t, q, c):
+    """The kernel argument of T C^{-1} Q C^{-T} from a float numpy chain
+    and the quadratic formula, the route script_j_for_forms replaced; the
+    smaller eigenvalue, 0.5 * (tr - r), loses digits to cancellation."""
+    cinv = np.array([[c.d, -c.b], [-c.c, c.a]], dtype=float) / c.det()
+    tm, qm = (np.array([[f.t1, f.t2 / 2], [f.t2 / 2, f.t4]]) for f in (t, q))
+    m = tm @ cinv @ qm @ cinv.T
+    tr = float(m[0, 0] + m[1, 1])
+    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    r = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
+    return KernelArg(0.5 * (tr - r), 0.5 * (tr + r))
+
+
+def kernel_shift_bound(ell, arg, d1, d2):
+    """First-order bound on the relative move of script_j(ell, arg) when
+    the eigenvalues move by the relative amounts d1 and d2, valid while
+    z = x^2 / (4 ell + 4) < 1 at the largest argument x = 4 pi s2.
+
+    A move of log e_i by d_i moves J(x_i) (J = J_ell, x_i = 4 pi s_i sin t)
+    by d_i x_i J'(x_i) / 2.  x J'(x) = ell J(x) - x J_{ell+1}(x), with
+    |J_{ell+1}(x)| <= (x/2)^{ell+1} / Gamma(ell + 2) (DLMF 10.14.4) and
+    J(x) >= (1 - z) (x/2)^ell / Gamma(ell + 1) (the power series alternates
+    with falling terms while z < 1), gives |x J'(x)| / J(x) <= ell + 2 z /
+    (1 - z).  Near 0 this is the ell (d1 + d2) / 2 of the kernel's scaling
+    (s1 s2)^ell.  The integrand is positive, so the bound holds for the
+    quadrature's positive-weight sum as for the integral."""
+    z = (4 * math.pi) ** 2 * arg.eig2 / (4 * ell + 4)
+    assert z < 1
+    return (d1 + d2) * (ell + 2 * z / (1 - z)) / 2
+
+
+def kernel_moduli(params):
+    """The moduli N C' of the box and its shell of width 1, whose kernels a
+    coefficient looks up."""
+    return [cp.scale(params.level)
+            for cp in truncation_set(params.m_bound)
+            + shell_matrices(params.m_bound, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -432,8 +500,9 @@ class TestHFourier:
         assert sp4._pI_grid.cache_info().currsize <= 2
 
     def test_script_j_cache_is_bounded(self):
-        # one cold coefficient looks up 121-302 distinct kernels at
-        # N <= 47, far below the bound; a sweep over levels stays inside it
+        # one cold coefficient looks up 69 distinct kernels at N <= 43 and
+        # 145 at N = 47, far below the bound; a sweep over levels stays
+        # inside it
         cache = petersson._script_j_cached
         acceptance.clear_all_caches()
         q, t = PAIRS["111-112"]
@@ -476,7 +545,7 @@ class TestHFourier:
         box = truncation_set(params.m_bound)
         shell = shell_matrices(params.m_bound, 1)
         assert len(box) == 288
-        kernel = {cp: script_j(ell, script_j_for_forms(ell, t, q, cp.scale(n)))
+        kernel = {cp: script_j(ell, script_j_for_forms(t, q, cp.scale(n)))
                   for cp in box + shell}
 
         def direct_term(cp):
@@ -578,6 +647,87 @@ class TestHFourier:
             ref_bound += ref_envs[cp]
         ref_bound *= 2.0
         assert abs(bound - ref_bound) <= len(shell) * eps * ref_bound
+
+
+class TestKernelArguments:
+    @pytest.mark.parametrize("level", [3, 47, 101])
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_eigenvalues_within_two_ulps(self, level, pair):
+        # the float numpy route lost up to 6e-13 of the smaller eigenvalue
+        # to cancellation
+        q, t = PAIRS[pair]
+        for c in kernel_moduli(SpectralParams(k=10, level=level)):
+            arg = script_j_for_forms(t, q, c)
+            want = exact_eigenvalues(*exact_trace_det(t, q, c))
+            for got, exact in zip((arg.eig1, arg.eig2), want):
+                ulp = Decimal(math.ulp(float(exact)))
+                assert abs(Decimal(got) - exact) <= 2 * ulp, (c, got, exact)
+
+    @pytest.mark.parametrize("level", [3, 47, 101])
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_one_float_pair_per_exact_argument(self, level, pair):
+        q, t = PAIRS[pair]
+        seen = set()
+        for c in kernel_moduli(SpectralParams(k=10, level=level)):
+            arg = script_j_for_forms(t, q, c)
+            seen.add((exact_trace_det(t, q, c), (arg.eig1, arg.eig2)))
+        exact = {e for e, _ in seen}
+        floats = {f for _, f in seen}
+        assert len(seen) == len(exact) == len(floats)
+
+    @pytest.mark.parametrize("level, misses", [(3, 69), (47, 145)])
+    def test_cold_coefficient_runs_one_kernel_per_exact_argument(
+            self, level, misses):
+        q, t = PAIRS["111-112"]
+        params = SpectralParams(k=10, level=level)
+        exact = {exact_trace_det(t, q, c) for c in kernel_moduli(params)}
+        assert len(exact) == misses
+        acceptance.clear_all_caches()
+        h_fourier(q, t, params)
+        assert petersson._script_j_cached.cache_info().misses == misses
+
+    def test_rank2_matches_numpy_argument_route(self, monkeypatch):
+        # the rank-2 sum and the shell budget against the term-by-term
+        # references run on the float numpy route, at the level and pair
+        # where the routes differ most: each kernel moves by at most
+        # kernel_shift_bound of the routes' eigenvalue discrepancy, and the
+        # sums add n 2^-52 sum |term| for their n terms, which also covers
+        # the kernels' own rounding
+        q, t = PAIRS["111-112"]
+        params = SpectralParams(k=10, level=47)
+        n, ell = params.level, params.ell
+        box = truncation_set(params.m_bound)
+        shell = shell_matrices(params.m_bound, 1)
+        eps = 2.0 ** -52
+        r2 = _rank2_sum(q, t, params)[0]
+        bound = _rank2_shell_bound(q, t, params)
+        move = {}  # bound on the kernel's relative move
+        for cp in box + shell:
+            c = cp.scale(n)
+            new = script_j_for_forms(t, q, c)
+            old = numpy_script_j_for_forms(t, q, c)
+            move[cp] = kernel_shift_bound(
+                ell, new, abs(old.eig1 - new.eig1) / new.eig1,
+                abs(old.eig2 - new.eig2) / new.eig2)
+        monkeypatch.setattr(petersson, "script_j_for_forms",
+                            numpy_script_j_for_forms)
+        ref_terms = reference_rank2_terms(q, t, params, box)
+        ref_envs = reference_shell_envelopes(q, t, params)
+
+        ref_r2 = 0j
+        for cp in box:
+            ref_r2 += ref_terms[cp]
+        size2 = sum(abs(ref_terms[cp]) for cp in box)
+        tol2 = (sum(move[cp] * abs(ref_terms[cp]) for cp in box)
+                + len(box) * eps * size2)
+        assert abs(r2 - ref_r2) <= tol2
+        ref_bound = 0.0
+        for cp in shell:
+            ref_bound += ref_envs[cp]
+        ref_bound *= 2.0
+        tol_bound = (2.0 * sum(move[cp] * ref_envs[cp] for cp in shell)
+                     + len(shell) * eps * ref_bound)
+        assert abs(bound - ref_bound) <= tol_bound
 
 
 class TestGram:
