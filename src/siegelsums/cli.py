@@ -17,11 +17,11 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
+import time
 
 from .matcore import HalfIntegralForm, IntMat2
-from . import expsums, kernels, lfun, petersson, verify as verify_mod
+from . import acceptance, expsums, kernels, lfun, petersson
 
 FORMATS = ("json", "csv", "human")
 POLYS = ("1-s^2", "(1-s)^2")
@@ -132,9 +132,23 @@ def _fit(a):
 
 
 def _verify(a):
-    passed, failed, names = verify_mod.run_suite(a.module)
-    return complex(passed, failed), passed + failed, "suite", {
-        "failures": names, "exit_status": 1 if failed else 0}
+    """Every acceptance criterion once, in order, one PASS or FAIL line each
+    on stderr; a criterion that raises counts as failed."""
+    failures = []
+    for number, criterion in enumerate(acceptance.CRITERIA, 1):
+        t0 = time.perf_counter()
+        try:
+            rec = criterion()
+            line, ok = f"criterion {number}: {rec['name']}", rec["pass"]
+        except Exception as exc:  # noqa: BLE001 - report any criterion failure
+            line, ok = f"criterion {number}: {exc!r}", False
+        print(f"{'PASS' if ok else 'FAIL'} {line} "
+              f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)
+        if not ok:
+            failures.append(line)
+    n = len(acceptance.CRITERIA)
+    return complex(n - len(failures), len(failures)), n, "suite", {
+        "failures": failures, "exit_status": 1 if failures else 0}
 
 
 # Each subcommand once: name -> (help, {"x": keywords of the flag --x},
@@ -144,11 +158,9 @@ COMMANDS = {
         "K(Q, T; C)", {"q": FORM, "t": FORM, "c": MATRIX},
         lambda a: _exact(expsums.kloosterman(a.q, a.t, a.c))),
     "salie": (
-        "H^+/-(P, S; c)",
-        {"p": FORM, "s": FORM, "c": INT,
-         "sign": {"choices": ("+", "-"), "default": "+"}},
-        lambda a: _exact(expsums.salie(a.p, a.s, a.c,
-                                       1 if a.sign == "+" else -1))),
+        "H^+(P, S; c); H^-(P, S; c) is --s s1,-s2,s4",
+        {"p": FORM, "s": FORM, "c": INT},
+        lambda a: _exact(expsums.salie(a.p, a.s, a.c))),
     "gauss": (
         "sum_x e((a x^2 + b x)/c)", {"a": INT, "b": INT, "c": INT},
         lambda a: _exact(expsums.gauss_sum(a.a, a.b, a.c))),
@@ -199,10 +211,7 @@ COMMANDS = {
          "ns": {"type": parse_levels, "default": "100,1000,10000,100000",
                 "help": "comma-separated sample levels"},
          "degree": {"type": int, "default": None}}, _fit),
-    "verify": (
-        "run module property suites",
-        {"module": {"default": "all", "choices": (*verify_mod.SUITES, "all")}},
-        _verify),
+    "verify": ("run the acceptance battery", {}, _verify),
 }
 
 
@@ -243,9 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="siegelsums",
         description="Symplectic Kloosterman sums, Bessel kernels, and "
                     "spectral-identity verification.")
-    ap.add_argument("--format", choices=FORMATS,
-                    default=os.environ.get("SIEGELSUMS_FORMAT", "json"),
-                    help="output format (env SIEGELSUMS_FORMAT)")
+    ap.add_argument("--format", choices=FORMATS, default="json",
+                    help="output format")
     sub = ap.add_subparsers(dest="cmd", required=True)
     for name, (help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)

@@ -156,20 +156,19 @@ def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int,
-          sign: int) -> SumValue:
-    """Salie-type sum H^{+/-}(P, S; c).
+def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
+    """Salie-type sum H^+(P, S; c).
 
     Vanishes unless s4 == p4.  Otherwise sums, over d1 mod c coprime to c
     and d2 mod c,
 
-        e( (inv(d1) (s4 d2^2 -/+ p2 d2 + p1) + s2 d2 + d1 s1) / c )
+        e( (inv(d1) (s4 d2^2 - p2 d2 + p1) + s2 d2 + d1 s1) / c )
 
-    times the constant non-integral phase e( -/+ p2 s2 / (2 c s4) ), where
-    the upper signs belong to sign = +1.
+    times the constant non-integral phase e( -p2 s2 / (2 c s4) ).  The
+    minus sum, with +p2 in both places, is H^-(P, S; c) = H^+(P, S'; c) for
+    S' = (s1, -s2, s4): d2 -> -d2 permutes the numerators and keeps the
+    phase, so the two agree bit for bit.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     if c < 1:
         raise ValueError("c must be >= 1")
     if s.t4 != p.t4:
@@ -179,11 +178,11 @@ def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int,
     d1, d1bar = _unit_table(c)
     d2 = np.arange(c, dtype=np.int64)
     # coefficients reduced mod c first, so no product exceeds c^2
-    quad = (s.t4 % c * (d2 * d2 % c) + (-sign * p.t2) % c * d2 + p.t1 % c) % c
+    quad = (s.t4 % c * (d2 * d2 % c) + (-p.t2) % c * d2 + p.t1 % c) % c
     nums = (d1bar[:, None] * quad[None, :] + (s.t2 % c * d2)[None, :]
             + (s.t1 % c * d1)[:, None]) % c
     value = _tally_value(nums.ravel(), c)
-    offset = Fraction(-sign * p.t2 * s.t2, 2 * c * s.t4) % 1
+    offset = Fraction(-p.t2 * s.t2, 2 * c * s.t4) % 1
     value *= complex(np.exp(2j * np.pi * float(offset)))
     return SumValue(value=value, terms=nums.size, method="salie")
 

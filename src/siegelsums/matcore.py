@@ -66,9 +66,6 @@ class IntMat2:
     def is_scalar(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d
 
-    def is_symmetric(self) -> bool:
-        return self.b == self.c
-
     @staticmethod
     def identity() -> "IntMat2":
         return IntMat2(1, 0, 0, 1)
@@ -158,13 +155,6 @@ class GaussianInt:
 
     def norm(self) -> int:
         return self.x * self.x + self.y * self.y
-
-    def conj(self) -> "GaussianInt":
-        return GaussianInt(self.x, -self.y)
-
-    def mul(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.x * other.x - self.y * other.y,
-                           self.x * other.y + self.y * other.x)
 
 
 # ---------------------------------------------------------------------------

@@ -156,15 +156,19 @@ def _complete_bottom_row(u3: int, u4: int) -> IntMat2:
 
 def _rank1_forms(q: HalfIntegralForm, t: HalfIntegralForm, s: int):
     """The Salie arguments of the rank-1 terms of s, or None if there are
-    none: (P, S, multiplicity) for each distinct pair, the first from the
-    first U and V, and the P of the first U with its free top row shifted
-    by the bottom row, for the completion check.
+    none: the distinct arguments (P, S), the first from the first U and V;
+    (multiplicity, i, j) for each distinct pair (P, S), with i the index of
+    its plus sum's argument and j that of its minus sum's; and the P of the
+    first U with its free top row shifted by the bottom row, for the
+    completion check.
 
     P = U Q U^T for each primitive representation (u3, u4) of s by Q up to
     sign, the bottom row of U; S = V^{-1} T V^{-T} for each (w1, w2) by T,
     where V^{-1} = adj V has determinant one and bottom row (w1, w2).  P
     depends on U alone and S on V alone, so the multiplicity of (P, S) is
-    the count of P among the U's times the count of S among the V's."""
+    the count of P among the U's times the count of S among the V's.  The
+    minus sum is H^-(P, S; c) = H^+(P, S'; c) with S' = (s1, -s2, s4),
+    whose argument may be the plus argument of another pair."""
     ureps = _primitive_reps(q, s, mod_sign=True)
     if not ureps:
         return None
@@ -177,8 +181,12 @@ def _rank1_forms(q: HalfIntegralForm, t: HalfIntegralForm, s: int):
                  for (w1, w2) in wreps)
     first = us[0]
     shifted = IntMat2(first.a + first.c, first.b + first.d, first.c, first.d)
-    pairs = [(p, sf, mp * ms) for p, mp in ps.items() for sf, ms in ss.items()]
-    return pairs, q.conjugate_right(shifted)
+    index: dict[tuple[HalfIntegralForm, HalfIntegralForm], int] = {}
+    terms = [(mp * ms, index.setdefault((p, sf), len(index)),
+              index.setdefault((p, HalfIntegralForm(sf.t1, -sf.t2, sf.t4)),
+                               len(index)))
+             for p, mp in ps.items() for sf, ms in ss.items()]
+    return list(index), terms, q.conjugate_right(shifted)
 
 
 def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
@@ -190,10 +198,11 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
     loop over c first: c <= cs_max / s, and every c up to the cutoff for
     s = 1.  A block sums each distinct (P, S) once, times its multiplicity,
     with ``salie`` (looked up on the module at call time) run once for each
-    (P, S, c, sign): at N = 3 the 792 terms and 54 completion checks of
-    ((1,1,1), (1,1,2)) take 278 Salie values, the 2,368 terms and 82
-    checks of (I, I) 378.  The result is the term-by-term sum up to
-    rounding (tests/test_petersson.py: within n 2^{-52} sum |term|).
+    distinct argument of a plus or minus sum: at N = 3 the 792 terms and 54
+    completion checks of ((1,1,1), (1,1,2)) take 270 Salie values, the
+    2,368 terms and 82 checks of (I, I) 250.  The result is the
+    term-by-term sum up to rounding (tests/test_petersson.py: within
+    n 2^{-52} sum |term|).
 
     When (D_Q D_T | N) = -1 every Salie value is zero up to rounding
     (tests/test_petersson.py checks |H| <= 1e-12 c^{3/2}), so the sum is
@@ -214,17 +223,15 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
         forms = _rank1_forms(q, t, s)
         if forms is None:
             continue
-        pairs, p_shifted = forms
-        _, s0, _ = pairs[0]
+        args, terms, p_shifted = forms
         for c in range(n, (c_hi if s == 1 else min(c_hi, cs_max // s)) + 1, n):
             bess = bessel_j(ell, 4 * math.pi * math.sqrt(det_tq) / (c * s))
             coeff = sign_k * math.sqrt(2) * math.pi / (c ** 1.5 * math.sqrt(s))
-            values = [(mult, salie(p, sf, c, 1),
-                       salie(p, sf, c, -1).value) for p, sf, mult in pairs]
+            values = [salie(p, sf, c) for p, sf in args]
             # one completion check per (c, s) block, on its first term;
             # tests/test_petersson.py checks every term
-            first = values[0][1]
-            alt = salie(p_shifted, s0, c, 1)
+            first = values[0]
+            alt = salie(p_shifted, args[0][1], c)
             tol = max(1e-8 * max(1.0, abs(first.value)),
                       _TALLY_ULPS * 2.0 ** -52 * (first.terms + alt.terms))
             if abs(first.value - alt.value) > tol:
@@ -232,8 +239,8 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
                     f"Salie term at c = {c}, s = {s} depends on the "
                     f"completion of U: {first.value} vs {alt.value}")
             block = 0j
-            for mult, plus, minus in values:
-                block += mult * (plus.value + minus)
+            for mult, i, j in terms:
+                block += mult * (values[i].value + values[j].value)
             total += coeff * bess * block
     tail = _rank1_tail_bound(det_tq, n, min(cs_max, c_hi), ell)
     return total, tail

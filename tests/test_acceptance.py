@@ -108,7 +108,7 @@ def test_clear_all_caches_empties_every_cache():
     f, g = HalfIntegralForm(1, 0, 1), HalfIntegralForm(1, 1, 2)
     expsums.kloosterman(f, g, IntMat2(2, 1, 1, 3))
     expsums.kloosterman_pI(f, g, 3)
-    expsums.salie(f, HalfIntegralForm(2, 1, 1), 6, 1)
+    expsums.salie(f, HalfIntegralForm(2, 1, 1), 6)
     petersson.h_fourier(f, g, petersson.SpectralParams(k=10, level=3,
                                                       rank1_cutoff=3))
     petersson.main_term_residue(1, 1, 100.0, 10)

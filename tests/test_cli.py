@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from siegelsums import acceptance, cli, verify
+from siegelsums import acceptance, cli, petersson
 
 
 def run_cli(capsys, *argv):
@@ -15,6 +15,24 @@ def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0, out
     return json.loads(out)
+
+
+def fake_battery(monkeypatch, failing=(), raising=()):
+    """Replace the criteria with instant stand-ins; returns the call log."""
+    calls = []
+
+    def make(number):
+        def criterion():
+            calls.append(number)
+            if number in raising:
+                raise ArithmeticError("boom")
+            return {"criterion": number, "name": f"stand-in {number}",
+                    "pass": number not in failing}
+        return criterion
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [make(n) for n in range(1, 10)])
+    return calls
 
 
 class TestSubcommands:
@@ -34,7 +52,7 @@ class TestSubcommands:
 
     def test_salie(self, capsys):
         rec = run_json(capsys, "salie", "--p", "1,0,1", "--s", "1,0,2",
-                       "--c", "3", "--sign", "+")
+                       "--c", "3")
         assert rec["value"] == {"re": 0.0, "im": 0.0} and rec["terms"] == 0
 
     def test_gauss(self, capsys):
@@ -67,6 +85,17 @@ class TestSubcommands:
         assert abs(rec["value"]["re"] - 0.8224670334) < 1e-6
         assert len(rec["coefficients"]) == 4
 
+    def test_fit_csv_sweep(self, capsys):
+        # the residue sweep: one CSV row per level, each main_term_residue
+        levels = [100, 316, 1000, 3162, 10000, 31623, 100000]
+        code, out = run_cli(capsys, "--format", "csv", "fit", "--q1", "5",
+                            "--q2", "13", "--k", "12",
+                            "--ns", ",".join(map(str, levels)))
+        assert code == 0
+        assert out.splitlines() == ["N,residue"] + [
+            f"{float(n)},{petersson.main_term_residue(5, 13, n, 12).residue!r}"
+            for n in levels]
+
     def test_fit_csv(self, capsys):
         code, out = run_cli(capsys, "--format", "csv", "fit", "--q1", "5",
                             "--q2", "13", "--k", "10", "--ns", "100,1000")
@@ -81,10 +110,15 @@ class TestSubcommands:
         assert "tail_bound" in rec and rec["tail_bound"] >= 0
 
     def test_verify_ok(self, capsys):
-        code, out = run_cli(capsys, "verify", "--module", "expsums")
-        assert code == 0
-        rec = json.loads(out)
-        assert rec["failures"] == []
+        # the real battery, all nine criteria
+        assert cli.main(["verify"]) == 0
+        captured = capsys.readouterr()
+        rec = json.loads(captured.out)
+        assert rec["terms"] == 9 and rec["failures"] == []
+        assert rec["value"] == {"re": 9.0, "im": 0.0}
+        lines = captured.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"PASS criterion {n}" for n in range(1, 10)]
 
 
 RECORD = ["op", "params", "value", "terms", "method"]
@@ -96,7 +130,7 @@ PINNED = [
      RECORD, [("q", [1, 0, 1]), ("t", [1, 0, 1]), ("c", [3, 0, 0, 3])],
      "brute"),
     (["salie", "--p", "1,0,1", "--s", "1,0,2", "--c", "3"],
-     RECORD, [("p", [1, 0, 1]), ("s", [1, 0, 2]), ("c", 3), ("sign", "+")],
+     RECORD, [("p", [1, 0, 1]), ("s", [1, 0, 2]), ("c", 3)],
      "salie"),
     (["gauss", "--a", "1", "--b", "0", "--c", "3"],
      RECORD, [("a", 1), ("b", 0), ("c", 3)],
@@ -139,15 +173,15 @@ PINNED = [
      RECORD + ["coefficients", "residual"],
      [("q1", 5), ("q2", 13), ("k", 10), ("ns", "100,1000"), ("degree", 0)],
      "polyfit"),
-    (["verify", "--module", "kernels"],
-     RECORD + ["failures"], [("module", "kernels")],
-     "suite"),
+    (["verify"], RECORD + ["failures"], [], "suite"),
 ]
 
 
 @pytest.mark.parametrize("argv, keys, params, method", PINNED,
                          ids=[row[0][0] for row in PINNED])
-def test_params_pinned(capsys, argv, keys, params, method):
+def test_params_pinned(capsys, monkeypatch, argv, keys, params, method):
+    # verify runs stand-ins here; test_verify_ok runs the real battery
+    fake_battery(monkeypatch)
     rec = run_json(capsys, *argv)
     assert list(rec) == keys
     assert list(rec["params"].items()) == params
@@ -257,6 +291,36 @@ class TestErrors:
         assert "error: degree must be non-negative, got -1" in captured.err
 
     @pytest.mark.parametrize("argv", [
+        ["--ns", "1"],
+        ["--q1", "5", "--q2", "13", "--ns", "1"],
+        ["--ns", "100,1000"],
+        ["--ns", "100,100,100,100"],
+        ["--q1", "5", "--q2", "5"],
+        ["--q1", "9"],
+        ["--k", "9"],
+    ], ids=["level-one", "level-one-degree-0", "too-few-levels",
+            "repeated-levels", "not-coprime", "not-fundamental", "weight"])
+    def test_fit_bad_input_exits_1(self, capsys, argv):
+        # argv comes last, so its flags override q1 = q2 = 1 and k = 10
+        code = cli.main(["fit", "--q1", "1", "--q2", "1", "--k", "10", *argv])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("ns", ["100,nan", "100,1e3,x"],
+                             ids=["level-nan", "level-literal"])
+    def test_fit_malformed_level_exits_2(self, capsys, ns):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--q1", "5", "--q2", "13", "--k", "10",
+                      "--ns", ns])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
         ["mainterm", "--q1", "5", "--q2", "13", "--bign", "1000", "--k", "9"],
         ["fit", "--q1", "5", "--q2", "13", "--k", "9", "--ns", "100,1000"],
         ["gram", "--n", "3", "--k", "9"],
@@ -314,40 +378,25 @@ class TestDeterminism:
 
 
 class TestVerify:
-    @staticmethod
-    def fake_battery(monkeypatch, failing=(), raising=()):
-        """Replace the criteria with instant stand-ins; returns the call log."""
-        calls = []
+    def test_all_runs_each_selected_criterion_once(self, capsys, monkeypatch):
+        calls = fake_battery(monkeypatch)
+        code, out = run_cli(capsys, "verify")
+        assert code == 0 and calls == list(range(1, 10))
+        rec = json.loads(out)
+        assert rec["value"] == {"re": 9.0, "im": 0.0} and rec["terms"] == 9
 
-        def make(number):
-            def criterion():
-                calls.append(number)
-                if number in raising:
-                    raise ArithmeticError("boom")
-                return {"criterion": number, "name": f"stand-in {number}",
-                        "pass": number not in failing}
-            return criterion
-
-        monkeypatch.setattr(acceptance, "CRITERIA",
-                            [make(n) for n in range(1, 10)])
-        return calls
-
-    def test_all_runs_each_selected_criterion_once(self, monkeypatch):
-        calls = self.fake_battery(monkeypatch)
-        assert verify.run_suite("all") == (6, 0, [])
-        assert sorted(calls) == [1, 2, 3, 4, 5, 7, 8, 9]
-
-    def test_failures_name_the_criterion(self, monkeypatch):
-        self.fake_battery(monkeypatch, failing=(3,), raising=(8,))
-        passed, failed, failures = verify.run_suite("all")
-        # criterion 3 fails matcore, sp4, expsums; 8 fails lfun, petersson
-        assert (passed, failed) == (1, 5)
-        assert "matcore: criterion 3: stand-in 3 failed" in failures
-        assert "lfun: criterion 8: ArithmeticError('boom')" in failures
-
-    def test_failing_module_exits_1(self, capsys, monkeypatch):
-        self.fake_battery(monkeypatch, failing=(7,))
-        code, out = run_cli(capsys, "verify", "--module", "kernels")
-        assert code == 1
-        assert json.loads(out)["failures"] == [
-            "kernels: criterion 7: stand-in 7 failed"]
+    def test_failures_name_the_criterion(self, capsys, monkeypatch):
+        calls = fake_battery(monkeypatch, failing=(3,), raising=(8,))
+        assert cli.main(["verify"]) == 1
+        captured = capsys.readouterr()
+        assert calls == list(range(1, 10))
+        rec = json.loads(captured.out)
+        assert rec["failures"] == ["criterion 3: stand-in 3",
+                                   "criterion 8: ArithmeticError('boom')"]
+        assert rec["value"] == {"re": 7.0, "im": 2.0} and rec["terms"] == 9
+        lines = captured.err.splitlines()
+        assert len(lines) == 9 and "Traceback" not in captured.err
+        assert lines[2].startswith("FAIL criterion 3: stand-in 3 (")
+        assert lines[7].startswith(
+            "FAIL criterion 8: ArithmeticError('boom') (")
+        assert lines[8].startswith("PASS criterion 9: stand-in 9 (")

@@ -62,8 +62,9 @@ def oracle_pI(q, t, p):
 
 
 def salie_reference(p, s, c, sign):
-    """Salie sum by the plain double loop over d1 (a unit) and d2 mod c,
-    tallied like ``salie``, so the two agree to the last bit."""
+    """Salie sum H^{+/-}(P, S; c), the upper sign for sign = +1, by the
+    plain double loop over d1 (a unit) and d2 mod c, tallied like
+    ``salie``, so the two agree to the last bit."""
     nums = []
     for d1 in range(c):
         if math.gcd(d1, c) != 1:
@@ -77,6 +78,11 @@ def salie_reference(p, s, c, sign):
     offset = Fraction(-sign * p.t2 * s.t2, 2 * c * s.t4) % 1
     value *= complex(np.exp(2j * np.pi * float(offset)))
     return value, len(nums)
+
+
+def minus_form(s):
+    """(s1, -s2, s4): H^-(P, S; c) = H^+(P, minus_form(S); c)."""
+    return HalfIntegralForm(s.t1, -s.t2, s.t4)
 
 
 class TestKloosterman:
@@ -214,16 +220,16 @@ class TestEquivariance:
 
 class TestSalie:
     def test_vanishes_unless_corner_entries_match(self):
-        v = salie(HalfIntegralForm(1, 1, 1), HalfIntegralForm(1, 0, 2), 3, +1)
+        v = salie(HalfIntegralForm(1, 1, 1), HalfIntegralForm(1, 0, 2), 3)
         assert v.value == 0 and v.terms == 0
 
     def test_modulus_one_closed_form(self):
         p = HalfIntegralForm(1, 2, 3)
         s = HalfIntegralForm(2, 1, 3)
-        v = salie(p, s, 1, +1)
+        v = salie(p, s, 1)
         want = cmath.exp(2j * math.pi * (-p.t2 * s.t2 / (2 * s.t4)))
         assert abs(v.value - want) < 1e-12
-        v = salie(p, s, 1, -1)
+        v = salie(p, minus_form(s), 1)
         assert abs(v.value - want.conjugate()) < 1e-12
 
     def test_brute_oracle_and_bound(self):
@@ -244,16 +250,13 @@ class TestSalie:
                                   HalfIntegralForm(2, -1, 2))]:
             for c in (1, 2, 3, 4, 6, 9):
                 for sg in (1, -1):
-                    got = salie(p, s, c, sg)
+                    got = salie(p, s if sg == 1 else minus_form(s), c)
                     assert abs(got.value - oracle(p, s, c, sg)) < 1e-10
                     cap = c ** 1.5 * math.sqrt(math.gcd(c, s.t4))
                     assert abs(got.value) <= cap + 1e-12
 
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            salie(HI, HI, 3, 2)
-
     def test_bit_identical_to_reference_loop(self):
+        # H^-(P, S; c) is H^+(P, (s1, -s2, s4); c) to the last bit
         pairs = [((1, 0, 1), (1, 1, 1)), ((2, -3, 5), (-4, 7, 5)),
                  ((-3, 5, -2), (5, -1, -2)), ((7, -11, 3), (-2, 4, 3)),
                  # entries far beyond int64 once multiplied out
@@ -261,23 +264,22 @@ class TestSalie:
         for pt, st_ in pairs:
             p, s = HalfIntegralForm(*pt), HalfIntegralForm(*st_)
             for c in range(1, 41):
-                for sg in (1, -1):
-                    got = salie(p, s, c, sg)
-                    assert (got.value, got.terms) == salie_reference(p, s, c, sg)
+                got = salie(p, s, c)
+                assert (got.value, got.terms) == salie_reference(p, s, c, 1)
+                got = salie(p, minus_form(s), c)
+                assert (got.value, got.terms) == salie_reference(p, s, c, -1)
 
     def test_degenerate_and_invalid_arguments(self):
         p = HalfIntegralForm(1, 2, 3)
         for c in (1, 5, 12):
-            got = salie(p, HalfIntegralForm(1, 2, 4), c, -1)
+            got = salie(p, HalfIntegralForm(1, 2, 4), c)
             assert (got.value, got.terms) == (0j, 0)
-        with pytest.raises(ValueError):
-            salie(p, p, 3, 0)
         for c in (0, -3):
             with pytest.raises(ValueError):
-                salie(p, p, c, 1)
+                salie(p, p, c)
         z = HalfIntegralForm(1, 2, 0)
         with pytest.raises(ValueError):
-            salie(z, z, 3, 1)
+            salie(z, z, 3)
 
 
 class TestGauss:

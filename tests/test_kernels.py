@@ -111,7 +111,7 @@ form = HalfIntegralForm(1, 0, 1)
 steps = [
     ("import", lambda: None),
     ("kloosterman", lambda: kloosterman(form, form, IntMat2(3, 0, 0, 3))),
-    ("salie", lambda: salie(form, form, 5, 1)),
+    ("salie", lambda: salie(form, form, 5)),
     ("dirichlet_l", lambda: dirichlet_l(0.5 + 3j, 5)),
     ("main_term_residue", lambda: main_term_residue(1, 1, 1000.0, 10)),
     ("leading_coeff_fit", lambda: leading_coeff_fit(5, 13, 10)),

@@ -40,7 +40,8 @@ def is_bottom_pair(c, d):
     """(C, D) is the bottom row of some element of Sp4(Z): C D^T symmetric
     and the 2x4 block (C D) primitive.  Holds for singular C too; for
     det C != 0 the first condition is C^{-1} D symmetric."""
-    return c.mul(d.t()).is_symmetric() and minor_gcd(c, d) == 1
+    cdt = c.mul(d.t())
+    return cdt.b == cdt.c and minor_gcd(c, d) == 1
 
 
 def completed(c, d):
