@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
 
@@ -57,6 +58,14 @@ def parse_float(text: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"number {text!r} is not finite")
     return x
+
+
+def parse_order(text: str) -> float:
+    """A Bessel order that ``kernels.script_j`` takes."""
+    try:
+        return kernels.require_order(parse_float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def parse_complex(text: str) -> complex:
@@ -175,7 +184,9 @@ COMMANDS = {
         {"c": MATRIX, "q1": INT, "q2": INT},
         lambda a: _exact(expsums.twisted_average(a.c, a.q1, a.q2))),
     "besselkernel": (
-        "double-Bessel kernel", {"ell": FLOAT, "eig1": FLOAT, "eig2": FLOAT},
+        "double-Bessel kernel",
+        {"ell": {"type": parse_order, "required": True}, "eig1": FLOAT,
+         "eig2": FLOAT},
         lambda a: (kernels.script_j(a.ell, kernels.KernelArg(a.eig1, a.eig2)),
                    0, "quadrature", {})),
     "weight": (
@@ -257,6 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
     for name, (help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        # a word such as -1,0,2 is a value; argparse before Python 3.13
+        # takes only plain negative numbers for values
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag}", **kwargs)
     return ap

@@ -4,10 +4,11 @@ rank-2 truncation set and its shell.
 
 Bessel functions come from scipy's jv alone, imported on the first call
 of ``bessel_j`` or ``script_j``, so the exact sums, the L-values and the
-main term run without loading scipy.special.  The gamma factor takes its
-log-gamma from ``lfun.log_gamma``.  An ascending series and an
-integral-representation quadrature for J_nu are kept in the tests as
-oracles.
+main term run without loading scipy.special.  ``script_j`` is a periodic
+trapezoid sum, spectrally accurate at the kernels' half-integer orders
+(Trefethen and Weideman, SIAM Review 56 (2014)).  The gamma factor takes
+its log-gamma from ``lfun.log_gamma``.  The tests keep a series and an
+integral for J_nu, and Gauss-Legendre for the kernel, as oracles.
 """
 
 from __future__ import annotations
@@ -87,38 +88,67 @@ class KernelArg:
         return math.sqrt(self.eig1), math.sqrt(self.eig2)
 
 
-# Relative change between two panel doublings at which script_j stops
+# Relative change between two doublings at which script_j stops, and the
+# most intervals of [0, pi/2] it evaluates at once (8 MB an array)
 SCRIPT_J_TOL = 1e-11
+SCRIPT_J_MAX_INTERVALS = 1 << 20
+
+
+def require_order(ell: float) -> float:
+    """Return ell if it lies in 1/2 + Z>=0, the kernels' orders k - 3/2 and
+    those at which script_j's integrand is entire and periodic; raise
+    ValueError otherwise."""
+    if not (ell >= 0.5 and float(ell - 0.5).is_integer()):
+        raise ValueError(f"order must lie in 1/2 + Z>=0, got {ell}")
+    return ell
 
 
 def script_j(ell: float, arg: KernelArg) -> float:
-    """int_0^{pi/2} J_ell(4 pi s1 sin t) J_ell(4 pi s2 sin t) sin t dt.
+    """int_0^{pi/2} J_ell(4 pi s1 sin t) J_ell(4 pi s2 sin t) sin t dt, for
+    ell in 1/2 + Z>=0 (else ValueError).
 
-    Composite Gauss-Legendre quadrature with panel doubling until the value
-    moves by at most SCRIPT_J_TOL times its size (the kernels of one
-    coefficient span many decades, from 1e-21 up at level 13);
-    deterministic for fixed inputs.  Raises ArithmeticError if 12 doublings
-    do not reach SCRIPT_J_TOL.
+    By DLMF 10.2.2 the integrand is f(t) = sin^{2 ell + 1} t Phi1(sin^2 t)
+    Phi2(sin^2 t), Phi_i entire.  2 ell + 1 is even, so f is entire and
+    pi-periodic with f(pi - t) = f(t): the integral is half of one period's,
+    and the periodic trapezoid rule, evaluated at its nodes in (0, pi/2],
+    converges geometrically (Trefethen and Weideman, SIAM Review 56 (2014),
+    Thm 3.2).  Starting from about f's bandwidth, max(8, ceil((ell + 1 +
+    (a1 + a2) / 2) / 2)) intervals of [0, pi/2] with a_i = 4 pi s_i, the
+    rule doubles its intervals, evaluating only the new midpoints, until
+    the value moves by at most SCRIPT_J_TOL times its size (the kernels of
+    one coefficient span many decades, from 1e-21 up at level 13).  Raises
+    ArithmeticError if 12 doublings do not get there, or before evaluating
+    more than SCRIPT_J_MAX_INTERVALS nodes at once.
     """
+    require_order(ell)
     s1, s2 = arg.s_values()
     a1 = 4.0 * math.pi * s1
     a2 = 4.0 * math.pi * s2
 
-    def integrand(t):
+    def f(t):
         st = np.sin(t)
         return _jv(ell, a1 * st) * _jv(ell, a2 * st) * st
 
-    prev = None
-    panels = max(4, int((a1 + a2) / 8) + 4)
+    m = max(8, math.ceil((ell + 1 + (a1 + a2) / 2) / 2))
+    if m > SCRIPT_J_MAX_INTERVALS:
+        raise ArithmeticError(f"script_j({ell}, {arg}) needs more than "
+                              f"{SCRIPT_J_MAX_INTERVALS} intervals")
+    h = (math.pi / 2) / m
+    # f(0) = 0, and the last node, pi/2, carries the trapezoid's half weight
+    vals = f(h * np.arange(1, m + 1))
+    total = h * (np.sum(vals[:-1]) + 0.5 * vals[-1])
     for _ in range(12):
-        total = _panel_sum(integrand, (math.pi / 2) / panels, panels)
-        if prev is not None and abs(total - prev) <= SCRIPT_J_TOL * abs(total):
-            return float(total)
-        prev = total
-        panels *= 2
+        h /= 2
+        new = 0.5 * total + h * np.sum(f(h * np.arange(1, 2 * m, 2)))
+        m *= 2
+        if abs(new - total) <= SCRIPT_J_TOL * abs(new):
+            return float(new)
+        total = new
+        if m > SCRIPT_J_MAX_INTERVALS:
+            break
     raise ArithmeticError(
         f"script_j({ell}, {arg}) did not converge to {SCRIPT_J_TOL} in 12 "
-        "doublings")
+        f"doublings of at most {SCRIPT_J_MAX_INTERVALS} intervals")
 
 
 def script_j_for_forms(t_form: HalfIntegralForm, q_form: HalfIntegralForm,
@@ -209,9 +239,9 @@ def default_beta(k: int) -> float:
 
 # Largest box bound M that box_bound returns.  truncation_set scans all
 # (2M+1)^4 entry tuples: 0.27 s at M = 16, 4.0 s at M = 32 and 4.6 s at 33,
-# the width-1 shell's scan (two vCPUs).  The shell's kernels cost more:
-# a level-3 tail diagnostic takes about 4 s at M = 16.  The default beta
-# gives M <= 3 for N <= 211.
+# the width-1 shell's scan (two vCPUs).  The shell's terms cost more: a
+# level-3 tail diagnostic takes about 2.6-2.9 s at M = 16, mostly scan and
+# Kloosterman sums.  The default beta gives M <= 3 for N <= 211.
 MAX_BOX_BOUND = 32
 
 

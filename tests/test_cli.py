@@ -352,6 +352,17 @@ class TestErrors:
         assert captured.out == ""
         assert "is not finite" in captured.err
 
+    @pytest.mark.parametrize("ell", ["8.0", "0", "-0.5"])
+    def test_besselkernel_order_outside_half_integers_exits_2(self, capsys,
+                                                              ell):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["besselkernel", "--ell", ell, "--eig1", "1",
+                      "--eig2", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --ell: order must lie in 1/2 + Z>=0" in captured.err
+
     def test_hqt_checks_level_before_progress(self, capsys):
         code = cli.main(["hqt", "--q", "1,0,1", "--t", "1,0,1", "--n", "4",
                          "--k", "10"])
@@ -366,6 +377,20 @@ class TestErrors:
         rec = run_json(capsys, "gram", "--n", "3", "--k", "10")
         assert rec["matrix"] == [] and rec["terms"] == 0
         assert rec["tail_budget"] == []
+
+
+class TestNegativeLiterals:
+    @pytest.mark.parametrize("argv", [
+        ["salie", "--p", "-1,0,2", "--s", "-1,1,2", "--c", "3"],
+        ["salie", "--p", "1,0,1", "--s", "1,-1,2", "--c", "3"],
+        ["kloosterman", "--q", "1,0,1", "--t", "1,0,1", "--c", "-3,0;0,-3"],
+        ["twisted", "--c", "-1,1;-1,-1", "--q1", "1", "--q2", "-4"],
+    ], ids=["forms", "form-inner-minus", "matrix", "matrix-and-number"])
+    def test_literal_after_its_flag_may_begin_with_minus(self, capsys, argv):
+        # '--flag -1,0,2' as one word '--flag=-1,0,2'
+        joined = [argv[0]] + [f"{flag}={value}" for flag, value
+                              in zip(argv[1::2], argv[2::2])]
+        assert run_json(capsys, *argv) == run_json(capsys, *joined)
 
 
 class TestDeterminism:

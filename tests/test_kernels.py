@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -99,6 +100,58 @@ def bessel_j_integral(nu: float, x: float) -> float:
     return first - s / math.pi * total2
 
 
+def script_j_gauss_legendre(ell: float, arg: KernelArg) -> float:
+    """script_j by composite 16-point Gauss-Legendre on [0, pi/2], an
+    oracle independent of the trapezoid rule: panels double, with no node
+    reused, until the value moves by at most SCRIPT_J_TOL times its size.
+    Raises ArithmeticError if 12 doublings do not get there."""
+    s1, s2 = arg.s_values()
+    a1 = 4.0 * math.pi * s1
+    a2 = 4.0 * math.pi * s2
+
+    def integrand(t):
+        st = np.sin(t)
+        return kernels._jv(ell, a1 * st) * kernels._jv(ell, a2 * st) * st
+
+    prev = None
+    panels = max(4, int((a1 + a2) / 8) + 4)
+    for _ in range(12):
+        total = kernels._panel_sum(integrand, (math.pi / 2) / panels, panels)
+        if (prev is not None
+                and abs(total - prev) <= kernels.SCRIPT_J_TOL * abs(total)):
+            return float(total)
+        prev = total
+        panels *= 2
+    raise ArithmeticError(f"script_j_gauss_legendre({ell}, {arg}) did not "
+                          "converge")
+
+
+# Relative gap allowed between script_j and script_j_gauss_legendre.  Each
+# rule stops once a doubling moves its value by at most SCRIPT_J_TOL of its
+# size.  Both converge geometrically, each doubling cutting the error by far
+# more than half (the Gauss-Legendre error falls by about 2^-32 per doubling
+# once the panels resolve the integrand; the trapezoid error on an entire
+# periodic integrand is squared), so the accepted value is closer to the
+# integral than the value before it, and within SCRIPT_J_TOL of it.  The two
+# routes are then within twice that of each other.
+ORACLE_TOL = 2 * kernels.SCRIPT_J_TOL
+
+# The three form pairs of the coefficient tests, as (Q, T)
+PAIRS = [(HalfIntegralForm.identity(), HalfIntegralForm.identity()),
+         (HalfIntegralForm(1, 1, 1), HalfIntegralForm(1, 1, 2)),
+         (HalfIntegralForm.identity(), HalfIntegralForm(1, 0, 2))]
+
+
+def drifting_jv(scale, drift, calls):
+    """A stand-in for kernels._jv: a constant that grows by the relative
+    ``drift`` with every call, so that no two trapezoid sums agree.  Each
+    call's node count goes to ``calls``."""
+    def jv(nu, x):
+        calls.append(np.size(x))
+        return np.full(np.shape(x), scale * (1 + drift * len(calls)))
+    return jv
+
+
 # Run in a fresh interpreter: the other tests load scipy.special.
 SCIPY_SPECIAL_PROBE = """
 import sys
@@ -180,9 +233,12 @@ class TestBessel:
         assert abs(_panel_sum(lambda t: t ** 31, 1.0, 1) - 1 / 32) < 1e-15
 
     @pytest.mark.parametrize("evaluate", [
-        pytest.param(lambda: script_j(8.5, KernelArg(1e-3, 2e-3)), id="J-small"),
-        pytest.param(lambda: script_j(8.5, KernelArg(1.0, 2.0)), id="J-medium"),
-        pytest.param(lambda: script_j(8.5, KernelArg(40.0, 90.0)), id="J-large"),
+        pytest.param(lambda: script_j_gauss_legendre(
+            8.5, KernelArg(1e-3, 2e-3)), id="J-small"),
+        pytest.param(lambda: script_j_gauss_legendre(
+            8.5, KernelArg(1.0, 2.0)), id="J-medium"),
+        pytest.param(lambda: script_j_gauss_legendre(
+            8.5, KernelArg(40.0, 90.0)), id="J-large"),
         pytest.param(lambda: bessel_j_integral(8.5, 30.0), id="bessel"),
         pytest.param(lambda: weight_w(0.3, 10), id="W-below-1"),
         pytest.param(lambda: weight_w(5.0, 10), id="W-above-1"),
@@ -241,23 +297,63 @@ class TestScriptJ:
             assert abs(v1 - v2) < 1e-10
 
     def test_unconverged_raises(self, monkeypatch):
-        monkeypatch.setattr(kernels, "SCRIPT_J_TOL", 1e-30)
+        # two Bessel calls for the first sum and two for each of exactly 12
+        # doublings, each doubling on twice the nodes of the one before
+        calls = []
+        monkeypatch.setattr(kernels, "_jv", drifting_jv(1.0, 1e-3, calls))
         with pytest.raises(ArithmeticError, match="did not converge"):
             script_j(8.5, KernelArg(1.0, 2.0))
+        m = calls[0]
+        assert calls[::2] == calls[1::2] == [m] + [m << i for i in range(12)]
 
     def test_tolerance_is_relative(self, monkeypatch):
         # a value near 1e-17 whose doublings move it by a relative 1e-6
         # has not converged, although every step is far below tol
         calls = []
-
-        def drifting(f, h, panels):
-            calls.append(panels)
-            return 1e-17 * (1 + 1e-6 * len(calls))
-
-        monkeypatch.setattr(kernels, "_panel_sum", drifting)
+        monkeypatch.setattr(kernels, "_jv",
+                            drifting_jv(math.sqrt(1e-17), 1e-6, calls))
         with pytest.raises(ArithmeticError, match="did not converge"):
             script_j(8.5, KernelArg(1.0, 2.0))
-        assert len(calls) == 12
+        assert len(calls) == 2 * 13
+
+    @pytest.mark.parametrize("cap", [12, 52])
+    def test_interval_cap_bounds_every_evaluation(self, monkeypatch, cap):
+        # KernelArg(1, 2) starts from 13 intervals: a cap of 12 refuses it
+        # before any Bessel call, one of 52 stops after the stage of 52 new
+        # midpoints
+        calls = []
+        monkeypatch.setattr(kernels, "_jv", drifting_jv(1.0, 1e-3, calls))
+        monkeypatch.setattr(kernels, "SCRIPT_J_MAX_INTERVALS", cap)
+        with pytest.raises(ArithmeticError, match=f" {cap} intervals"):
+            script_j(8.5, KernelArg(1.0, 2.0))
+        assert calls[::2] == ([] if cap < 13 else [13, 13, 26, 52])
+
+    def test_doubling_evaluates_only_new_midpoints(self, monkeypatch):
+        # the first sum takes m nodes and each doubling the m' new
+        # midpoints of its m' intervals; together they are the final grid
+        # j pi / (2 m_final), 0 < j <= m_final, each node evaluated once
+        real = kernels._jv
+        stages = []
+
+        def spy(nu, x):
+            stages.append(np.atleast_1d(x))
+            return real(nu, x)
+
+        monkeypatch.setattr(kernels, "_jv", spy)
+        # equal eigenvalues: both calls of a stage see x = a sin t
+        script_j(8.5, KernelArg(2.0, 2.0))
+        xs = stages[::2]
+        m = len(xs[0])
+        assert len(xs) > 1 and all(
+            np.array_equal(x, y) for x, y in zip(xs, stages[1::2]))
+        assert [len(x) for x in xs] == [m] + [m << i
+                                              for i in range(len(xs) - 1)]
+        m_final = m << (len(xs) - 1)
+        # a sin t rises on (0, pi/2], so sorting x sorts the nodes
+        a = 4 * math.pi * math.sqrt(2.0)
+        grid = a * np.sin((math.pi / 2) / m_final * np.arange(1, m_final + 1))
+        assert np.allclose(np.sort(np.concatenate(xs)), grid, rtol=1e-14,
+                           atol=0)
 
     def test_small_eigenvalue_envelope(self):
         # |J_nu(x)| <= (x/2)^nu / Gamma(nu+1) (DLMF 10.14.4) inside the
@@ -278,6 +374,35 @@ class TestScriptJ:
     def test_rejects_nonpositive_eigenvalues(self):
         with pytest.raises(ValueError):
             KernelArg(0.0, 1.0)
+
+    @pytest.mark.parametrize("ell", [8.0, 0.0, -0.5, 8.25, math.nan])
+    def test_rejects_order_outside_half_integers(self, ell):
+        with pytest.raises(ValueError, match="order must lie in 1/2"):
+            script_j(ell, KernelArg(1.0, 2.0))
+
+    @pytest.mark.parametrize("ell", [8.5, 10.5, 12.5, 18.5])
+    def test_matches_gauss_legendre_on_envelope_grid(self, ell):
+        # criterion 7's grid, and the largest argument the tests use
+        grid = np.geomspace(1e-2, 10.0, 12)
+        for eigs in [*itertools.product(grid, grid), (40.0, 90.0)]:
+            arg = KernelArg(*eigs)
+            want = script_j_gauss_legendre(ell, arg)
+            assert abs(script_j(ell, arg) - want) <= ORACLE_TOL * abs(want), \
+                eigs
+
+    @pytest.mark.parametrize("level", [3, 13, 47])
+    def test_matches_gauss_legendre_on_coefficient_arguments(self, level):
+        # every distinct argument that the rank-2 sums and shell budgets of
+        # the three pairs look up
+        params = SpectralParams(k=10, level=level)
+        moduli = (truncation_set(params.m_bound)
+                  + shell_matrices(params.m_bound, 1))
+        args = {script_j_for_forms(t, q, cp.scale(level))
+                for q, t in PAIRS for cp in moduli}
+        for arg in args:
+            want = script_j_gauss_legendre(params.ell, arg)
+            got = script_j(params.ell, arg)
+            assert abs(got - want) <= ORACLE_TOL * abs(want), arg
 
 
 class TestWeight:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siegelsums import acceptance, petersson, sp4
+from siegelsums import acceptance, kernels, petersson, sp4
 from siegelsums.expsums import SumValue, kloosterman, kloosterman_factored
 from siegelsums.kernels import (
     KernelArg,
@@ -684,6 +684,23 @@ class TestKernelArguments:
         acceptance.clear_all_caches()
         h_fourier(q, t, params)
         assert petersson._script_j_cached.cache_info().misses == misses
+
+    def test_cold_coefficient_kernel_nodes(self, monkeypatch):
+        # the rank-2 sum and shell budget of one cold coefficient evaluate
+        # the kernel integrand at 1,988 trapezoid nodes at N = 3, two Bessel
+        # values each; composite Gauss-Legendre took 16,848
+        q, t = PAIRS["111-112"]
+        values = []
+        real = kernels._jv
+
+        def spy(nu, x):
+            values.append(np.size(x))
+            return real(nu, x)
+
+        acceptance.clear_all_caches()
+        monkeypatch.setattr(kernels, "_jv", spy)
+        _rank2_sum(q, t, SpectralParams(k=10, level=3))
+        assert sum(values) <= 2 * 2_500
 
     def test_rank2_matches_numpy_argument_route(self, monkeypatch):
         # the rank-2 sum and the shell budget against the term-by-term
