@@ -12,13 +12,14 @@ The number N of direct terms is set per call from the remainder bound of
 F. Johansson (Numer. Algorithms 69 (2015)) after the 12 Bernoulli terms:
 the smallest N with 4 |(u)_24| / (2 pi)^24 N^{-(Re u + 23)} / (Re u + 23)
 below 1e-17, taken at the grid's largest |u| and smallest Re u.  That is
-N = 8 on the residue contour |u - 1| <= 0.24, 18 at u = 1/2 + 12i, 93 at
-1/2 + 100i and 880 at 1/2 + 1000i.  Where N would pass MAX_DIRECT_TERMS
-(|Im u| above about 1.04e5 on the critical line, or Re u <= -23) the call
-raises ArithmeticError, and so does any point with Re u < MIN_RE_U = -1/2:
-there the direct terms (n + a/m)^{-u} grow with n and their sum rounds
-away the value (zeta(-10) would read -3.4e7).  A non-finite point raises
-ValueError.
+N = 8 on the residue circles |u - 1| = 0.16 and 0.08 and on the grid
+|u - 1| <= 0.24, 9 on the coupled factor's circle |u - 1| = 0.48, 18 at
+u = 1/2 + 12i, 93 at 1/2 + 100i and 880 at 1/2 + 1000i.  Where N would
+pass MAX_DIRECT_TERMS (|Im u| above about 1.04e5 on the critical line, or
+Re u <= -23) the call raises ArithmeticError, and so does any point with
+Re u < MIN_RE_U = -1/2: there the direct terms (n + a/m)^{-u} grow with n
+and their sum rounds away the value (zeta(-10) would read -3.4e7).  A
+non-finite point raises ValueError.
 
 The singular part w^{1-u}/(u - 1), w = N + a/m, is a matrix product too
 away from u = 1: the product gives sum_a chi(a) w_a^{1-u}, and that sum
@@ -63,9 +64,9 @@ _EM_TARGET = 1e-17
 # on the critical line.  A scalar dirichlet_l(s, 5) there took 1.3 s on two
 # vCPUs, and each further block of _CLASS_BLOCK classes adds about as much.
 MAX_DIRECT_TERMS = 100_000
-# Smallest Re u that _hurwitz_grid accepts.  The residue contour stays
-# above it for every radius < 1/2 (Re u > 1 - 3/2), and at Re u = -0.47 the
-# functional equation still holds to 1e-13.
+# Smallest Re u that _hurwitz_grid accepts.  The coupled factor's circle
+# |u - 1| <= 1 - MIN_RE_U of petersson._coupled_form stays at or above it,
+# and at Re u = -0.47 the functional equation still holds to 1e-13.
 MIN_RE_U = -0.5
 # classes per matrix product, so that its factors stay O(len(s) + len(t))
 _CLASS_BLOCK = 64
@@ -146,6 +147,16 @@ def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
     def powers(lx):
         return np.exp(-np.outer(s, lx)), np.exp(-np.outer(lx, t))
 
+    # the Bernoulli terms' factors (B_{2i+2} / (2i+2)!) (u)_{2i+1} in u,
+    # built once for every class block
+    bern_u = []
+    poch, fact = u, 2.0
+    for i, b in enumerate(_BERNOULLI):
+        bern_u.append((b / fact) * poch)
+        # advance (u)_{2i+1} -> (u)_{2i+3}
+        poch = poch * ((u + 2 * i + 1) * (u + 2 * i + 2))
+        fact *= (2 * i + 3) * (2 * i + 4)
+
     total = np.zeros_like(u)
     sing = np.zeros_like(u)   # sum_a c_a w_a^{1-u}
     for lo in range(0, len(alphas), _CLASS_BLOCK):
@@ -158,15 +169,10 @@ def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
         ws, wt = powers(lw)
         total += (ws * (0.5 * c)) @ wt
         sing += (np.exp(np.outer(1 - s, lw)) * c) @ wt
-        poch = u.copy()
         wpow = c / w
-        fact = 2.0
-        for i, b in enumerate(_BERNOULLI):
-            total += (b / fact) * poch * ((ws * wpow) @ wt)
-            # advance (u)_{2i+1} -> (u)_{2i+3} and w^{-2i-1} -> w^{-2i-3}
-            poch *= (u + 2 * i + 1) * (u + 2 * i + 2)
-            wpow = wpow / (w * w)
-            fact *= (2 * i + 3) * (2 * i + 4)
+        for term in bern_u:
+            total += term * ((ws * wpow) @ wt)
+            wpow = wpow / (w * w)   # w^{-2i-1} -> w^{-2i-3}
     d = u - 1
     csum = coeffs.sum()
     near = np.abs(d) < _SINGULAR_DELTA

@@ -6,7 +6,8 @@ decomposition of the Poincare-series Fourier expansion for the Siegel
 congruence group of prime level, with the rank-2 constant 8*pi^2.  The
 main term is the iterated residue at s = t = 0 of a product of Dirichlet
 L-functions and archimedean gamma factors, computed by nested circle
-contours (trapezoid rule, spectrally accurate).
+contours (trapezoid rule, spectrally accurate), with the coupled L-factor
+as a bilinear form from its Taylor series on one Cauchy circle.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .kernels import (
     shell_matrices,
     truncation_set,
 )
-from .lfun import dirichlet_l_grid, dirichlet_l_vec
+from .lfun import MIN_RE_U, dirichlet_l_vec
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +508,108 @@ def _check_discriminant_pair(q1: int, q2: int) -> None:
         raise ValueError("q1 and q2 must be coprime")
 
 
+# The s-circle's trapezoid rule and the coupled factor's Taylor series are
+# cut where their geometric error bound falls below the unit roundoff.
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Largest |Taylor coefficient| in the top quarter of the coupled factor's
+# circle, over max |g| on it, that counts as decayed to rounding: the
+# accuracy lfun states at the left edge Re u = MIN_RE_U of its range.
+_TAIL_TOL = 1e-13
+# Most Taylor terms of the coupled factor: its M x M weights take 16 MB.
+# From radius 1/4 on x = 2 radius, and M grows without bound as the radius
+# nears 1/2; it is 979 at 0.48.
+_MAX_TAYLOR_TERMS = 1024
+
+
+def _check_contour(q1: int, q2: int, radius: float, nodes: int) -> None:
+    """Raise ArithmeticError unless both trapezoid rules of the double
+    residue have converged to rounding.  A trapezoid rule on a circle of
+    radius R errs like (R / d)^nodes, d the distance from 0 to the nearest
+    pole outside it.  For the s-circle R = 2 radius and d = 1, the pole of
+    Gamma(s+1) at s = -1.  When q1 q2 = 1 the t-circle, R = radius, also
+    has the coupled pole at t = -s with d = |s| = 2 radius: ratio 1/2."""
+    ratio = 2 * radius if q1 * q2 != 1 else max(2 * radius, 0.5)
+    if nodes * math.log(ratio) > math.log(_UNIT_ROUNDOFF):
+        raise ArithmeticError(
+            f"radius {radius} with {nodes} nodes leaves a contour error of "
+            f"about {ratio:.3g}^{nodes} = {ratio ** nodes:.2g}, above rounding:"
+            " take a smaller radius or more nodes")
+
+
+def _coupled_form(q: int, radius: float, nodes: int):
+    """The coupled factor L(1 + s + t, chi_q) on the contour grid
+    s_i = 2r w^i, t_j = r w^j (w = exp(2 pi i / nodes), r = radius) as a
+    bilinear form: (W, pole) such that, for any weights aw and bw with
+    moments A_k = sum_i aw_i w^{ik} and B_l = sum_j bw_j w^{jl},
+
+        sum_ij aw_i L(1 + s_i + t_j) bw_j
+            = sum_{k,l < M} A_{k mod nodes} W[k, l] B_{l mod nodes}
+              + sum_l A_{-l-1} pole_l B_l          (pole only when q = 1)
+
+    to rounding.  The identity, with g(u) = L(1 + u, chi_q) - [q = 1]/u
+    entire and g(u) = sum_m e_m u^m:
+
+    - the Taylor coefficients come from one circle |u| = rho: c_m =
+      e_m rho^m is the FFT of g at M points of it, divided by M;
+    - (s_i + t_j)^m = sum_{k+l=m} C(m, k) (2r)^k r^l w^{ik} w^{jl}, so
+      W[k, l] = C(k+l, k) (2r/rho)^k (r/rho)^l c_{k+l} for k + l < M.  The
+      factors sum to x^{k+l} along an anti-diagonal, x = 3r/rho < 1, so
+      none overflows;
+    - 1/(s_i + t_j) = sum_l (-1/2)^l w^{l(j-i)} / (2r w^i), a geometric
+      series in w^{j-i}/2 that sums exactly over l mod nodes:
+      pole_l = (-1/2)^l / (2r (1 - (-1/2)^nodes)).
+
+    rho = min(6r, 1 - MIN_RE_U): x = 1/2 up to r = 1/4, and Re(1 + u)
+    stays within lfun's range.  By Cauchy |c_m| <= max |g| on the circle,
+    so cutting the series at k + l < M leaves at most x^M / (1 - x) of
+    that scale: M is the least with x^M / (1 - x) <= _UNIT_ROUNDOFF (54 at
+    x = 1/2).  The samples alias c_m with c_{m+M}, c_{m+2M}, ...: raises
+    ArithmeticError unless the top quarter of the c_m has decayed to
+    _TAIL_TOL of max |g|, which puts the aliased terms below it too.
+    """
+    rho = min(6 * radius, 1 - MIN_RE_U)
+    x = 3 * radius / rho
+    m = math.ceil(math.log(_UNIT_ROUNDOFF * (1 - x)) / math.log(x))
+    if m > _MAX_TAYLOR_TERMS:
+        raise ArithmeticError(
+            f"radius {radius} needs {m} Taylor terms of the coupled factor, "
+            f"more than {_MAX_TAYLOR_TERMS} ({nodes} nodes)")
+    u = rho * np.exp(2j * np.pi * np.arange(m) / m)
+    g = dirichlet_l_vec(u + 1, q)
+    if q == 1:
+        g -= 1 / u
+    c = np.fft.fft(g) / m
+    tail = float(np.abs(c[m - m // 4:]).max())
+    if not tail <= _TAIL_TOL * float(np.abs(g).max()):
+        raise ArithmeticError(
+            f"the Taylor coefficients of L(1 + u, chi_{q}) on |u| = {rho:.3g}"
+            f" have not decayed to rounding by m = {m}: tail {tail:.2g} "
+            f"(radius {radius}, {nodes} nodes)")
+    # C(k+l, k) (2r/rho)^k (r/rho)^l from its logarithm, which is at most
+    # (k+l) log x < 0, so that no factor overflows; c_{k+l} = 0 from k+l = m
+    j = np.arange(m)
+    kl = j[:, None] + j
+    log_fact = np.array([math.lgamma(i + 1) for i in range(2 * m - 1)])
+    log_w = (log_fact[kl] - log_fact[j, None] - log_fact[j]
+             + j[:, None] * math.log(2 * radius / rho)
+             + j * math.log(radius / rho))
+    weights = np.exp(log_w) * np.append(c, np.zeros(m - 1))[kl]
+    pole = None
+    if q == 1:
+        pole = (-0.5) ** np.arange(nodes) / (2 * radius
+                                             * (1 - (-0.5) ** nodes))
+    return weights, pole
+
+
 @lru_cache(maxsize=16)
 def _residue_kernel(q1: int, q2: int, k: int, radius: float, nodes: int,
                     poly: str):
-    """Level-independent data for the double residue: node arrays and the
+    """Level-independent data for the double residue: node arrays, the
     factored integrand with the 1/s, 1/t poles cancelled by the contour
-    measure.  The t-circle radius is half the s-circle radius, so the
-    coupled L-factor pole at t = -s stays outside the inner contour and the
-    quadrature computes the iterated residue Res_s Res_t."""
+    measure, and the coupled factor as _coupled_form's bilinear form.  The
+    t-circle radius is half the s-circle radius, so the coupled L-factor
+    pole at t = -s stays outside the inner contour and the quadrature
+    computes the iterated residue Res_s Res_t."""
     n = nodes
     theta = 2 * np.pi * np.arange(n) / n
     s = 2 * radius * np.exp(1j * theta)
@@ -525,8 +620,8 @@ def _residue_kernel(q1: int, q2: int, k: int, radius: float, nodes: int,
     beta = (dirichlet_l_vec(t + 1, q2) * dirichlet_l_vec(t + 1, -4 * q2)
             * gamma_factor(t, k) * poly_factor(t, poly)
             * np.exp(2 * t * math.log(abs(q2))))
-    coupled = dirichlet_l_grid(s + 1, t, q1 * q2)
-    return s, t, alpha, beta, coupled
+    weights, pole = _coupled_form(q1 * q2, radius, n)
+    return s, t, alpha, beta, weights, pole
 
 
 def main_term_residue(q1: int, q2: int, level: float, k: int,
@@ -542,12 +637,23 @@ def main_term_residue(q1: int, q2: int, level: float, k: int,
     N^s N^t |q1|^{2s} |q2|^{2t} / (s t), all times 4.  ``level`` enters as a
     real parameter; the residue is an exact polynomial in log(level).
 
-    The s-circle has radius 2 * ``radius`` and the t-circle ``radius``.
-    The nearest pole outside the s-circle is that of Gamma(s+1) at s = -1,
-    so the trapezoid error grows like (2 * radius)^nodes: at radius 0.49
-    and 128 nodes the residue of (1, 1) at N = 1000 is already 3.4e-3
-    off.  Any radius outside (0, 1/2) raises ValueError, since from 1/2 on
-    the s-circle encloses that pole and the result is another number.
+    The residue is the trapezoid double sum
+    (1/n^2) sum_ij aw_i L(1 + s_i + t_j, chi_{q1 q2}) bw_j over n = ``nodes``
+    points of the s-circle, radius 2 * ``radius``, and of the t-circle,
+    radius ``radius``; aw and bw carry the other factors.  The coupled
+    factor enters as _coupled_form's bilinear form in the moments of aw
+    and bw, which equals that double sum to rounding: one L-evaluation on
+    a circle of M points (M = 54 up to radius 1/4) instead of n^2 grid
+    points.
+
+    Any radius outside (0, 1/2) raises ValueError, since from 1/2 on the
+    s-circle encloses the pole of Gamma(s+1) at s = -1 and the result is
+    another number.  Inside, the trapezoid error grows like
+    (2 * radius)^nodes, and like 2^-nodes for q1 q2 = 1 (_check_contour):
+    a radius and node count whose bound exceeds rounding raise
+    ArithmeticError (at 128 nodes, radius above 2^(-53/128)/2 = 0.375; at
+    radius 0.49 the residue of (1, 1) at N = 1000 would be 3.4e-3 off), and
+    so does a coupled factor whose Taylor tail has not decayed.
     """
     _check_discriminant_pair(q1, q2)
     require_weight(k)
@@ -559,11 +665,19 @@ def main_term_residue(q1: int, q2: int, level: float, k: int,
             "radius 2 * radius must leave out the pole of Gamma(s+1) at s = -1")
     if nodes < 1:
         raise ValueError(f"nodes must be at least 1, got {nodes}")
-    s, t, alpha, beta, coupled = _residue_kernel(q1, q2, k, radius, nodes, poly)
+    _check_contour(q1, q2, radius, nodes)
+    s, t, alpha, beta, weights, pole = _residue_kernel(q1, q2, k, radius,
+                                                       nodes, poly)
     logn = math.log(level)
-    aw = alpha * np.exp(s * logn)
-    bw = beta * np.exp(t * logn)
-    val = aw @ coupled @ bw / (len(s) * len(t))
+    n = nodes
+    # moments A_k = sum_i aw_i w^{ik}, k mod n, of aw = alpha N^s; same for B
+    a_mom = n * np.fft.ifft(alpha * np.exp(s * logn))
+    b_mom = n * np.fft.ifft(beta * np.exp(t * logn))
+    wrap = np.arange(len(weights)) % n
+    val = a_mom[wrap] @ weights @ b_mom[wrap]
+    if pole is not None:
+        val += a_mom[::-1] @ (pole * b_mom)
+    val /= n * n
     return ResidueReport(q1=q1, q2=q2, level=level, residue=float(val.real),
                          imag_defect=abs(float(val.imag)), radius=radius,
                          nodes=nodes)

@@ -273,6 +273,17 @@ class TestErrors:
         assert captured.out == ""
         assert "error: radius must lie in (0, 1/2)" in captured.err
 
+    def test_unconverged_radius_mainterm_exits_1(self, capsys):
+        # inside (0, 1/2), but (2 * 0.49)^128 is far above rounding
+        code = cli.main(["mainterm", "--q1", "1", "--q2", "1", "--bign",
+                         "1000", "--k", "10", "--radius", "0.49"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: radius 0.49 with 128 nodes")
+
     def test_fit_repeated_levels_exits_1(self, capsys):
         # four levels but one distinct value cannot determine the cubic
         code = cli.main(["fit", "--q1", "1", "--q2", "1", "--k", "10",

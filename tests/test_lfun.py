@@ -239,8 +239,9 @@ class TestDirichletL:
     @pytest.mark.parametrize("height", [0.5, 10.0, 40.0, -40.0])
     @pytest.mark.parametrize("q", [1, 5, -4, -1147])
     def test_functional_equation_left_edge(self, height, q):
-        # Re u = -0.47 is the lowest point of the residue contour at radius
-        # 0.49; the loss measured there is at most 9e-14
+        # the coupled factor's circle of petersson.main_term_residue reaches
+        # down to Re u = -1/2 from radius 1/4 on; the loss measured at
+        # Re u = -0.47 is at most 9e-14
         _check_functional_equation(complex(-0.47, height), q, tol=2e-13)
 
     def test_zeta_minus_half(self):
@@ -277,8 +278,9 @@ class TestDirichletL:
 class TestGridAgainstReference:
     @pytest.mark.parametrize("q", [1, -4, 5, 120, -104, -1147])
     def test_residue_grid(self, q):
-        # the coupled factor L(1 + s_i + t_j, chi_q) on the contour circles
-        # of petersson._residue_kernel (128 nodes, radius 0.08)
+        # the grid oracle of the coupled factor: L(1 + s_i + t_j, chi_q) on
+        # the contour circles of petersson.main_term_residue (128 nodes,
+        # radius 0.08)
         theta = 2 * np.pi * np.arange(128) / 128
         s, t = 0.16 * np.exp(1j * theta), 0.08 * np.exp(1j * theta)
         got = dirichlet_l_grid(s + 1, t, q)
@@ -342,12 +344,15 @@ class TestEulerMaclaurinCut:
         return n
 
     def test_residue_contour(self):
-        # the three grids of petersson._residue_kernel at its defaults:
-        # u = 1 + s, 1 + t and 1 + s + t, |s| = 0.16, |t| = 0.08
+        # petersson.main_term_residue at its defaults: the circles
+        # u = 1 + s and 1 + t, |s| = 0.16 and |t| = 0.08, their grid oracle
+        # 1 + s + t, and the coupled factor's circle |u - 1| = 0.48
         theta = 2 * np.pi * np.arange(128) / 128
         s, t = 0.16 * np.exp(1j * theta), 0.08 * np.exp(1j * theta)
         for u in (1 + s, 1 + t, 1 + s[:, None] + t[None, :]):
             assert _em_terms(u) == self._smallest_n(u) == 8
+        u = 1 + 0.48 * np.exp(2j * np.pi * np.arange(54) / 54)
+        assert _em_terms(u) == self._smallest_n(u) == 9
 
     def test_grows_with_height(self):
         cuts = [_em_terms(np.array([0.5 + 1j * h]))

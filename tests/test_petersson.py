@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -21,10 +22,11 @@ from siegelsums.matcore import (
     IntMat2,
     _xgcd,
     elementary_divisors,
+    is_fundamental_discriminant,
     is_prime,
     prime_factors,
 )
-from siegelsums.lfun import dirichlet_l
+from siegelsums.lfun import dirichlet_l, dirichlet_l_grid, dirichlet_l_vec
 from siegelsums.petersson import (
     SpectralParams,
     h_fourier,
@@ -50,6 +52,49 @@ PAIRS = {"I-I": (HI, HI),
          "111-112": (HalfIntegralForm(1, 1, 1), HalfIntegralForm(1, 1, 2)),
          "I-D12": (HI, D12)}
 A4 = math.pi / 4  # L(1, chi_{-4})
+
+
+# main_term_residue against the grid route it replaced: the relative
+# accuracy that lfun states at the left edge Re u = -1/2 of its range, which
+# the coupled factor's circle reaches from radius 1/4 on, of the grid
+# product's sum of |terms|
+ORACLE_TOL = 1e-13
+
+
+def _grid_oracle(q1, q2, level, k, radius=0.08, nodes=128, poly="(1-s)^2"):
+    """main_term_residue's double sum with the coupled factor on the full
+    nodes x nodes grid: (value, sum of |terms|)."""
+    s, t, alpha, beta = petersson._residue_kernel(q1, q2, k, radius, nodes,
+                                                  poly)[:4]
+    aw = alpha * np.exp(s * math.log(level))
+    bw = beta * np.exp(t * math.log(level))
+    grid = _coupled_grid(q1 * q2, radius, nodes)
+    n2 = nodes * nodes
+    return (aw @ grid @ bw / n2,
+            np.abs(aw) @ np.abs(grid) @ np.abs(bw) / n2)
+
+
+@functools.lru_cache(maxsize=None)
+def _coupled_grid(q, radius, nodes):
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    s, t = 2 * radius * np.exp(1j * theta), radius * np.exp(1j * theta)
+    return dirichlet_l_grid(s + 1, t, q)
+
+
+def _oracle_pairs():
+    """Coprime pairs of 1 and the fundamental discriminants with |q| <= 40
+    and phi(|q1 q2|) <= 36, plus five pairs outside that pool."""
+    discs = [1] + [q for q in range(-40, 41)
+                   if q not in (0, 1) and is_fundamental_discriminant(q)]
+
+    def phi(n):
+        for p, _ in prime_factors(n):
+            n = n // p * (p - 1)
+        return n
+
+    pairs = {(a, b) for a in discs for b in discs
+             if math.gcd(abs(a), abs(b)) == 1 and phi(abs(a * b)) <= 36}
+    return sorted(pairs | {(1, 1), (1, -4), (5, 13), (-3, 65), (-31, 40)})
 
 
 def rank1_envelope_sum(n, z, ell):
@@ -810,11 +855,28 @@ class TestMainTerm:
         with pytest.raises(ValueError, match="nodes"):
             main_term_residue(5, 13, 1e3, 10, nodes=0)
 
-    def test_largest_radius_stays_in_lfun_range(self):
-        # at radius 0.49 the coupled factor reaches Re u = 1 - 3 * 0.49,
-        # just above lfun.MIN_RE_U
-        rep = main_term_residue(1, 1, 1e3, 10, radius=0.49)
-        assert math.isfinite(rep.residue)
+    def test_radius_limit_from_trapezoid_error(self):
+        # the s-circle's error decays like (2 radius)^nodes; at 128 nodes
+        # it passes rounding above radius 2^(-53/128) / 2
+        with pytest.raises(ArithmeticError,
+                           match="radius 0.49 with 128 nodes"):
+            main_term_residue(1, 1, 1e3, 10, radius=0.49)
+        largest = 0.5 * 2.0 ** (-53 / 128) * (1 - 1e-9)
+        with pytest.raises(ArithmeticError, match="128 nodes"):
+            main_term_residue(5, 13, 1e3, 10, radius=largest * (1 + 2e-9))
+        for q1, q2 in ((1, 1), (5, 13), (-3, 65)):
+            rep = main_term_residue(q1, q2, 1e3, 10, radius=largest)
+            want, scale = _grid_oracle(q1, q2, 1e3, 10, largest)
+            assert abs(rep.residue - want.real) <= ORACLE_TOL * scale
+            # and it has converged: the default radius gives the same value
+            ref = main_term_residue(q1, q2, 1e3, 10)
+            assert abs(rep.residue - ref.residue) <= ORACLE_TOL * scale
+
+    def test_few_nodes_raise_for_the_coupled_pole(self):
+        # for q1 q2 = 1 the t-sum is cut by the pole at t = -s, ratio 1/2
+        with pytest.raises(ArithmeticError, match="0.5\\^32"):
+            main_term_residue(1, 1, 1e3, 10, nodes=32)
+        main_term_residue(5, 13, 1e3, 10, radius=0.05, nodes=32)
 
     def test_radius_must_leave_out_the_gamma_pole(self):
         # the s-circle has radius 2r; from r = 1/2 on it encloses the pole
@@ -905,3 +967,55 @@ class TestMainTerm:
         assert abs(fit_a.leading - fit_b.leading) < 1e-9
         assert (abs(np.array(fit_a.coefficients)
                     - np.array(fit_b.coefficients)) > 1e-6).any()
+
+
+class TestCoupledFactor:
+    @pytest.mark.parametrize("radius", [0.05, 0.08, 0.15, 0.3])
+    def test_matches_grid_oracle(self, radius):
+        # every pair at every weight at the default radius; elsewhere each
+        # pair at one weight, in turn.  The weight enters aw and bw only,
+        # and each (pair, weight, radius) costs a kernel of its own
+        pairs = _oracle_pairs()
+        assert len(pairs) == 120
+        for i, (q1, q2) in enumerate(pairs):
+            weights = (10, 12, 14) if radius == 0.08 else ((10, 12, 14)[i % 3],)
+            for k in weights:
+                for level in (1e2, 1e3, 1e4, 1e5):
+                    rep = main_term_residue(q1, q2, level, k, radius=radius)
+                    want, scale = _grid_oracle(q1, q2, level, k, radius)
+                    assert (abs(rep.residue - want.real)
+                            <= ORACLE_TOL * scale), (q1, q2, k, level)
+        _coupled_grid.cache_clear()
+
+    @pytest.mark.parametrize("q", [1, -4, 5, 120, -104, -1147])
+    def test_factor_reproduces_grid(self, q):
+        # unit weights aw = e_i, bw = e_j have moments w^{ik} and w^{jl}:
+        # the bilinear form at those is the grid value L(1 + s_i + t_j)
+        nodes, radius = 128, 0.08
+        weights, pole = petersson._coupled_form(q, radius, nodes)
+        assert len(weights) <= nodes
+        w = np.exp(2j * np.pi * np.outer(np.arange(nodes),
+                                         np.arange(nodes)) / nodes)
+        wm = w[:, :len(weights)]
+        got = wm @ weights @ wm.T
+        if q == 1:
+            # the pole term sum_l w^{-i(l+1)} pole_l w^{jl}
+            got += (w.conj() * w[:, [1]].conj() * pole) @ w.T
+        want = _coupled_grid(q, radius, nodes)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_non_decaying_tail_raises(self, monkeypatch):
+        # an L-evaluator good to single precision only leaves a flat tail
+        # of Taylor coefficients near 1e-8, far above rounding
+        def single_precision(s, q):
+            val = dirichlet_l_vec(s, q)
+            return val.astype(np.complex64).astype(complex) if q == 65 else val
+
+        acceptance.clear_all_caches()
+        monkeypatch.setattr(petersson, "dirichlet_l_vec", single_precision)
+        try:
+            with pytest.raises(ArithmeticError,
+                               match=r"chi_65\).* not decayed.*radius 0\.08"):
+                main_term_residue(5, 13, 1e3, 10)
+        finally:
+            acceptance.clear_all_caches()
