@@ -88,6 +88,7 @@ def parse_levels(text: str) -> str:
 FORM = {"type": parse_form, "required": True}
 MATRIX = {"type": parse_matrix, "required": True}
 INT = {"type": int, "required": True}
+ONE = {"type": int, "default": 1}
 FLOAT = {"type": parse_float, "required": True}
 
 
@@ -119,6 +120,15 @@ def _gram(a):
         "hermitian_defect": res.hermitian_defect,
         "min_eigenvalue": res.min_eigenvalue,
         "tail_budget": res.tail_budget.tolist()}
+
+
+def _tail(a):
+    params = petersson.SpectralParams(k=a.k, level=a.n, beta=a.beta)
+    rep = petersson.tail_diagnostic(a.m1, a.m2, params, a.shell_width)
+    return rep.observed_tail, rep.shell_size, "shell", {
+        "beta": params.beta, "m_bound": params.m_bound,
+        "predicted_exponent": rep.predicted_exponent,
+        "predicted_envelope": rep.predicted_envelope}
 
 
 def _mainterm(a):
@@ -176,7 +186,7 @@ COMMANDS = {
     "count": (
         "congruence solution counter",
         {"n": INT, "c1": INT, "c2": INT, "c4": INT, "h1": INT, "h2": INT,
-         "a": {"type": int, "default": 1}, "b": {"type": int, "default": 1}},
+         "a": ONE, "b": ONE},
         lambda a: (expsums.congruence_count(a.n, a.c1, a.c2, a.c4, a.h1, a.h2,
                                             a.a, a.b), a.n ** 3, "brute", {})),
     "twisted": (
@@ -210,6 +220,12 @@ COMMANDS = {
                   "dest": "forms", "metavar": "FORM",
                   "help": "repeatable form literal t1,t2,t4"},
          "n": INT, "k": INT}, _gram),
+    "tail": (
+        "rank-2 tail on the shell just outside the box",
+        # a beta that is not positive and finite exits 1 from SpectralParams
+        {"n": INT, "k": INT, "m1": ONE, "m2": ONE,
+         "beta": {"type": float, "default": None}, "shell-width": ONE},
+        _tail),
     "mainterm": (
         "main-term double residue",
         {"q1": INT, "q2": INT, "bign": FLOAT, "k": INT,

@@ -259,7 +259,12 @@ def box_bound(level: int, ell: float, beta: float) -> int:
 def truncation_set(m: int) -> list[IntMat2]:
     """The box of bound m: a list of the nonsingular matrices with entries
     and |det| at most m, in lexicographic order of (a, b, c, d), the order
-    in which the scan over the four entries meets them."""
+    in which the scan over the four entries meets them.  Raises ValueError
+    before scanning when m exceeds MAX_BOX_BOUND + 1, the bound of the
+    largest box's width-1 shell."""
+    if m > MAX_BOX_BOUND + 1:
+        raise ValueError(f"box bound {m} exceeds {MAX_BOX_BOUND + 1}, the "
+                         "width-1 shell of the largest box")
     return [IntMat2(a, b, c, d)
             for a, b, c, d in itertools.product(range(-m, m + 1), repeat=4)
             if 0 < abs(a * d - b * c) <= m]

@@ -53,13 +53,16 @@ from .lfun import MIN_RE_U, dirichlet_l_vec
 
 @dataclass(frozen=True)
 class SpectralParams:
-    """Weight k, prime level N and rank-1 cutoff, and the constants that
-    the coefficient sums derive from k and N alone."""
+    """Weight k, prime level N, rank-1 cutoff and box exponent beta, and
+    the constants that the coefficient sums derive from them.  Every
+    truncation of the coefficient is chosen here: the rank-2 box bound M
+    from beta (``kernels.box_bound``) and the rank-1 cut (``rank1_cut``)."""
 
     k: int
     level: int
     rank1_cutoff: int | None = None   # largest modulus c in the rank-1 sum
-    m_bound: int = field(init=False)  # rank-2 box bound M at the default beta
+    beta: float | None = None         # box exponent; None is default_beta(k)
+    m_bound: int = field(init=False)  # rank-2 box bound M at beta
 
     def __post_init__(self):
         require_weight(self.k)
@@ -68,13 +71,28 @@ class SpectralParams:
         if self.rank1_cutoff is not None and self.rank1_cutoff < 1:
             raise ValueError(
                 f"rank1_cutoff must be at least 1, got {self.rank1_cutoff}")
+        if self.beta is None:
+            object.__setattr__(self, "beta", default_beta(self.k))
         object.__setattr__(self, "m_bound", box_bound(
-            self.level, self.ell, default_beta(self.k)))
+            self.level, self.ell, self.beta))
 
     @property
     def ell(self) -> float:
         """Order of the Bessel kernels, k - 3/2."""
         return self.k - 1.5
+
+    def rank1_cut(self, det_tq: float) -> int:
+        """The largest c s kept by the rank-1 sum of det Q det T = det_tq.
+
+        The term of (c, s) carries J_ell(x), x = 4 pi det_tq^{1/2} / (c s),
+        and |J_ell(x)| <= (x/2)^ell / Gamma(ell + 1) (DLMF 10.14.4).  That
+        envelope rises with x and is 1e-16 at z0 = 2 (1e-16 Gamma(ell +
+        1))^{1/ell}, so it is at most 1e-16 from c s = ceil(4 pi det_tq^{1/2}
+        / z0) on: the cut, raised to N to keep the block c = N, s = 1."""
+        ell = self.ell
+        z0 = 2.0 * (1e-16 * math.gamma(ell + 1)) ** (1.0 / ell)
+        return max(self.level,
+                   int(math.ceil(4 * math.pi * math.sqrt(det_tq) / z0)))
 
     @property
     def kappa(self) -> float:
@@ -196,10 +214,11 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
 
     The loop runs s outer, so the Salie arguments of s are built once per
     call (``_rank1_forms``), and c inner over the same (c, s) blocks as a
-    loop over c first: c <= cs_max / s, and every c up to the cutoff for
-    s = 1.  A block sums each distinct (P, S) once, times its multiplicity,
-    with ``salie`` (looked up on the module at call time) run once for each
-    distinct argument of a plus or minus sum: at N = 3 the 792 terms and 54
+    loop over c first: c <= cs_max / s with cs_max = ``params.rank1_cut``
+    of det Q det T, and every c up to the cutoff for s = 1.  A block sums
+    each distinct (P, S) once, times its multiplicity, with ``salie``
+    (looked up on the module at call time) run once for each distinct
+    argument of a plus or minus sum: at N = 3 the 792 terms and 54
     completion checks of ((1,1,1), (1,1,2)) take 270 Salie values, the
     2,368 terms and 82 checks of (I, I) 250.  The result is the
     term-by-term sum up to rounding (tests/test_petersson.py: within
@@ -213,9 +232,7 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
     ell = params.ell
     n = params.level
     det_tq = q.det() * t.det()
-    # drop terms once the small-argument Bessel envelope is below 1e-16
-    z0 = 2.0 * (1e-16 * math.gamma(ell + 1)) ** (1.0 / ell)
-    cs_max = max(n, int(math.ceil(4 * math.pi * math.sqrt(det_tq) / z0)))
+    cs_max = params.rank1_cut(det_tq)
     c_hi = cs_max if params.rank1_cutoff is None else params.rank1_cutoff
     sign_k = -1 if (params.k // 2) % 2 else 1
     total = 0j
@@ -376,37 +393,39 @@ def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
 
 @dataclass(frozen=True)
 class TailReport:
-    level: int
-    weight: int
-    beta: float
-    m_bound: int
+    params: SpectralParams
     shell_size: int
     observed_tail: float
     predicted_exponent: float
     predicted_envelope: float
 
 
-def tail_diagnostic(m1: int, m2: int, level: int, k: int, beta: float,
+def tail_diagnostic(m1: int, m2: int, params: SpectralParams,
                     shell_width: int = 1) -> TailReport:
     """Observed size of the rank-2 summand just outside the truncation box.
 
-    Sums |K(m2 I, m1 I; N C)| / (N^3 |det C|^{3/2}) * |kernel| over a finite
-    shell around the box and reports it next to the predicted envelope
-    N^{-1-beta+5(1+beta)/(2 ell)}.  The shell is summed as in
-    ``_rank2_terms``: one C of each pair C, -C, counted twice.
+    Sums |K(m2 I, m1 I; N C)| / (N^3 |det C|^{3/2}) * |kernel| over the
+    shell of ``shell_width`` around the box of ``params`` and reports it
+    next to the predicted envelope N^{-1-beta+5(1+beta)/(2 ell)}.  The
+    shell is summed as in ``_rank2_terms``: one C of each pair C, -C,
+    counted twice.  Width 0 is the empty shell.  A negative width, a shell
+    beyond ``truncation_set``'s bound and m1 or m2 below 1 raise
+    ValueError.
     """
-    params = SpectralParams(k=k, level=level)
-    m = box_bound(level, params.ell, beta)
-    shell = shell_matrices(m, shell_width)  # empty when shell_width <= 0
-    terms = _rank2_terms(HalfIntegralForm.scalar(m2),
-                         HalfIntegralForm.scalar(m1), params, shell)
+    q = HalfIntegralForm.scalar(m2).require_positive_definite()
+    t = HalfIntegralForm.scalar(m1).require_positive_definite()
+    if shell_width < 0:
+        raise ValueError(
+            f"shell_width must be non-negative, got {shell_width}")
+    shell = shell_matrices(params.m_bound, shell_width)
+    terms = _rank2_terms(q, t, params, shell)
     observed = 2.0 * sum(abs(term) for _, term in terms)
+    beta = params.beta
     exponent = -1.0 - beta + 5.0 * (1.0 + beta) / (2.0 * params.ell)
     return TailReport(
-        level=level, weight=k, beta=beta, m_bound=m,
-        shell_size=len(shell), observed_tail=observed,
+        params=params, shell_size=len(shell), observed_tail=observed,
         predicted_exponent=exponent,
-        predicted_envelope=float(level) ** exponent,
+        predicted_envelope=float(params.level) ** exponent,
     )
 
 

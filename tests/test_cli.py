@@ -164,6 +164,11 @@ PINNED = [
      RECORD + ["matrix", "hermitian_defect", "min_eigenvalue", "tail_budget"],
      [("forms", [[1, 0, 1]]), ("n", 3), ("k", 10)],
      "assembled"),
+    (["tail", "--n", "3", "--k", "10"],
+     RECORD + ["beta", "m_bound", "predicted_exponent", "predicted_envelope"],
+     [("n", 3), ("k", 10), ("m1", 1), ("m2", 1), ("beta", None),
+      ("shell_width", 1)],
+     "shell"),
     (["mainterm", "--q1", "5", "--q2", "13", "--bign", "1000", "--k", "10"],
      RECORD + ["imag_defect"],
      [("q1", 5), ("q2", 13), ("bign", 1000.0), ("k", 10), ("radius", 0.08),
@@ -388,6 +393,32 @@ class TestErrors:
         rec = run_json(capsys, "gram", "--n", "3", "--k", "10")
         assert rec["matrix"] == [] and rec["terms"] == 0
         assert rec["tail_budget"] == []
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--beta", "0"], ["--beta", "inf"], ["--beta", "1e300"],
+        ["--beta", "50"], ["--n", "4"], ["--k", "9"],
+        ["--n", "11", "--beta", "7.2"], ["--shell-width", "200"],
+        ["--shell-width", "-1"],
+    ], ids=["beta", "beta-inf", "beta-overflow", "beta-huge", "level",
+            "weight", "enumeration-cap", "shell-width-huge",
+            "shell-width-negative"])
+    def test_tail_bad_input_exits_1(self, capsys, argv):
+        # argv comes last, so its flags override n = 3 and k = 10
+        code = cli.main(["tail", "--n", "3", "--k", "10", *argv])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_tail_malformed_beta_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tail", "--n", "3", "--k", "10", "--beta", "abc"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "Traceback" not in captured.err
 
 
 class TestNegativeLiterals:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +515,10 @@ class TestTruncation:
     def test_box_parameters(self):
         assert abs(default_beta(10) - 12 / 22) < 1e-12
         assert SpectralParams(k=10, level=3).m_bound == 2
+        assert SpectralParams(k=10, level=3).beta == default_beta(10)
+        # beta owns the box: N^((1 + beta) / ell) = 3^(21 / 8.5) = 15.1
+        params = SpectralParams(k=10, level=3, beta=20.0)
+        assert params.beta == 20.0 and params.m_bound == 16
 
     @pytest.mark.parametrize("k, level, m", [
         (10, 43, 2), (10, 47, 3), (12, 47, 2), (12, 211, 3)])
@@ -565,35 +570,44 @@ class TestTruncation:
                     if c not in box]
             assert shell_matrices(m, width) == want, width
 
+    @pytest.mark.parametrize("scan", [lambda: truncation_set(34),
+                                      lambda: shell_matrices(2, 200)],
+                             ids=["box", "shell"])
+    def test_oversized_scan_raises_before_scanning(self, scan):
+        # 34 is one past the width-1 shell of the largest box; a scan at
+        # 202 would visit 405^4 entry tuples
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds 33"):
+            scan()
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestTailDiagnostic:
     def test_empty_shell_zero_tail(self):
-        rep = tail_diagnostic(1, 1, 3, 10, default_beta(10), shell_width=0)
+        rep = tail_diagnostic(1, 1, SpectralParams(k=10, level=3),
+                              shell_width=0)
         assert rep.observed_tail == 0.0 and rep.shell_size == 0
 
     def test_default_shell_report(self):
-        rep = tail_diagnostic(1, 1, 3, 10, default_beta(10))
-        assert rep.shell_size > 0
+        params = SpectralParams(k=10, level=3)
+        rep = tail_diagnostic(1, 1, params)
+        assert rep.params is params
+        assert rep.shell_size == len(shell_matrices(params.m_bound, 1)) > 0
         assert rep.observed_tail <= 10 * rep.predicted_envelope
 
     @pytest.mark.parametrize("beta", [0.0, -0.5, math.inf, math.nan])
     def test_nonpositive_beta_raises(self, beta):
         with pytest.raises(ValueError, match="beta must be positive"):
-            tail_diagnostic(1, 1, 3, 10, beta)
+            SpectralParams(k=10, level=3, beta=beta)
 
-    @pytest.mark.parametrize("argv", [["--beta", "0"], ["--beta", "inf"],
-                                      ["--beta", "1e300"], ["--beta", "50"],
-                                      ["--level", "4"], ["--k", "9"],
-                                      ["--level", "11", "--beta", "7.2"]],
-                             ids=["beta", "beta-inf", "beta-overflow",
-                                  "beta-huge", "level", "weight",
-                                  "enumeration-cap"])
-    def test_report_script_bad_input_exits_2(self, argv):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "tail_report.py"), *argv],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+    def test_negative_shell_width_raises(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="shell_width must be non-neg"):
+            tail_diagnostic(1, 1, SpectralParams(k=10, level=3),
+                            shell_width=-3)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("m1, m2", [(0, 1), (1, -2)])
+    def test_non_positive_scalar_raises(self, m1, m2):
+        with pytest.raises(ValueError, match="not positive definite"):
+            tail_diagnostic(m1, m2, SpectralParams(k=10, level=3))

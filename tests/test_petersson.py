@@ -129,10 +129,9 @@ def reference_completion(v1, v3):
 
 def reference_rank1(q, t, params):
     """(rank-1 sum, number of terms, sum of |term|), term by term."""
-    ell, n = params.ell, params.level
+    n = params.level
     det_tq = q.det() * t.det()
-    z0 = 2.0 * (1e-16 * math.gamma(ell + 1)) ** (1.0 / ell)
-    cs_max = max(n, int(math.ceil(4 * math.pi * math.sqrt(det_tq) / z0)))
+    cs_max = params.rank1_cut(det_tq)
     c_hi = cs_max if params.rank1_cutoff is None else params.rank1_cutoff
     sign_k = -1 if (params.k // 2) % 2 else 1
     memo, forms_of = {}, {}
@@ -354,20 +353,34 @@ class TestHFourier:
         # summed over every dropped block (c = N j, c s > z); a 49-term
         # partial sum of sum_j (N j)^{-3} in its place fell short of it for
         # (I, I) at N = 31, 41, 43, 67, 71 and 73
-        ell = SpectralParams(k=10, level=3).ell
-        z0 = 2.0 * (1e-16 * math.gamma(ell + 1)) ** (1.0 / ell)
         for n in filter(is_prime, range(3, 200)):
+            params = SpectralParams(k=10, level=n)
+            ell = params.ell
             for q, t in PAIRS.values():
                 det_tq = q.det() * t.det()
                 w = 2 * math.pi * math.sqrt(det_tq)
                 k_const = (400 * math.sqrt(2) * math.pi * w ** ell
                            / math.gamma(ell + 1))
-                # the cs_max of _rank1_sum
-                cs_max = max(n, math.ceil(4 * math.pi * math.sqrt(det_tq) / z0))
-                for z in (n, 2 * n, cs_max):
+                for z in (n, 2 * n, params.rank1_cut(det_tq)):
                     envelope = k_const * rank1_envelope_sum(n, z, ell)
                     assert _rank1_tail_bound(det_tq, n, z, ell) >= envelope, (
                         n, z)
+
+    @pytest.mark.parametrize("k", [10, 12, 14])
+    def test_rank1_cut_is_least_below_envelope(self, k):
+        # the cut is the least c s >= N whose Bessel envelope
+        # (x/2)^ell / Gamma(ell + 1), x = 4 pi (det Q det T)^{1/2} / (c s),
+        # is at most 1e-16
+        ell = k - 1.5
+        for n in filter(is_prime, range(3, 200)):
+            params = SpectralParams(k=k, level=n)
+            for q, t in PAIRS.values():
+                x = 4 * math.pi * math.sqrt(q.det() * t.det())
+                cut = params.rank1_cut(q.det() * t.det())
+                envelope = [(x / cs / 2) ** ell / math.gamma(ell + 1)
+                            for cs in (cut, cut - 1)]
+                assert cut >= n and envelope[0] <= 1e-16, (n, q, t)
+                assert cut == n or envelope[1] > 1e-16, (n, q, t)
 
     @pytest.mark.parametrize("level, pairs", [
         (3, [(HalfIntegralForm(1, b, 1), HalfIntegralForm(1, d, 2))
