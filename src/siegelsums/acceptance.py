@@ -451,7 +451,7 @@ def clear_all_caches() -> None:
     expsums._roots_of_unity.cache_clear()
     expsums._unit_table.cache_clear()
     petersson._script_j_cached.cache_clear()
-    petersson._residue_kernel.cache_clear()
+    petersson._residue_series.cache_clear()
 
 
 def run_all() -> tuple[list[dict], dict[int, float]]:

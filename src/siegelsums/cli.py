@@ -132,9 +132,9 @@ def _tail(a):
 
 
 def _mainterm(a):
-    rep = petersson.main_term_residue(a.q1, a.q2, a.bign, a.k, radius=a.radius,
-                                      nodes=a.nodes, poly=a.poly)
-    return rep.residue, a.nodes ** 2, "contour", {
+    rep = petersson.main_term_residue(a.q1, a.q2, a.bign, a.k, poly=a.poly)
+    # terms: the points of the three Taylor circles
+    return rep.residue, 3 * rep.nodes, "taylor", {
         "imag_defect": rep.imag_defect}
 
 
@@ -229,8 +229,6 @@ COMMANDS = {
     "mainterm": (
         "main-term double residue",
         {"q1": INT, "q2": INT, "bign": FLOAT, "k": INT,
-         "radius": {"type": parse_float, "default": 0.08},
-         "nodes": {"type": int, "default": 128},
          "poly": {"choices": POLYS, "default": "(1-s)^2"}}, _mainterm),
     "fit": (
         "polynomial fit of the residue in log N",

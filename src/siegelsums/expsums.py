@@ -156,6 +156,15 @@ def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
+# Largest c that ``salie`` and ``gauss_sum`` accept, each to keep its peak
+# below 4 GiB, as sp4.MAX_PI_GRID_N does for the pI grid.  ``salie``
+# tallies a phi(c) x c numerator grid at about 16 bytes an entry, 4 GiB at
+# c = 2^14 (160 GB at c = 100,003); ``gauss_sum`` lists c numerators at
+# about 56 bytes an entry, 3.5 GiB at c = 2^26.
+MAX_SALIE_C = 2 ** 14
+MAX_GAUSS_C = 2 ** 26
+
+
 def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
     """Salie-type sum H^+(P, S; c).
 
@@ -167,10 +176,14 @@ def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
     times the constant non-integral phase e( -p2 s2 / (2 c s4) ).  The
     minus sum, with +p2 in both places, is H^-(P, S; c) = H^+(P, S'; c) for
     S' = (s1, -s2, s4): d2 -> -d2 permutes the numerators and keeps the
-    phase, so the two agree bit for bit.
+    phase, so the two agree bit for bit.  Raises ValueError, before any
+    array is built, when c exceeds ``MAX_SALIE_C``.
     """
     if c < 1:
         raise ValueError("c must be >= 1")
+    if c > MAX_SALIE_C:
+        raise ValueError(f"the Salie sum of c = {c} exceeds the cap "
+                         f"{MAX_SALIE_C} (about 16 c^2 bytes)")
     if s.t4 != p.t4:
         return SumValue(0j, 0, "salie")
     if s.t4 == 0:
@@ -188,9 +201,13 @@ def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
 
 
 def gauss_sum(a: int, b: int, c: int) -> SumValue:
-    """Quadratic Gauss sum: sum over x mod c of e((a x^2 + b x)/c)."""
+    """Quadratic Gauss sum: sum over x mod c of e((a x^2 + b x)/c).  Raises
+    ValueError, before any list is built, when c exceeds ``MAX_GAUSS_C``."""
     if c < 1:
         raise ValueError("c must be >= 1")
+    if c > MAX_GAUSS_C:
+        raise ValueError(f"the Gauss sum of c = {c} exceeds the cap "
+                         f"{MAX_GAUSS_C} (about 56 c bytes)")
     nums = np.array([(a * x * x + b * x) % c for x in range(c)], dtype=np.int64)
     return SumValue(value=_tally_value(nums, c), terms=c, method="brute")
 

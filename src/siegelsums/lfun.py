@@ -12,14 +12,15 @@ The number N of direct terms is set per call from the remainder bound of
 F. Johansson (Numer. Algorithms 69 (2015)) after the 12 Bernoulli terms:
 the smallest N with 4 |(u)_24| / (2 pi)^24 N^{-(Re u + 23)} / (Re u + 23)
 below 1e-17, taken at the grid's largest |u| and smallest Re u.  That is
-N = 8 on the residue circles |u - 1| = 0.16 and 0.08 and on the grid
-|u - 1| <= 0.24, 9 on the coupled factor's circle |u - 1| = 0.48, 18 at
-u = 1/2 + 12i, 93 at 1/2 + 100i and 880 at 1/2 + 1000i.  Where N would
-pass MAX_DIRECT_TERMS (|Im u| above about 1.04e5 on the critical line, or
-Re u <= -23) the call raises ArithmeticError, and so does any point with
-Re u < MIN_RE_U = -1/2: there the direct terms (n + a/m)^{-u} grow with n
-and their sum rounds away the value (zeta(-10) would read -3.4e7).  A
-non-finite point raises ValueError.
+N = 9 on the main-term residue's Taylor circle |u - 1| = 1/2, 8 on the
+circles |u - 1| = 0.16 and 0.08 and the grid |u - 1| <= 0.24 of its
+tests' contour oracle, 18 at u = 1/2 + 12i, 93 at 1/2 + 100i and 880 at
+1/2 + 1000i.  Where N would pass MAX_DIRECT_TERMS (|Im u| above about
+1.04e5 on the critical line, or Re u <= -23) the call raises
+ArithmeticError, and so does any point with Re u < MIN_RE_U = -1/2:
+there the direct terms (n + a/m)^{-u} grow with n and their sum rounds
+away the value (zeta(-10) would read -3.4e7).  A non-finite point raises
+ValueError.
 
 The singular part w^{1-u}/(u - 1), w = N + a/m, is a matrix product too
 away from u = 1: the product gives sum_a chi(a) w_a^{1-u}, and that sum
@@ -27,7 +28,7 @@ less sum_a chi(a) is divided by u - 1.  Its cancellation costs a factor of
 about 1/(|u - 1| log w) in rounding.  A grid with a point within 1/16 of
 u = 1 gets N >= 8, so only the points with |u - 1| < 1/16 (a factor of at
 most 16/log 8 ~ 7.7) sum the singular part pointwise, one expm1 call per
-class and point.  The relative error is ~2e-15 on the residue contour,
+class and point.  The relative error is ~3e-15 on the residue's circle,
 through s = 1 for non-principal characters.  On the critical line the phase
 of each term rounds with |Im s| log n, so there it is ~1e-13 at
 |Im s| = 100 and ~1e-11 at 1e4.
@@ -64,9 +65,8 @@ _EM_TARGET = 1e-17
 # on the critical line.  A scalar dirichlet_l(s, 5) there took 1.3 s on two
 # vCPUs, and each further block of _CLASS_BLOCK classes adds about as much.
 MAX_DIRECT_TERMS = 100_000
-# Smallest Re u that _hurwitz_grid accepts.  The coupled factor's circle
-# |u - 1| <= 1 - MIN_RE_U of petersson._coupled_form stays at or above it,
-# and at Re u = -0.47 the functional equation still holds to 1e-13.
+# Smallest Re u that _hurwitz_grid accepts.  At Re u = -0.47 the
+# functional equation still holds to 1e-13.
 MIN_RE_U = -0.5
 # classes per matrix product, so that its factors stay O(len(s) + len(t))
 _CLASS_BLOCK = 64
@@ -131,8 +131,7 @@ def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
     with |u - 1| < 1/16, where that factor would pass 16/log 8 ~ 7.7 (three
     bits), take the pointwise form: one expm1 pass per class, with its
     limit -sum_a c_a log w_a at u = 1, so the result is continuous through
-    u = 1.  The default residue contour has |u - 1| >= 0.08 and never
-    takes it.
+    u = 1.  The main-term residue's circle |u - 1| = 1/2 never takes it.
     """
     if not (np.isfinite(s).all() and np.isfinite(t).all()):
         raise ValueError("L-values need finite points")

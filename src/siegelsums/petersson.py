@@ -5,9 +5,8 @@ The assembled coefficient follows the diagonal / rank-1 / rank-2
 decomposition of the Poincare-series Fourier expansion for the Siegel
 congruence group of prime level, with the rank-2 constant 8*pi^2.  The
 main term is the iterated residue at s = t = 0 of a product of Dirichlet
-L-functions and archimedean gamma factors, computed by nested circle
-contours (trapezoid rule, spectrally accurate), with the coupled L-factor
-as a bilinear form from its Taylor series on one Cauchy circle.
+L-functions and archimedean gamma factors, a polynomial in log N read off
+the Taylor series at 0 of three factors, each from one FFT on a circle.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .matcore import (
     representations,
     require_fundamental_discriminant,
 )
-from .expsums import kloosterman, kloosterman_factored, salie
+from .expsums import MAX_SALIE_C, kloosterman, kloosterman_factored, salie
 from .kernels import (
     KernelArg,
     bessel_j,
@@ -44,7 +43,7 @@ from .kernels import (
     shell_matrices,
     truncation_set,
 )
-from .lfun import MIN_RE_U, dirichlet_l_vec
+from .lfun import dirichlet_l_vec
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +226,17 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
     When (D_Q D_T | N) = -1 every Salie value is zero up to rounding
     (tests/test_petersson.py checks |H| <= 1e-12 c^{3/2}), so the sum is
     rounding noise of the same size as its terms and no bound relative to
-    the sum of |term| can hold.
+    the sum of |term| can hold.  A cut c_hi above ``MAX_SALIE_C``, where
+    the block s = 1 would end, raises ValueError before any Salie sum.
     """
     ell = params.ell
     n = params.level
     det_tq = q.det() * t.det()
     cs_max = params.rank1_cut(det_tq)
     c_hi = cs_max if params.rank1_cutoff is None else params.rank1_cutoff
+    if c_hi > MAX_SALIE_C:
+        raise ValueError(f"the rank-1 cut c = {c_hi} exceeds the Salie cap "
+                         f"{MAX_SALIE_C}")
     sign_k = -1 if (params.k // 2) % 2 else 1
     total = 0j
     s_hi = max(1, cs_max // n) if c_hi >= n else 0
@@ -500,6 +503,9 @@ def spectral_gram(forms: list[HalfIntegralForm],
 
 @dataclass(frozen=True)
 class ResidueReport:
+    """``main_term_residue`` at ``level``; ``radius`` and ``nodes`` are its
+    Taylor circle's."""
+
     q1: int
     q2: int
     level: float
@@ -527,204 +533,110 @@ def _check_discriminant_pair(q1: int, q2: int) -> None:
         raise ValueError("q1 and q2 must be coprime")
 
 
-# The s-circle's trapezoid rule and the coupled factor's Taylor series are
-# cut where their geometric error bound falls below the unit roundoff.
-_UNIT_ROUNDOFF = 2.0 ** -53
-# Largest |Taylor coefficient| in the top quarter of the coupled factor's
-# circle, over max |g| on it, that counts as decayed to rounding: the
-# accuracy lfun states at the left edge Re u = MIN_RE_U of its range.
-_TAIL_TOL = 1e-13
-# Most Taylor terms of the coupled factor: its M x M weights take 16 MB.
-# From radius 1/4 on x = 2 radius, and M grows without bound as the radius
-# nears 1/2; it is 979 at 0.48.
-_MAX_TAYLOR_TERMS = 1024
+# Each Taylor series is read off _TAYLOR_NODES points of |u| = 1/2.  It
+# counts as decayed to rounding when the top quarter of its coefficients is
+# at most _TAIL_TOL of max |f| there: over the tests' 120 oracle pairs at
+# k = 10 to 30 the worst is 4.5e-15; single-precision values leave 1e-8.
+_TAYLOR_RADIUS, _TAYLOR_NODES, _TAIL_TOL = 0.5, 64, 1e-13
 
 
-def _check_contour(q1: int, q2: int, radius: float, nodes: int) -> None:
-    """Raise ArithmeticError unless both trapezoid rules of the double
-    residue have converged to rounding.  A trapezoid rule on a circle of
-    radius R errs like (R / d)^nodes, d the distance from 0 to the nearest
-    pole outside it.  For the s-circle R = 2 radius and d = 1, the pole of
-    Gamma(s+1) at s = -1.  When q1 q2 = 1 the t-circle, R = radius, also
-    has the coupled pole at t = -s with d = |s| = 2 radius: ratio 1/2."""
-    ratio = 2 * radius if q1 * q2 != 1 else max(2 * radius, 0.5)
-    if nodes * math.log(ratio) > math.log(_UNIT_ROUNDOFF):
+def _pole_order(q: int) -> int:
+    """Order of the pole of L(1 + u, chi_q) L(1 + u, chi_{-4q}) at u = 0:
+    1 for q = 1 (zeta) and q = -4 (chi_16, principal mod 2), else 0."""
+    return int(q in (1, -4))
+
+
+def _taylor(f, what: str, terms: int) -> np.ndarray:
+    """The first ``terms`` Taylor coefficients f_m at 0 of f, holomorphic on
+    |u| <= rho = _TAYLOR_RADIUS, from one FFT of f on the n points of that
+    circle: it gives f_m rho^m plus the aliased f_{m+n} rho^{m+n} + ...
+    Raises ArithmeticError unless the top quarter has decayed to _TAIL_TOL
+    of max |f|, which puts the aliased terms below that too."""
+    n = _TAYLOR_NODES
+    values = f(_TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(n) / n))
+    c = np.fft.fft(values) / n
+    tail = float(np.abs(c[n - n // 4:]).max())
+    if not tail <= _TAIL_TOL * float(np.abs(values).max()):
         raise ArithmeticError(
-            f"radius {radius} with {nodes} nodes leaves a contour error of "
-            f"about {ratio:.3g}^{nodes} = {ratio ** nodes:.2g}, above rounding:"
-            " take a smaller radius or more nodes")
-
-
-def _coupled_form(q: int, radius: float, nodes: int):
-    """The coupled factor L(1 + s + t, chi_q) on the contour grid
-    s_i = 2r w^i, t_j = r w^j (w = exp(2 pi i / nodes), r = radius) as a
-    bilinear form: (W, pole) such that, for any weights aw and bw with
-    moments A_k = sum_i aw_i w^{ik} and B_l = sum_j bw_j w^{jl},
-
-        sum_ij aw_i L(1 + s_i + t_j) bw_j
-            = sum_{k,l < M} A_{k mod nodes} W[k, l] B_{l mod nodes}
-              + sum_l A_{-l-1} pole_l B_l          (pole only when q = 1)
-
-    to rounding.  The identity, with g(u) = L(1 + u, chi_q) - [q = 1]/u
-    entire and g(u) = sum_m e_m u^m:
-
-    - the Taylor coefficients come from one circle |u| = rho: c_m =
-      e_m rho^m is the FFT of g at M points of it, divided by M;
-    - (s_i + t_j)^m = sum_{k+l=m} C(m, k) (2r)^k r^l w^{ik} w^{jl}, so
-      W[k, l] = C(k+l, k) (2r/rho)^k (r/rho)^l c_{k+l} for k + l < M.  The
-      factors sum to x^{k+l} along an anti-diagonal, x = 3r/rho < 1, so
-      none overflows;
-    - 1/(s_i + t_j) = sum_l (-1/2)^l w^{l(j-i)} / (2r w^i), a geometric
-      series in w^{j-i}/2 that sums exactly over l mod nodes:
-      pole_l = (-1/2)^l / (2r (1 - (-1/2)^nodes)).
-
-    rho = min(6r, 1 - MIN_RE_U): x = 1/2 up to r = 1/4, and Re(1 + u)
-    stays within lfun's range.  By Cauchy |c_m| <= max |g| on the circle,
-    so cutting the series at k + l < M leaves at most x^M / (1 - x) of
-    that scale: M is the least with x^M / (1 - x) <= _UNIT_ROUNDOFF (54 at
-    x = 1/2).  The samples alias c_m with c_{m+M}, c_{m+2M}, ...: raises
-    ArithmeticError unless the top quarter of the c_m has decayed to
-    _TAIL_TOL of max |g|, which puts the aliased terms below it too.
-    """
-    rho = min(6 * radius, 1 - MIN_RE_U)
-    x = 3 * radius / rho
-    m = math.ceil(math.log(_UNIT_ROUNDOFF * (1 - x)) / math.log(x))
-    if m > _MAX_TAYLOR_TERMS:
-        raise ArithmeticError(
-            f"radius {radius} needs {m} Taylor terms of the coupled factor, "
-            f"more than {_MAX_TAYLOR_TERMS} ({nodes} nodes)")
-    u = rho * np.exp(2j * np.pi * np.arange(m) / m)
-    g = dirichlet_l_vec(u + 1, q)
-    if q == 1:
-        g -= 1 / u
-    c = np.fft.fft(g) / m
-    tail = float(np.abs(c[m - m // 4:]).max())
-    if not tail <= _TAIL_TOL * float(np.abs(g).max()):
-        raise ArithmeticError(
-            f"the Taylor coefficients of L(1 + u, chi_{q}) on |u| = {rho:.3g}"
-            f" have not decayed to rounding by m = {m}: tail {tail:.2g} "
-            f"(radius {radius}, {nodes} nodes)")
-    # C(k+l, k) (2r/rho)^k (r/rho)^l from its logarithm, which is at most
-    # (k+l) log x < 0, so that no factor overflows; c_{k+l} = 0 from k+l = m
-    j = np.arange(m)
-    kl = j[:, None] + j
-    log_fact = np.array([math.lgamma(i + 1) for i in range(2 * m - 1)])
-    log_w = (log_fact[kl] - log_fact[j, None] - log_fact[j]
-             + j[:, None] * math.log(2 * radius / rho)
-             + j * math.log(radius / rho))
-    weights = np.exp(log_w) * np.append(c, np.zeros(m - 1))[kl]
-    pole = None
-    if q == 1:
-        pole = (-0.5) ** np.arange(nodes) / (2 * radius
-                                             * (1 - (-0.5) ** nodes))
-    return weights, pole
+            f"the Taylor coefficients of {what} on |u| = {_TAYLOR_RADIUS} "
+            f"have not decayed to rounding by m = {n}: tail {tail:.2g}")
+    return c[:terms] / _TAYLOR_RADIUS ** np.arange(terms)
 
 
 @lru_cache(maxsize=16)
-def _residue_kernel(q1: int, q2: int, k: int, radius: float, nodes: int,
-                    poly: str):
-    """Level-independent data for the double residue: node arrays, the
-    factored integrand with the 1/s, 1/t poles cancelled by the contour
-    measure, and the coupled factor as _coupled_form's bilinear form.  The
-    t-circle radius is half the s-circle radius, so the coupled L-factor
-    pole at t = -s stays outside the inner contour and the quadrature
-    computes the iterated residue Res_s Res_t."""
-    n = nodes
-    theta = 2 * np.pi * np.arange(n) / n
-    s = 2 * radius * np.exp(1j * theta)
-    t = radius * np.exp(1j * theta)
-    alpha = (4.0 * dirichlet_l_vec(s + 1, q1) * dirichlet_l_vec(s + 1, -4 * q1)
-             * gamma_factor(s, k) * poly_factor(s, poly)
-             * np.exp(2 * s * math.log(abs(q1))))
-    beta = (dirichlet_l_vec(t + 1, q2) * dirichlet_l_vec(t + 1, -4 * q2)
-            * gamma_factor(t, k) * poly_factor(t, poly)
-            * np.exp(2 * t * math.log(abs(q2))))
-    weights, pole = _coupled_form(q1 * q2, radius, n)
-    return s, t, alpha, beta, weights, pole
+def _residue_series(q1: int, q2: int, k: int, poly: str):
+    """``main_term_residue``'s Taylor coefficients a, b, g, e1 + e2 + 2 each."""
+    terms = _pole_order(q1) + _pole_order(q2) + 2
+
+    def factor(q):
+        return _taylor(lambda u: (
+            u ** _pole_order(q) * dirichlet_l_vec(u + 1, q)
+            * dirichlet_l_vec(u + 1, -4 * q) * gamma_factor(u, k)
+            * poly_factor(u, poly) * np.exp(2 * u * math.log(abs(q)))),
+            f"the chi_{q}, chi_{-4 * q} factor", terms)
+
+    return factor(q1), factor(q2), _taylor(
+        lambda u: dirichlet_l_vec(u + 1, q1 * q2) - (q1 * q2 == 1) / u,
+        f"L(1 + u, chi_{q1 * q2})", terms)
 
 
 def main_term_residue(q1: int, q2: int, level: float, k: int,
-                      radius: float = 0.08, nodes: int = 128,
                       poly: str = "(1-s)^2") -> ResidueReport:
-    """Iterated residue at s = t = 0 of the main-term integrand.
+    """Iterated residue at s = t = 0 of 4 N^{s+t} / (s t) alpha(s) beta(t)
+    L(s+t+1, chi_{q1 q2}), with alpha(s) = L(s+1, chi_{q1}) L(s+1,
+    chi_{-4 q1}) gamma_factor(s, k) poly_factor(s, poly) |q1|^{2s} and beta
+    likewise for q2.  ``poly`` is "(1-s)^2" or "1-s^2" (any other raises
+    ValueError); ``level`` is N, a real parameter above 1.
 
-    The integrand is the product of the five Dirichlet L-factors
-    L(s+1, chi_{q1}) L(s+1, chi_{-4 q1}) L(t+1, chi_{q2}) L(t+1, chi_{-4 q2})
-    L(s+t+1, chi_{q1 q2}), kernels.gamma_factor, kernels.poly_factor
-    (printed form "(1-s)^2" by default, "1-s^2" behind the flag; any other
-    ``poly`` raises ValueError), and
-    N^s N^t |q1|^{2s} |q2|^{2t} / (s t), all times 4.  ``level`` enters as a
-    real parameter; the residue is an exact polynomial in log(level).
+    The residue is a coefficient, a polynomial in l = log N of degree
+    ``residue_fit_degree``.  a(s) = s^{e1} alpha(s), e1 =
+    ``_pole_order(q1)``, is holomorphic on |s| < 1 (Gamma(s+1) has its pole
+    at -1); b(t) = t^{e2} beta(t) likewise.  g(u) = L(1 + u, chi_{q1 q2}) -
+    delta/u, delta = [q1 q2 = 1], is entire.  ``_taylor`` reads each off
+    the circle |u| = 1/2, where Re(1 + u) >= 1/2; ae and be are the
+    coefficients of a(s) e^{sl} and b(t) e^{tl}.  The residue is the
+    coefficient of s^{e1} t^{e2} in 4 ae(s) be(t) (g(s+t) + delta/(s+t)).
+    (s+t)^m holds s^i t^j C(m, i) times, i + j = m, and the t-residue
+    comes first, on |t| < |s|, where 1/(s+t) = sum_j (-1)^j t^j / s^{j+1}:
 
-    The residue is the trapezoid double sum
-    (1/n^2) sum_ij aw_i L(1 + s_i + t_j, chi_{q1 q2}) bw_j over n = ``nodes``
-    points of the s-circle, radius 2 * ``radius``, and of the t-circle,
-    radius ``radius``; aw and bw carry the other factors.  The coupled
-    factor enters as _coupled_form's bilinear form in the moments of aw
-    and bw, which equals that double sum to rounding: one L-evaluation on
-    a circle of M points (M = 54 up to radius 1/4) instead of n^2 grid
-    points.
+        4 sum_{j <= e2} be_{e2-j} (delta (-1)^j ae_{e1+j+1}
+                                   + sum_{i <= e1} C(i+j, i) ae_{e1-i} g_{i+j}).
 
-    Any radius outside (0, 1/2) raises ValueError, since from 1/2 on the
-    s-circle encloses the pole of Gamma(s+1) at s = -1 and the result is
-    another number.  Inside, the trapezoid error grows like
-    (2 * radius)^nodes, and like 2^-nodes for q1 q2 = 1 (_check_contour):
-    a radius and node count whose bound exceeds rounding raise
-    ArithmeticError (at 128 nodes, radius above 2^(-53/128)/2 = 0.375; at
-    radius 0.49 the residue of (1, 1) at N = 1000 would be 3.4e-3 off), and
-    so does a coupled factor whose Taylor tail has not decayed.
+    A circle whose series has not decayed raises ArithmeticError.  The
+    report's ``radius`` and ``nodes`` are the circle's, 1/2 and 64.
     """
     _check_discriminant_pair(q1, q2)
     require_weight(k)
     if not (math.isfinite(level) and level > 1):
         raise ValueError(f"level must be a finite number above 1, got {level}")
-    if not 0 < radius < 0.5:
-        raise ValueError(
-            f"radius must lie in (0, 1/2), got {radius}: the s-circle of "
-            "radius 2 * radius must leave out the pole of Gamma(s+1) at s = -1")
-    if nodes < 1:
-        raise ValueError(f"nodes must be at least 1, got {nodes}")
-    _check_contour(q1, q2, radius, nodes)
-    s, t, alpha, beta, weights, pole = _residue_kernel(q1, q2, k, radius,
-                                                       nodes, poly)
-    logn = math.log(level)
-    n = nodes
-    # moments A_k = sum_i aw_i w^{ik}, k mod n, of aw = alpha N^s; same for B
-    a_mom = n * np.fft.ifft(alpha * np.exp(s * logn))
-    b_mom = n * np.fft.ifft(beta * np.exp(t * logn))
-    wrap = np.arange(len(weights)) % n
-    val = a_mom[wrap] @ weights @ b_mom[wrap]
-    if pole is not None:
-        val += a_mom[::-1] @ (pole * b_mom)
-    val /= n * n
+    a, b, g = _residue_series(q1, q2, k, poly)
+    e1, e2 = _pole_order(q1), _pole_order(q2)
+    exp_l = [math.log(level) ** m / math.factorial(m) for m in range(len(a))]
+    ae, be = (np.convolve(x, exp_l)[:len(a)] for x in (a, b))
+    val = 4 * sum(be[e2 - j] * ((q1 * q2 == 1) * (-1) ** j * ae[e1 + j + 1]
+                                + sum(math.comb(i + j, i) * ae[e1 - i]
+                                      * g[i + j] for i in range(e1 + 1)))
+                  for j in range(e2 + 1))
     return ResidueReport(q1=q1, q2=q2, level=level, residue=float(val.real),
-                         imag_defect=abs(float(val.imag)), radius=radius,
-                         nodes=nodes)
+                         imag_defect=abs(float(val.imag)),
+                         radius=_TAYLOR_RADIUS, nodes=_TAYLOR_NODES)
 
 
 def residue_fit_degree(q1: int, q2: int) -> int:
-    """Degree in log N of the main-term polynomial: one per principal
-    L-factor pole among the q1-pair and q2-pair, plus one for the coupled
-    zeta when q1 = q2 = 1."""
-    deg = 0
-    if q1 in (1, -4):
-        deg += 1
-    if q2 in (1, -4):
-        deg += 1
-    if q1 * q2 == 1:
-        deg += 1
-    return deg
+    """Degree in log N of the main-term polynomial: the pole orders of the
+    q1-pair and the q2-pair, plus one for the coupled zeta of q1 = q2 = 1."""
+    return _pole_order(q1) + _pole_order(q2) + (q1 * q2 == 1)
 
 
 def leading_coeff_fit(q1: int, q2: int, k: int,
                       levels: list[float] | None = None,
                       degree: int | None = None,
                       poly: str = "(1-s)^2") -> FitResult:
-    """Least-squares polynomial fit of residue(N) against log N, with the
-    residues at the default radius and nodes of ``main_term_residue``.
-    Needs degree + 1 distinct levels: with fewer the fit is not
-    determined, and a repeated level adds no condition.  A negative
-    ``degree`` raises ValueError before any residue is computed."""
+    """Least-squares polynomial fit of ``main_term_residue`` against log N,
+    exact but for rounding at its degree ``residue_fit_degree``.  Needs
+    degree + 1 distinct levels: with fewer the fit is not determined, and a
+    repeated level adds no condition.  A negative ``degree`` raises
+    ValueError before any residue is computed."""
     _check_discriminant_pair(q1, q2)
     require_weight(k)
     if degree is None:

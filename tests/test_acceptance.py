@@ -114,7 +114,7 @@ def test_clear_all_caches_empties_every_cache():
     petersson.main_term_residue(1, 1, 100.0, 10)
     caches = _library_caches()
     assert {"sp4.coset_data", "expsums._unit_table",
-            "expsums._pI_grid", "petersson._residue_kernel"} <= set(caches)
+            "expsums._pI_grid", "petersson._residue_series"} <= set(caches)
     assert all(fn.cache_info().currsize > 0 for fn in caches.values())
     acceptance.clear_all_caches()
     assert {name: fn.cache_info().currsize for name, fn in caches.items()

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -80,7 +81,8 @@ class TestSubcommands:
     def test_mainterm_and_fit(self, capsys):
         rec = run_json(capsys, "mainterm", "--q1", "5", "--q2", "13",
                        "--bign", "1000", "--k", "10")
-        assert rec["method"] == "contour"
+        assert rec["method"] == "taylor"
+        assert rec["terms"] == 3 * 64
         rec = run_json(capsys, "fit", "--q1", "1", "--q2", "1", "--k", "10")
         assert abs(rec["value"]["re"] - 0.8224670334) < 1e-6
         assert len(rec["coefficients"]) == 4
@@ -171,9 +173,9 @@ PINNED = [
      "shell"),
     (["mainterm", "--q1", "5", "--q2", "13", "--bign", "1000", "--k", "10"],
      RECORD + ["imag_defect"],
-     [("q1", 5), ("q2", 13), ("bign", 1000.0), ("k", 10), ("radius", 0.08),
-      ("nodes", 128), ("poly", "(1-s)^2")],
-     "contour"),
+     [("q1", 5), ("q2", 13), ("bign", 1000.0), ("k", 10),
+      ("poly", "(1-s)^2")],
+     "taylor"),
     (["fit", "--q1", "5", "--q2", "13", "--k", "10", "--ns", "100,1000"],
      RECORD + ["coefficients", "residual"],
      [("q1", 5), ("q2", 13), ("k", 10), ("ns", "100,1000"), ("degree", 0)],
@@ -254,6 +256,26 @@ class TestErrors:
         got = complex(rec["value"]["re"], rec["value"]["im"])
         assert abs(got - (0.21059417943142233 + 0.544811244593602j)) < 1e-12
 
+    @pytest.mark.parametrize("argv, error", [
+        (["salie", "--p", "1,0,1", "--s", "1,0,1", "--c", "100003"],
+         "the Salie sum of c = 100003 exceeds the cap 16384"),
+        (["gauss", "--a", "1", "--b", "0", "--c", "67108865"],
+         "the Gauss sum of c = 67108865 exceeds the cap 67108864"),
+        (["hqt", "--q", "1,0,1", "--t", "1,0,1", "--n", "3", "--k", "10",
+          "--cmax", "100003"],
+         "the rank-1 cut c = 100003 exceeds the Salie cap 16384"),
+    ], ids=["salie", "gauss", "hqt-cmax"])
+    def test_capped_modulus_exits_1(self, capsys, argv, error):
+        # refused before any grid is built
+        t0 = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {error}")
+
     @pytest.mark.parametrize("cmax", ["0", "-3"])
     def test_nonpositive_cmax_exits_1(self, capsys, cmax):
         code = cli.main(["hqt", "--q", "1,0,1", "--t", "1,0,1", "--n", "3",
@@ -262,32 +284,24 @@ class TestErrors:
         assert ("error: rank1_cutoff must be at least 1"
                 in capsys.readouterr().err)
 
-    def test_zero_nodes_mainterm_exits_1(self, capsys):
-        code = cli.main(["mainterm", "--q1", "5", "--q2", "13", "--bign",
-                         "1000", "--k", "10", "--nodes", "0"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: nodes must be at least 1" in captured.err
-
-    def test_radius_outside_half_mainterm_exits_1(self, capsys):
-        code = cli.main(["mainterm", "--q1", "1", "--q2", "1", "--bign",
-                         "1000", "--k", "10", "--radius", "0.9"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: radius must lie in (0, 1/2)" in captured.err
-
-    def test_unconverged_radius_mainterm_exits_1(self, capsys):
-        # inside (0, 1/2), but (2 * 0.49)^128 is far above rounding
-        code = cli.main(["mainterm", "--q1", "1", "--q2", "1", "--bign",
-                         "1000", "--k", "10", "--radius", "0.49"])
+    def test_unconverged_radius_mainterm_exits_1(self, capsys, monkeypatch):
+        # on a Taylor circle of radius 0.9 the q1-factor's series decays
+        # like 0.9^m, far above rounding in its top quarter
+        acceptance.clear_all_caches()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(petersson, "_TAYLOR_RADIUS", 0.9)
+                code = cli.main(["mainterm", "--q1", "1", "--q2", "1",
+                                 "--bign", "1000", "--k", "10"])
+        finally:
+            acceptance.clear_all_caches()
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: radius 0.49 with 128 nodes")
+        assert lines[0].startswith("error: the Taylor coefficients of the "
+                                   "chi_1, chi_-4 factor on |u| = 0.9")
 
     def test_fit_repeated_levels_exits_1(self, capsys):
         # four levels but one distinct value cannot determine the cubic
@@ -350,14 +364,12 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["mainterm", "--q1", "1", "--q2", "1", "--bign", "nan", "--k", "10"],
         ["mainterm", "--q1", "1", "--q2", "1", "--bign", "inf", "--k", "10"],
-        ["mainterm", "--q1", "1", "--q2", "1", "--bign", "1000", "--k", "10",
-         "--radius", "nan"],
         ["weight", "--x", "nan", "--k", "10"],
         ["besselkernel", "--ell", "8.5", "--eig1", "inf", "--eig2", "1"],
         ["lvalue", "--s", "nan", "--q", "5"],
         ["lvalue", "--s", "2,inf", "--q", "5"],
         ["fit", "--q1", "5", "--q2", "13", "--k", "10", "--ns", "100,nan"],
-    ], ids=["bign-nan", "bign-inf", "radius", "weight", "besselkernel",
+    ], ids=["bign-nan", "bign-inf", "weight", "besselkernel",
             "lvalue-re", "lvalue-im", "fit-ns"])
     def test_non_finite_number_exits_2(self, capsys, argv):
         # nan and inf would print as NaN / Infinity, which is not JSON

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import time
 
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siegelsums import sp4
+from siegelsums import expsums, petersson, sp4
 from siegelsums.kernels import truncation_set
 from siegelsums.matcore import (
     GaussianInt,
@@ -298,6 +299,36 @@ class TestGauss:
                 cap = math.sqrt(2 * ga * c)
                 for b in range(c):
                     assert abs(gauss_sum(a, b, c).value) <= cap + 1e-9
+
+
+class TestGridCaps:
+    # each call builds its grid only after the check: without it, the Salie
+    # grid of c = 100,003 would ask for 160 GB and the Gauss list of
+    # MAX_GAUSS_C + 1 entries would take tens of seconds
+    def test_caps_keep_the_peak_within_4_gib(self):
+        # about 16 bytes per Salie entry (phi(c) c <= c^2 of them) and 56
+        # per Gauss entry
+        assert 16 * expsums.MAX_SALIE_C ** 2 <= 2 ** 32
+        assert 56 * expsums.MAX_GAUSS_C <= 2 ** 32
+
+    def test_salie_refused_above_cap(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the cap 16384"):
+            salie(HI, HI, 100_003)
+        assert time.perf_counter() - t0 < 1
+
+    def test_rank1_sum_refused_above_cap(self):
+        params = SpectralParams(k=10, level=3, rank1_cutoff=100_003)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the Salie cap 16384"):
+            petersson.h_fourier(HI, HI, params)
+        assert time.perf_counter() - t0 < 1
+
+    def test_gauss_refused_above_cap(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the cap 67108864"):
+            gauss_sum(1, 0, expsums.MAX_GAUSS_C + 1)
+        assert time.perf_counter() - t0 < 1
 
 
 class TestCongruenceCount:

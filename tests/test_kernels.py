@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import loggamma
 
-from siegelsums import kernels
+from siegelsums import kernels, petersson
 from siegelsums.lfun import _STIRLING, _STIRLING_MIN_RE
 from siegelsums.matcore import HalfIntegralForm, IntMat2
 from siegelsums.kernels import (
@@ -486,10 +486,18 @@ class TestGammaFactor:
     @pytest.mark.parametrize("k", [10, 12, 14, 20])
     @pytest.mark.parametrize("radius", [0.08, 0.16])
     def test_matches_scipy_on_residue_contours(self, radius, k):
-        # the s- and t-circles of main_term_residue at 128 nodes
+        # the s- and t-circles of the tests' grid oracle of
+        # main_term_residue, 128 nodes
         theta = 2 * np.pi * np.arange(128) / 128
         for r in (2 * radius, radius):
             assert_gamma_factor_matches_scipy(r * np.exp(1j * theta), k)
+
+    @pytest.mark.parametrize("k", [10, 12, 14, 20])
+    def test_matches_scipy_on_taylor_circle(self, k):
+        # the circle |s| = 1/2 of main_term_residue's Taylor series
+        n = petersson._TAYLOR_NODES
+        assert_gamma_factor_matches_scipy(
+            petersson._TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(n) / n), k)
 
     @pytest.mark.parametrize("k", [10, 12, 14, 20])
     @pytest.mark.parametrize("sigma", [2.0, -0.5])

@@ -239,9 +239,8 @@ class TestDirichletL:
     @pytest.mark.parametrize("height", [0.5, 10.0, 40.0, -40.0])
     @pytest.mark.parametrize("q", [1, 5, -4, -1147])
     def test_functional_equation_left_edge(self, height, q):
-        # the coupled factor's circle of petersson.main_term_residue reaches
-        # down to Re u = -1/2 from radius 1/4 on; the loss measured at
-        # Re u = -0.47 is at most 9e-14
+        # the evaluator accepts Re u down to MIN_RE_U = -1/2; the loss
+        # measured at Re u = -0.47 is at most 9e-14
         _check_functional_equation(complex(-0.47, height), q, tol=2e-13)
 
     def test_zeta_minus_half(self):
@@ -278,9 +277,10 @@ class TestDirichletL:
 class TestGridAgainstReference:
     @pytest.mark.parametrize("q", [1, -4, 5, 120, -104, -1147])
     def test_residue_grid(self, q):
-        # the grid oracle of the coupled factor: L(1 + s_i + t_j, chi_q) on
-        # the contour circles of petersson.main_term_residue (128 nodes,
-        # radius 0.08), the full grid against the pointwise reference on
+        # the coupled factor of the tests' grid oracle of
+        # petersson.main_term_residue: L(1 + s_i + t_j, chi_q) on its
+        # circles (128 nodes, radius 0.08), the full grid against the
+        # pointwise reference on
         # every eighth t-node: all 128 s-nodes, every class block
         theta = 2 * np.pi * np.arange(128) / 128
         s, t = 0.16 * np.exp(1j * theta), 0.08 * np.exp(1j * theta)
@@ -345,14 +345,15 @@ class TestEulerMaclaurinCut:
         return n
 
     def test_residue_contour(self):
-        # petersson.main_term_residue at its defaults: the circles
-        # u = 1 + s and 1 + t, |s| = 0.16 and |t| = 0.08, their grid oracle
-        # 1 + s + t, and the coupled factor's circle |u - 1| = 0.48
+        # the tests' grid oracle of petersson.main_term_residue at radius
+        # 0.08: the circles u = 1 + s and 1 + t, |s| = 0.16 and
+        # |t| = 0.08, and their grid 1 + s + t; and the residue's own
+        # Taylor circle |u - 1| = 1/2 of 64 points
         theta = 2 * np.pi * np.arange(128) / 128
         s, t = 0.16 * np.exp(1j * theta), 0.08 * np.exp(1j * theta)
         for u in (1 + s, 1 + t, 1 + s[:, None] + t[None, :]):
             assert _em_terms(u) == self._smallest_n(u) == 8
-        u = 1 + 0.48 * np.exp(2j * np.pi * np.arange(54) / 54)
+        u = 1 + 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
         assert _em_terms(u) == self._smallest_n(u) == 9
 
     def test_grows_with_height(self):

@@ -54,24 +54,28 @@ PAIRS = {"I-I": (HI, HI),
 A4 = math.pi / 4  # L(1, chi_{-4})
 
 
-# main_term_residue against the grid route it replaced: the relative
-# accuracy that lfun states at the left edge Re u = -1/2 of its range, which
-# the coupled factor's circle reaches from radius 1/4 on, of the grid
-# product's sum of |terms|
+# main_term_residue against the trapezoid double sum on two nested circles,
+# as a share of the grid product's sum of |terms|: 1e-13, where the worst
+# gap seen over the 120 oracle pairs, k = 10, 12, 14 and the four oracle
+# radii is 2.7e-15
 ORACLE_TOL = 1e-13
 
 
-def _grid_oracle(q1, q2, level, k, radius=0.08, nodes=128, poly="(1-s)^2"):
-    """main_term_residue's double sum with the coupled factor on the full
-    nodes x nodes grid: (value, sum of |terms|)."""
-    s, t, alpha, beta = petersson._residue_kernel(q1, q2, k, radius, nodes,
-                                                  poly)[:4]
-    aw = alpha * np.exp(s * math.log(level))
-    bw = beta * np.exp(t * math.log(level))
-    grid = _coupled_grid(q1 * q2, radius, nodes)
-    n2 = nodes * nodes
-    return (aw @ grid @ bw / n2,
-            np.abs(aw) @ np.abs(grid) @ np.abs(bw) / n2)
+@functools.lru_cache(maxsize=16)
+def _oracle_factors(q1, q2, k, radius, nodes, poly):
+    """The integrand's factors but the coupled one on the s-circle
+    |s| = 2 radius and the t-circle |t| = radius, nodes points each, the
+    1/s and 1/t poles cancelled by the contour measure: (s, t, alpha,
+    beta)."""
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    s, t = 2 * radius * np.exp(1j * theta), radius * np.exp(1j * theta)
+
+    def factor(u, q):
+        return (dirichlet_l_vec(u + 1, q) * dirichlet_l_vec(u + 1, -4 * q)
+                * kernels.gamma_factor(u, k) * kernels.poly_factor(u, poly)
+                * np.exp(2 * u * math.log(abs(q))))
+
+    return s, t, 4.0 * factor(s, q1), factor(t, q2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,6 +83,19 @@ def _coupled_grid(q, radius, nodes):
     theta = 2 * np.pi * np.arange(nodes) / nodes
     s, t = 2 * radius * np.exp(1j * theta), radius * np.exp(1j * theta)
     return dirichlet_l_grid(s + 1, t, q)
+
+
+def _grid_oracle(q1, q2, level, k, radius=0.08, nodes=128, poly="(1-s)^2"):
+    """The iterated residue Res_s Res_t as the nodes x nodes trapezoid
+    double sum on the s- and t-circles: (value, sum of |terms|).  The
+    t-circle leaves out the coupled pole at t = -s."""
+    s, t, alpha, beta = _oracle_factors(q1, q2, k, radius, nodes, poly)
+    aw = alpha * np.exp(s * math.log(level))
+    bw = beta * np.exp(t * math.log(level))
+    grid = _coupled_grid(q1 * q2, radius, nodes)
+    n2 = nodes * nodes
+    return (aw @ grid @ bw / n2,
+            np.abs(aw) @ np.abs(grid) @ np.abs(bw) / n2)
 
 
 def _oracle_pairs():
@@ -858,45 +875,41 @@ class TestMainTerm:
         r2 = main_term_residue(5, 13, 100000.0, 10)
         assert abs(r1.residue - r2.residue) < 1e-8
 
-    def test_radius_robustness(self):
-        ra = main_term_residue(1, 1, 1000.0, 10, radius=0.05)
-        rb = main_term_residue(1, 1, 1000.0, 10, radius=0.15)
-        assert abs(ra.residue - rb.residue) < 1e-8
+    @staticmethod
+    def _on_circle(monkeypatch, radius):
+        """The residue of (1, 1) at N = 1000, k = 10, from Taylor circles of
+        the given radius."""
+        acceptance.clear_all_caches()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(petersson, "_TAYLOR_RADIUS", radius)
+                return main_term_residue(1, 1, 1e3, 10)
+        finally:
+            acceptance.clear_all_caches()
 
-    def test_nodes_must_be_positive(self):
-        # zero nodes would divide 0 by 0 into a NaN residue
-        with pytest.raises(ValueError, match="nodes"):
-            main_term_residue(5, 13, 1e3, 10, nodes=0)
+    def test_radius_robustness(self, monkeypatch):
+        # the residue is the circle's Taylor coefficients, whatever circle
+        # inside the pole of Gamma(s+1) at s = -1 they come from
+        ref = main_term_residue(1, 1, 1e3, 10)
+        for radius in (0.25, 0.4):
+            rep = self._on_circle(monkeypatch, radius)
+            assert rep.radius == radius
+            assert abs(rep.residue - ref.residue) <= 1e-13 * ref.residue
 
-    def test_radius_limit_from_trapezoid_error(self):
-        # the s-circle's error decays like (2 radius)^nodes; at 128 nodes
-        # it passes rounding above radius 2^(-53/128) / 2
-        with pytest.raises(ArithmeticError,
-                           match="radius 0.49 with 128 nodes"):
-            main_term_residue(1, 1, 1e3, 10, radius=0.49)
-        largest = 0.5 * 2.0 ** (-53 / 128) * (1 - 1e-9)
-        with pytest.raises(ArithmeticError, match="128 nodes"):
-            main_term_residue(5, 13, 1e3, 10, radius=largest * (1 + 2e-9))
-        for q1, q2 in ((1, 1), (5, 13), (-3, 65)):
-            rep = main_term_residue(q1, q2, 1e3, 10, radius=largest)
-            want, scale = _grid_oracle(q1, q2, 1e3, 10, largest)
-            assert abs(rep.residue - want.real) <= ORACLE_TOL * scale
-            # and it has converged: the default radius gives the same value
-            ref = main_term_residue(q1, q2, 1e3, 10)
-            assert abs(rep.residue - ref.residue) <= ORACLE_TOL * scale
+    def test_radius_limit_from_trapezoid_error(self, monkeypatch):
+        # the FFT is the trapezoid rule of the Cauchy integral: the
+        # aliased terms of the q1-factor decay like radius^m from the
+        # Gamma pole at -1, 0.9^48 = 6e-3 in the top quarter at 0.9
+        with pytest.raises(ArithmeticError, match=(
+                r"the chi_1, chi_-4 factor on \|u\| = 0.9 have not decayed")):
+            self._on_circle(monkeypatch, 0.9)
 
-    def test_few_nodes_raise_for_the_coupled_pole(self):
-        # for q1 q2 = 1 the t-sum is cut by the pole at t = -s, ratio 1/2
-        with pytest.raises(ArithmeticError, match="0.5\\^32"):
-            main_term_residue(1, 1, 1e3, 10, nodes=32)
-        main_term_residue(5, 13, 1e3, 10, radius=0.05, nodes=32)
-
-    def test_radius_must_leave_out_the_gamma_pole(self):
-        # the s-circle has radius 2r; from r = 1/2 on it encloses the pole
-        # of Gamma(s+1) at s = -1
-        for r in (0.9, 0.5, 0.0, -0.08):
-            with pytest.raises(ValueError, match=r"Gamma\(s\+1\)"):
-                main_term_residue(1, 1, 1000.0, 10, radius=r)
+    def test_radius_must_leave_out_the_gamma_pole(self, monkeypatch):
+        # a circle around the pole of Gamma(s+1) at s = -1 samples a
+        # Laurent series, whose principal part fills the top quarter; for
+        # q1 = 1 the pole survives, as zeta(0) L(0, chi_-4) = -1/4
+        with pytest.raises(ArithmeticError, match="have not decayed"):
+            self._on_circle(monkeypatch, 1.2)
 
     @pytest.mark.parametrize("level", [math.inf, -math.inf, math.nan, 1.0])
     def test_level_must_be_finite_above_one(self, level):
@@ -931,6 +944,26 @@ class TestMainTerm:
         assert residue_fit_degree(-4, 1) == 2
         assert residue_fit_degree(5, 13) == 0
         assert residue_fit_degree(1, 5) == 1
+
+    @pytest.mark.parametrize("q1, q2", [(1, 1), (1, -4), (-4, 1), (5, 13),
+                                        (1, 5)])
+    def test_polynomial_of_fit_degree_in_log_level(self, q1, q2):
+        # on equally spaced log N the (d+1)-th finite difference of a
+        # degree-d polynomial vanishes and its d-th is d! h^d times the
+        # leading coefficient
+        d = residue_fit_degree(q1, q2)
+        res = np.array([main_term_residue(q1, q2, 10.0 ** (2 + j), 10).residue
+                        for j in range(d + 2)])
+
+        def difference(order):
+            w = np.array([(-1) ** (order - i) * math.comb(order, i)
+                          for i in range(order + 1)])
+            return abs(w @ res[:order + 1]), np.abs(w) @ np.abs(res[:order + 1])
+
+        top, scale = difference(d + 1)
+        assert top <= 1e-13 * scale
+        lead, scale = difference(d)
+        assert lead >= 1e-3 * scale
 
     def test_cubic_fit_leading_coefficient(self):
         fit = leading_coeff_fit(1, 1, 10, levels=[1e2, 1e3, 1e4, 1e5])
@@ -985,16 +1018,15 @@ class TestMainTerm:
 class TestCoupledFactor:
     @pytest.mark.parametrize("radius", [0.05, 0.08, 0.15, 0.3])
     def test_matches_grid_oracle(self, radius):
-        # every pair at every weight at the default radius; elsewhere each
-        # pair at one weight, in turn.  The weight enters aw and bw only,
-        # and each (pair, weight, radius) costs a kernel of its own
+        # every pair at every weight at radius 0.08; at the other oracle
+        # radii each pair at one weight, in turn
         pairs = _oracle_pairs()
         assert len(pairs) == 120
         for i, (q1, q2) in enumerate(pairs):
             weights = (10, 12, 14) if radius == 0.08 else ((10, 12, 14)[i % 3],)
             for k in weights:
                 for level in (1e2, 1e3, 1e4, 1e5):
-                    rep = main_term_residue(q1, q2, level, k, radius=radius)
+                    rep = main_term_residue(q1, q2, level, k)
                     want, scale = _grid_oracle(q1, q2, level, k, radius)
                     assert (abs(rep.residue - want.real)
                             <= ORACLE_TOL * scale), (q1, q2, k, level)
@@ -1002,33 +1034,37 @@ class TestCoupledFactor:
 
     @pytest.mark.parametrize("q", [1, -4, 5, 120, -104, -1147])
     def test_factor_reproduces_grid(self, q):
-        # unit weights aw = e_i, bw = e_j have moments w^{ik} and w^{jl}:
-        # the bilinear form at those is the grid value L(1 + s_i + t_j)
+        # the Taylor series of g(u) = L(1 + u, chi_q) - [q = 1]/u from its
+        # circle, summed at u = s_i + t_j, plus [q = 1]/u, is the grid
+        # oracle L(1 + s_i + t_j, chi_q)
+        coeffs = petersson._taylor(
+            lambda u: dirichlet_l_vec(u + 1, q) - (q == 1) / u, "g",
+            petersson._TAYLOR_NODES)
         nodes, radius = 128, 0.08
-        weights, pole = petersson._coupled_form(q, radius, nodes)
-        assert len(weights) <= nodes
-        w = np.exp(2j * np.pi * np.outer(np.arange(nodes),
-                                         np.arange(nodes)) / nodes)
-        wm = w[:, :len(weights)]
-        got = wm @ weights @ wm.T
-        if q == 1:
-            # the pole term sum_l w^{-i(l+1)} pole_l w^{jl}
-            got += (w.conj() * w[:, [1]].conj() * pole) @ w.T
+        theta = 2 * np.pi * np.arange(nodes) / nodes
+        st = 2 * radius * np.exp(1j * theta)[:, None] + radius * np.exp(
+            1j * theta)
+        got = np.polyval(coeffs[::-1], st) + (q == 1) / st
         want = _coupled_grid(q, radius, nodes)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_non_decaying_tail_raises(self, monkeypatch):
         # an L-evaluator good to single precision only leaves a flat tail
-        # of Taylor coefficients near 1e-8, far above rounding
-        def single_precision(s, q):
-            val = dirichlet_l_vec(s, q)
-            return val.astype(np.complex64).astype(complex) if q == 65 else val
+        # of Taylor coefficients near 1e-8, far above rounding, on any of
+        # the three circles
+        for q, circle in ((65, r"L\(1 \+ u, chi_65\)"),
+                          (5, "the chi_5, chi_-20 factor"),
+                          (13, "the chi_13, chi_-52 factor")):
+            def single_precision(s, chi, q=q):
+                val = dirichlet_l_vec(s, chi)
+                return (val.astype(np.complex64).astype(complex) if chi == q
+                        else val)
 
-        acceptance.clear_all_caches()
-        monkeypatch.setattr(petersson, "dirichlet_l_vec", single_precision)
-        try:
-            with pytest.raises(ArithmeticError,
-                               match=r"chi_65\).* not decayed.*radius 0\.08"):
-                main_term_residue(5, 13, 1e3, 10)
-        finally:
             acceptance.clear_all_caches()
+            monkeypatch.setattr(petersson, "dirichlet_l_vec", single_precision)
+            try:
+                with pytest.raises(ArithmeticError, match=(
+                        circle + r" on \|u\| = 0.5 have not decayed")):
+                    main_term_residue(5, 13, 1e3, 10)
+            finally:
+                acceptance.clear_all_caches()
