@@ -156,13 +156,19 @@ def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-# Largest c that ``salie`` and ``gauss_sum`` accept, each to keep its peak
-# below 4 GiB, as sp4.MAX_PI_GRID_N does for the pI grid.  ``salie``
-# tallies a phi(c) x c numerator grid at about 16 bytes an entry, 4 GiB at
-# c = 2^14 (160 GB at c = 100,003); ``gauss_sum`` lists c numerators at
-# about 56 bytes an entry, 3.5 GiB at c = 2^26.
+# Largest c that ``salie`` and ``gauss_sum`` accept, and the most entries
+# that ``twisted_average`` tallies, each to keep its peak below 4 GiB, as
+# sp4.MAX_PI_GRID_N does for the pI grid (bytes an entry under
+# tracemalloc).  ``salie`` tallies a phi(c) x c numerator grid at about 16
+# bytes an entry, 4 GiB at c = 2^14 (160 GB at c = 100,003).  ``gauss_sum``
+# peaks at 48 bytes an entry (the numerators, their counts and the roots
+# of unity with their construction), 3 GiB at c = 2^26.
+# ``twisted_average`` tallies cosets x L1 x L2 numerators at 24 bytes an
+# entry (the numerators, the broadcast character weights and their float
+# copy), 3 GiB at 2^27 entries; 20I with q1 = q2 = 1 has 512 M.
 MAX_SALIE_C = 2 ** 14
 MAX_GAUSS_C = 2 ** 26
+MAX_TWISTED_ENTRIES = 2 ** 27
 
 
 def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
@@ -202,13 +208,16 @@ def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
 
 def gauss_sum(a: int, b: int, c: int) -> SumValue:
     """Quadratic Gauss sum: sum over x mod c of e((a x^2 + b x)/c).  Raises
-    ValueError, before any list is built, when c exceeds ``MAX_GAUSS_C``."""
+    ValueError, before any array is built, when c exceeds ``MAX_GAUSS_C``."""
     if c < 1:
         raise ValueError("c must be >= 1")
     if c > MAX_GAUSS_C:
         raise ValueError(f"the Gauss sum of c = {c} exceeds the cap "
-                         f"{MAX_GAUSS_C} (about 56 c bytes)")
-    nums = np.array([(a * x * x + b * x) % c for x in range(c)], dtype=np.int64)
+                         f"{MAX_GAUSS_C} (about 48 c bytes)")
+    x = np.arange(c, dtype=np.int64)
+    # a, b and x^2 reduced mod c first, so no product reaches c^2 <= 2^52
+    nums = (a % c * (x * x % c) + b % c * x) % c
+    del x  # freed before the tally builds the roots of unity
     return SumValue(value=_tally_value(nums, c), terms=c, method="brute")
 
 
@@ -256,16 +265,23 @@ def twisted_average(c: IntMat2, q1: int, q2: int) -> SumValue:
     numerator (w0 + w2) mu2 + (w3 + w5) mu1 mod m, so every (coset, mu1,
     mu2) goes into one tally weighted by its character value; ``terms``
     counts those with both characters nonzero.  Each of q1, q2 must be 1
-    or a fundamental discriminant.
+    or a fundamental discriminant.  Raises ValueError, after the coset
+    table and before any tally array is built, when the tally would have
+    more than ``MAX_TWISTED_ENTRIES`` entries.
     """
     if not is_go2(c):
         raise ValueError("modulus is not in GO2(Z)")
     require_fundamental_discriminant(q1, q2)
     cdet = abs(c.det())
-    mu1, mu2 = (np.arange(math.lcm(abs(q), cdet)) for q in (q1, q2))
+    l1, l2 = (math.lcm(abs(q), cdet) for q in (q1, q2))
+    data = sp4.coset_data(c)
+    if data.count * l1 * l2 > MAX_TWISTED_ENTRIES:
+        raise ValueError(
+            f"the twisted average of {data.count} cosets x {l1} x {l2} "
+            f"exceeds the cap {MAX_TWISTED_ENTRIES} (about 24 bytes an entry)")
+    mu1, mu2 = np.arange(l1), np.arange(l2)
     chi = np.outer([kronecker(q1, int(x)) for x in mu1],
                    [kronecker(q2, int(x)) for x in mu2])
-    data = sp4.coset_data(c)
     w = data.weights
     nums = ((w[:, 0] + w[:, 2])[:, None, None] * mu2
             + (w[:, 3] + w[:, 5])[:, None, None] * mu1[:, None]) % data.m

@@ -164,15 +164,10 @@ def script_j_for_forms(t_form: HalfIntegralForm, q_form: HalfIntegralForm,
     and no subtraction follows.  The reduced triple is unique for a given
     trace and determinant, so equal arguments give bit-equal floats and
     one cached kernel each."""
-    a, b, c21, d = c.entries()
-    q1, q2, q4 = q_form.t1, q_form.t2, q_form.t4
-    # A Q A^T as a form (p1, p2, p4), A = [[d, -b], [-c21, a]]
-    p1 = q1 * d * d - q2 * b * d + q4 * b * b
-    p2 = q2 * (a * d + b * c21) - 2 * (q1 * c21 * d + q4 * a * b)
-    p4 = q1 * c21 * c21 - q2 * a * c21 + q4 * a * a
-    x = 16 * (t_form.t1 * p1 + t_form.t4 * p4) + 8 * t_form.t2 * p2
+    p = q_form.conjugate_right(c.adj())  # A Q A^T
+    x = 16 * (t_form.t1 * p.t1 + t_form.t4 * p.t4) + 8 * t_form.t2 * p.t2
     y = t_form.det4() * q_form.det4()
-    den = 16 * (a * d - b * c21) ** 2
+    den = 16 * c.det() ** 2
     g = math.gcd(x, y, den)
     x, y, den = x // g, y // g, den // g
     root = x + math.sqrt(x * x - 4 * y * den)

@@ -87,6 +87,17 @@ class IntMat2:
 # Half-integral binary forms
 
 
+def conjugation_map(u: IntMat2) -> tuple[tuple[int, int, int], ...]:
+    """The 3x3 integer matrix taking the coordinates (q1, q2, q4) of a
+    half-integral form Q, q2 the doubled off-diagonal entry, to those of
+    U Q U^T; row i gives the i-th coordinate.  The one place where the
+    change of forms is written out."""
+    a, b, c, d = u.entries()
+    return ((a * a, a * b, b * b),
+            (2 * a * c, a * d + b * c, 2 * b * d),
+            (c * c, c * d, d * d))
+
+
 @dataclass(frozen=True)
 class HalfIntegralForm:
     """Symmetric matrix [[t1, t2/2], [t2/2, t4]] with integral t1, t2, t4.
@@ -120,15 +131,16 @@ class HalfIntegralForm:
     def doubled(self) -> IntMat2:
         return IntMat2(2 * self.t1, self.t2, self.t2, 2 * self.t4)
 
-    def conjugate_left(self, u: IntMat2) -> "HalfIntegralForm":
-        """The form of u^T Q u (exact; stays half-integral)."""
-        m = u.t().mul(self.doubled()).mul(u)
-        assert m.a % 2 == 0 and m.d % 2 == 0 and m.b == m.c
-        return HalfIntegralForm(m.a // 2, m.b, m.d // 2)
-
     def conjugate_right(self, u: IntMat2) -> "HalfIntegralForm":
-        """The form of u Q u^T (exact; stays half-integral)."""
-        return self.conjugate_left(u.t())
+        """The form of u Q u^T, ``conjugation_map(u)`` applied to
+        (t1, t2, t4) (exact; stays half-integral)."""
+        t1, t2, t4 = (r1 * self.t1 + r2 * self.t2 + r4 * self.t4
+                      for r1, r2, r4 in conjugation_map(u))
+        return HalfIntegralForm(t1, t2, t4)
+
+    def conjugate_left(self, u: IntMat2) -> "HalfIntegralForm":
+        """The form of u^T Q u, that is ``conjugate_right(u^T)``."""
+        return self.conjugate_right(u.t())
 
     def scale(self, n: int) -> "HalfIntegralForm":
         return HalfIntegralForm(n * self.t1, n * self.t2, n * self.t4)
@@ -284,66 +296,6 @@ def is_go2(c: IntMat2) -> bool:
 # Elementary divisors (2x2 Smith form) and general integer linear systems
 
 
-def elementary_divisors(c: IntMat2) -> tuple[int, int, IntMat2, IntMat2]:
-    """Elementary divisors of a nonsingular integer matrix.
-
-    Returns (c1, c2, U, V) with U @ C @ V = diag(c1, c2), c1 | c2,
-    c1, c2 >= 1, and U, V unimodular, all exact.
-    """
-    if c.det() == 0:
-        raise SingularModulusError("singular modulus")
-    m = [[c.a, c.b], [c.c, c.d]]
-    u = [[1, 0], [0, 1]]
-    v = [[1, 0], [0, 1]]
-
-    def row_op(s, t, p, q):  # rows <- [[s, t], [p, q]] @ rows, on m and u
-        for mat in (m, u):
-            r0 = [s * mat[0][j] + t * mat[1][j] for j in range(2)]
-            r1 = [p * mat[0][j] + q * mat[1][j] for j in range(2)]
-            mat[0], mat[1] = r0, r1
-
-    def col_op(s, t, p, q):  # col0 <- s*c0 + t*c1, col1 <- p*c0 + q*c1, on m and v
-        for mat in (m, v):
-            c0 = [s * mat[i][0] + t * mat[i][1] for i in range(2)]
-            c1 = [p * mat[i][0] + q * mat[i][1] for i in range(2)]
-            for i in range(2):
-                mat[i][0], mat[i][1] = c0[i], c1[i]
-
-    def clear_offdiag():
-        # plain elimination in the divisible case; gcd transforms otherwise
-        # (the gcd branch strictly shrinks |m00|, so the loop terminates)
-        while m[1][0] != 0 or m[0][1] != 0:
-            if m[1][0] != 0:
-                a, b = m[0][0], m[1][0]
-                if a != 0 and b % a == 0:
-                    row_op(1, 0, -(b // a), 1)
-                else:
-                    g, s, t = _xgcd(a, b)
-                    row_op(s, t, -(b // g), a // g)
-            if m[0][1] != 0:
-                a, b = m[0][0], m[0][1]
-                if a != 0 and b % a == 0:
-                    col_op(1, 0, -(b // a), 1)
-                else:
-                    g, s, t = _xgcd(a, b)
-                    col_op(s, t, -(b // g), a // g)
-
-    clear_offdiag()
-    while m[1][1] % m[0][0] != 0:
-        col_op(1, 1, 0, 1)  # mix column 1 into column 0, then re-reduce
-        clear_offdiag()
-    if m[0][0] < 0:
-        row_op(-1, 0, 0, 1)
-    if m[1][1] < 0:
-        row_op(1, 0, 0, -1)
-    c1, c2 = m[0][0], m[1][1]
-    um = IntMat2(u[0][0], u[0][1], u[1][0], u[1][1])
-    vm = IntMat2(v[0][0], v[0][1], v[1][0], v[1][1])
-    assert um.is_unimodular() and vm.is_unimodular()
-    assert c1 >= 1 and c2 % c1 == 0 and c1 * c2 == abs(c.det())
-    return c1, c2, um, vm
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g = gcd(a, b) > 0 with s*a + t*b = g."""
     old_r, r = a, b
@@ -359,82 +311,79 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _euclid_step(a: int, b: int) -> IntMat2:
+    """A determinant-one E with E (a, b)^T = (g, 0)^T, for b != 0: g = a
+    when a != 0 divides b, else g = gcd(a, b) from ``_xgcd``.  The one
+    elimination step of the two routines below."""
+    if a != 0 and b % a == 0:
+        return IntMat2(1, 0, -(b // a), 1)
+    g, s, t = _xgcd(a, b)
+    return IntMat2(s, t, -(b // g), a // g)
+
+
+def elementary_divisors(c: IntMat2) -> tuple[int, int, IntMat2, IntMat2]:
+    """Elementary divisors of a nonsingular integer matrix.
+
+    Returns (c1, c2, U, V) with U @ C @ V = diag(c1, c2), c1 | c2,
+    c1, c2 >= 1, and U, V unimodular, all exact.  M = C is multiplied by
+    ``_euclid_step`` on the left (into U) to clear m21, by its transpose on
+    the right (into V) to clear m12, and, once M is diagonal with m11 not
+    dividing m22, by adding column 2 to column 1; |m11| shrinks at every
+    gcd step, so the loop ends.
+    Signs are fixed last, on the left.  ``petersson._rank2_shell_bound``
+    relies on this order of steps, and tests/test_matcore.py pins U, V.
+    """
+    if c.det() == 0:
+        raise SingularModulusError("singular modulus")
+    m, u, v = c, IntMat2.identity(), IntMat2.identity()
+    while m.c != 0 or m.b != 0 or m.d % m.a != 0:
+        if m.c != 0:
+            e = _euclid_step(m.a, m.c)
+            m, u = e.mul(m), e.mul(u)
+        elif m.b != 0:
+            e = _euclid_step(m.a, m.b).t()
+            m, v = m.mul(e), v.mul(e)
+        else:
+            e = IntMat2(1, 0, 1, 1)
+            m, v = m.mul(e), v.mul(e)
+    sign = IntMat2.diag(1 if m.a > 0 else -1, 1 if m.d > 0 else -1)
+    m, u = sign.mul(m), sign.mul(u)
+    assert u.is_unimodular() and v.is_unimodular()
+    assert m.a >= 1 and m.d % m.a == 0 and m.a * m.d == abs(c.det())
+    return m.a, m.d, u, v
+
+
 def solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[int] | None:
     """A particular integer solution x of rows @ x = rhs, or None.
 
-    Dense diagonalization with column-transform tracking; intended for the
-    small systems arising in symplectic completion (at most ~8 unknowns).
+    Column echelon form by ``_euclid_step`` on pairs of columns (H. Cohen,
+    A Course in Computational Algebraic Number Theory, GTM 138, section
+    2.4) turns [rows; I] into [L; V], V unimodular and L = rows @ V lower
+    echelon; row by row, forward substitution solves L y = rhs (y = 0 off
+    the pivot columns), and x = V y.  None when a pivot does not divide its
+    residual or a row without a pivot leaves one.  Meant for small systems
+    such as symplectic completion (6 equations, 8 unknowns).
     """
-    nr = len(rows)
-    nc = len(rows[0])
-    m = [list(r) for r in rows]
-    b = list(rhs)
-    # column transforms accumulate into v (nc x nc); x = v @ y
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        b[i], b[j] = b[j], b[i]
-
-    def addmul_row(i, j, f):  # row i += f * row j
-        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
-        b[i] += f * b[j]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_col(i, j, f):  # col i += f * col j
-        for r in m:
-            r[i] += f * r[j]
-        for r in v:
-            r[i] += f * r[j]
-
-    k = 0
-    while k < min(nr, nc):
-        # smallest nonzero |entry| in the remaining block becomes the pivot
-        piv = min(
-            ((i, j) for i in range(k, nr) for j in range(k, nc) if m[i][j] != 0),
-            key=lambda ij: abs(m[ij[0]][ij[1]]),
-            default=None,
-        )
-        if piv is None:
-            break
-        swap_rows(k, piv[0])
-        swap_cols(k, piv[1])
-        while True:
-            for i in range(k + 1, nr):
-                q = m[i][k] // m[k][k]
-                if q:
-                    addmul_row(i, k, -q)
-            dirty = [i for i in range(k + 1, nr) if m[i][k] != 0]
-            if dirty:
-                # remainder is strictly smaller than the pivot; promote it
-                swap_rows(k, dirty[0])
-                continue
-            for j in range(k + 1, nc):
-                q = m[k][j] // m[k][k]
-                if q:
-                    addmul_col(j, k, -q)
-            dirty = [j for j in range(k + 1, nc) if m[k][j] != 0]
-            if dirty:
-                swap_cols(k, dirty[0])
-                continue
-            break
-        k += 1
-    rank = k
-    # m is now diagonal on the leading rank block: solve D y = b
-    y = [0] * nc
-    for i in range(nr):
-        if i < rank:
-            if b[i] % m[i][i] != 0:
+    nr, nc = len(rows), len(rows[0])
+    cols = [[r[j] for r in rows] + [int(i == j) for i in range(nc)]
+            for j in range(nc)]
+    y: list[int] = []  # unknowns of the pivot columns 0, 1, ... in order
+    for i, b in enumerate(rhs):
+        k = len(y)
+        for j in range(k + 1, nc):
+            if cols[j][i] != 0:
+                e = _euclid_step(cols[k][i], cols[j][i])
+                pairs = list(zip(cols[k], cols[j]))
+                cols[k] = [e.a * p + e.b * q for p, q in pairs]
+                cols[j] = [e.c * p + e.d * q for p, q in pairs]
+        residual = b - sum(cols[j][i] * y[j] for j in range(k))
+        if k < nc and cols[k][i] != 0:
+            if residual % cols[k][i] != 0:
                 return None
-            y[i] = b[i] // m[i][i]
-        elif b[i] != 0:
+            y.append(residual // cols[k][i])
+        elif residual != 0:
             return None
-    return [sum(v[i][j] * y[j] for j in range(rank)) for i in range(nc)]
+    return [sum(col[nr + i] * yj for col, yj in zip(cols, y)) for i in range(nc)]
 
 
 # ---------------------------------------------------------------------------

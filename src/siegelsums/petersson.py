@@ -378,7 +378,9 @@ def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
     ``(g, s, t)`` (negating both arguments keeps every floor quotient),
     so ``elementary_divisors`` runs on -C through the same steps as on C
     up to signs, and returns -V or V (tests/test_matcore.py checks this);
-    V^T T V is the same form.
+    V^T T V is the same form.  The budget depends on exactly that V, which
+    TestElementaryDivisors.test_outputs_pinned in tests/test_matcore.py
+    pins by a digest.
     """
     n = params.level
     ell = params.ell

@@ -33,6 +33,7 @@ import numpy as np
 from .matcore import (
     IntMat2,
     SingularModulusError,
+    conjugation_map,
     elementary_divisors,
     solve_integer_system,
 )
@@ -209,16 +210,6 @@ def _pI_grid(n: int) -> np.ndarray:
     return rows
 
 
-def _conjugation_map(u: IntMat2, m: int) -> list[list[int]]:
-    """3x3 integer matrix, reduced mod m, taking (q1, q2, q4) to the form
-    of U Q U^T (q2 is the doubled off-diagonal entry)."""
-    a, b, c, d = u.a, u.b, u.c, u.d
-    return [[x % m for x in row] for row in
-            ([a * a, a * b, b * b],
-             [2 * a * c, a * d + b * c, 2 * b * d],
-             [c * c, c * d, d * d])]
-
-
 @lru_cache(maxsize=None)
 def coset_data(c: IntMat2) -> CosetData:
     """Phase-coefficient table for all cosets of modulus C (cached).
@@ -243,8 +234,9 @@ def coset_data(c: IntMat2) -> CosetData:
     base = coset_data(IntMat2.diag(c1, c2))
     m = base.m
     conj = np.zeros((6, 6), dtype=np.int64)
-    conj[:3, :3] = _conjugation_map(u, m)
-    conj[3:, 3:] = _conjugation_map(v.t(), m)  # V^T T V
+    for i, w in ((0, u), (3, v.t())):  # U Q U^T and V^T T V, mod m
+        conj[i:i + 3, i:i + 3] = [[x % m for x in row]
+                                  for row in conjugation_map(w)]
     rows = (base.weights @ conj) % m
     rows.setflags(write=False)
     return CosetData(m=m, weights=rows, count=base.count)

@@ -264,7 +264,10 @@ class TestErrors:
         (["hqt", "--q", "1,0,1", "--t", "1,0,1", "--n", "3", "--k", "10",
           "--cmax", "100003"],
          "the rank-1 cut c = 100003 exceeds the Salie cap 16384"),
-    ], ids=["salie", "gauss", "hqt-cmax"])
+        (["twisted", "--c", "20,0;0,20", "--q1", "1", "--q2", "1"],
+         "the twisted average of 3200 cosets x 400 x 400 exceeds the cap "
+         "134217728"),
+    ], ids=["salie", "gauss", "hqt-cmax", "twisted"])
     def test_capped_modulus_exits_1(self, capsys, argv, error):
         # refused before any grid is built
         t0 = time.perf_counter()

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 from fractions import Fraction
 
@@ -292,6 +293,20 @@ class TestGauss:
         assert abs(gauss_sum(0, 4, 2).value - 2) < 1e-12
         assert abs(gauss_sum(0, 3, 2).value) < 1e-12
 
+    def test_matches_listed_numerators(self):
+        # the NumPy numerators equal those of a Python list, the reference,
+        # so the values agree bit for bit
+        def listed(a, b, c):
+            return _tally_value(
+                np.array([(a * x * x + b * x) % c for x in range(c)]), c)
+
+        for c in range(1, 51):
+            for a, b in itertools.product(range(c), repeat=2):
+                assert gauss_sum(a, b, c).value == listed(a, b, c)
+        # a and b outside [0, c), reduced before any product
+        for a, b, c in ((-7, 100, 13), (10 ** 12 + 1, -5, 50), (-1, -1, 2 ** 16)):
+            assert gauss_sum(a, b, c).value == listed(a, b, c)
+
     def test_bound_small_moduli(self):
         for c in range(1, 21):
             for a in range(c):
@@ -306,10 +321,29 @@ class TestGridCaps:
     # grid of c = 100,003 would ask for 160 GB and the Gauss list of
     # MAX_GAUSS_C + 1 entries would take tens of seconds
     def test_caps_keep_the_peak_within_4_gib(self):
-        # about 16 bytes per Salie entry (phi(c) c <= c^2 of them) and 56
-        # per Gauss entry
+        # about 16 bytes per Salie entry (phi(c) c <= c^2 of them), 48 per
+        # Gauss entry and 24 per twisted-average entry
         assert 16 * expsums.MAX_SALIE_C ** 2 <= 2 ** 32
-        assert 56 * expsums.MAX_GAUSS_C <= 2 ** 32
+        assert 48 * expsums.MAX_GAUSS_C <= 2 ** 32
+        assert 24 * expsums.MAX_TWISTED_ENTRIES <= 2 ** 32
+
+    def test_measured_peaks_fit_the_caps(self):
+        # tracemalloc peak per entry, scaled to the cap: within 4 GiB
+        c = 2 ** 16
+        expsums._roots_of_unity.cache_clear()
+        tracemalloc.start()
+        gauss_sum(3, 5, c)
+        gauss_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert gauss_peak / c * expsums.MAX_GAUSS_C <= 2 ** 32
+        mod = IntMat2.scalar(6)
+        entries = sp4.coset_data(mod).count * 36 * 36
+        twisted_average(mod, 1, 1)  # warm the coset table and the roots
+        tracemalloc.start()
+        twisted_average(mod, 1, 1)
+        twisted_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert twisted_peak / entries * expsums.MAX_TWISTED_ENTRIES <= 2 ** 32
 
     def test_salie_refused_above_cap(self):
         t0 = time.perf_counter()
@@ -322,6 +356,13 @@ class TestGridCaps:
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="exceeds the Salie cap 16384"):
             petersson.h_fourier(HI, HI, params)
+        assert time.perf_counter() - t0 < 1
+
+    def test_twisted_refused_above_cap(self):
+        # 20I has 3,200 cosets: 3,200 x 400 x 400 = 512 M entries, 12 GiB
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the cap 134217728"):
+            twisted_average(IntMat2.scalar(20), 1, 1)
         assert time.perf_counter() - t0 < 1
 
     def test_gauss_refused_above_cap(self):

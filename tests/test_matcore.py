@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -59,6 +60,19 @@ class TestElementaryDivisors:
         assert c1 == math.gcd(math.gcd(abs(c.a), abs(c.b)),
                               math.gcd(abs(c.c), abs(c.d)))
 
+    def test_outputs_pinned(self):
+        # (c1, c2, U, V) for every nonsingular matrix with entries in
+        # [-6, 6]: the shell budget of petersson reads t4 off exactly this
+        # V, so a change in the order of elimination steps must show here
+        h = hashlib.sha256()
+        for entries in itertools.product(range(-6, 7), repeat=4):
+            c = IntMat2(*entries)
+            if c.det() != 0:
+                c1, c2, u, v = elementary_divisors(c)
+                h.update(repr((c1, c2, u.entries(), v.entries())).encode())
+        assert h.hexdigest() == ("24955ef4af4dd91e0be4d7cbd3858a64"
+                                 "c96ee96d7ba8e76bfae0caa7f8fffca2")
+
     def test_negated_modulus_keeps_v_up_to_sign(self):
         # the shell budget of petersson counts the envelope of C for -C,
         # which reads V^T T V; every nonsingular matrix with entries in
@@ -90,6 +104,20 @@ class TestIntegerSolver:
 
     def test_insoluble(self):
         assert solve_integer_system([[2]], [1]) is None
+
+    def test_single_rows_against_gcd(self):
+        # a1 x1 + ... + an xn = b is solvable iff gcd(a) | b (b = 0 for a
+        # zero row); every row with entries in [-3, 3], up to 3 unknowns
+        for n in (1, 2, 3):
+            for row in itertools.product(range(-3, 4), repeat=n):
+                g = math.gcd(*row)
+                for b in range(-7, 8):
+                    x = solve_integer_system([list(row)], [b])
+                    solvable = b % g == 0 if g else b == 0
+                    if solvable:
+                        assert sum(a * xi for a, xi in zip(row, x)) == b
+                    else:
+                        assert x is None
 
 
 class TestFormEquivalence:
