@@ -3,9 +3,12 @@ Gauss sums, the congruence counter, and the twisted character average.
 
 Every summand has a phase that is an exact rational reduced mod 1 before a
 complex exponential is evaluated: phases are tallied as integer numerators
-against a fixed denominator and the final value is a multiplicity-weighted
+against a fixed denominator and a tally's value is a multiplicity-weighted
 sum over precomputed roots of unity, accumulated in a fixed index order.
-Every sum runs on one serial path, so results are bit-reproducible.
+A pI sum at an odd prime is an integer combination of at most two
+classical Kloosterman sums, each such a tally, and a coprime factored sum
+is the product of two values.  Every sum runs on one serial path, so
+results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -46,9 +49,21 @@ class SumValue:
     method: str
 
 
-@lru_cache(maxsize=None)
+# Largest modulus whose roots of unity are memoized, at most 128 of them:
+# 32 MiB at 16 bytes a root.  A cold coefficient reads 42-48 moduli at
+# N = 3 (its rank-1 c's), 4-5 at N = 47 and 101.  A tally at a larger
+# modulus, or one evicted by a longer sweep, recomputes its roots; it
+# tallies at least m numerators, so that at most doubles its cost.
+MAX_CACHED_ROOTS = 2 ** 14
+
+
+def _roots(m: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(m) / m)
+
+
+@lru_cache(maxsize=128)
 def _roots_of_unity(m: int) -> np.ndarray:
-    w = np.exp(2j * np.pi * np.arange(m) / m)
+    w = _roots(m)
     w.setflags(write=False)
     return w
 
@@ -58,7 +73,8 @@ def _tally_value(numerators: np.ndarray, m: int,
     """sum of w e(n/m) over the numerator array, via multiplicity counts;
     w is the matching entry of ``weights``, or 1 without them."""
     counts = np.bincount(numerators, weights=weights, minlength=m)
-    return complex(np.dot(counts, _roots_of_unity(m)))
+    roots = _roots_of_unity(m) if m <= MAX_CACHED_ROOTS else _roots(m)
+    return complex(np.dot(counts, roots))
 
 
 def _form_vector(q: HalfIntegralForm, t: HalfIntegralForm) -> np.ndarray:
@@ -89,33 +105,42 @@ def kloosterman(q: HalfIntegralForm, t: HalfIntegralForm, c: IntMat2,
 
 
 def kloosterman_pI(q: HalfIntegralForm, t: HalfIntegralForm, p: int) -> SumValue:
-    """K(Q, T; pI) for prime p via the explicit three-variable sum.
+    """K(Q, T; pI) for prime p, summed over the p^3 - p^2 cosets of pI.
 
-    The cosets of pI and their completions are the rows of
-    ``sp4._pI_grid(p)``, and with delta = d1*d4 - d2^2 the phase is
+    With delta = d1*d4 - d2^2 over the symmetric D = [[d1, d2], [d2, d4]]
+    mod p with delta a unit, the summand is
 
-        ( inv(delta) (d4 q1 - d2 q2 + d1 q4) + d1 t1 + d2 t2 + d4 t4 ) / p.
+        e( ( inv(delta) (d4 q1 - d2 q2 + d1 q4) + d1 t1 + d2 t2 + d4 t4 ) / p ),
+
+    the rows of ``sp4._pI_grid(p)``.  An odd p takes the value from two
+    classical Kloosterman sums (``_pI_closed_form``) in O(p) time and
+    memory, with no grid; p = 2 tallies its grid of four rows.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    nums = (_pI_grid(p) @ _form_vector(q, t)) % p
-    value = _tally_value(nums, p)
-    return SumValue(value=value, terms=len(nums), method="pI-formula")
+    return SumValue(value=_pI_value(q, t, p), terms=p ** 3 - p ** 2,
+                    method="pI-formula")
 
 
 def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
                          c: IntMat2,
                          bezout: tuple[int, int] | None = None) -> SumValue:
-    """K(Q, T; N*C) through coprime moduli N*I and C, as one exact tally.
+    """K(Q, T; N*C) through coprime moduli N*I and C, as a product.
 
     With s*N + t*det(C) = 1 and X = t*adj(C), each coset of N*C is a pair
     of cosets of N*I and C whose summands are those of K(X Q X^T, T; N*I)
-    and K(s^2 Q, T; C).  Their numerators, mod N and mod d = 2|det C|, are
-    tallied into two histograms; the pair (i, j) lands at i*N*d + j*N^2
-    mod m = N^2 d (the coset table's modulus for N*C), so one tally weighted
-    by the products of their counts (integers below 2^53, exact as floats)
-    gives value and terms equal to ``kloosterman(q, t, c.scale(n))`` bit
-    for bit, whatever the Bezout pair (``bezout`` pins one).
+    and K(s^2 Q, T; C), and the phase of the pair is the sum of the two
+    phases, so K(Q, T; N*C) is the product of the two sums.  The first is
+    ``kloosterman_pI``'s value (no grid at odd N), the second the tally of
+    the coset table of C; ``terms`` is the product of their terms, equal
+    to ``kloosterman(q, t, c.scale(n)).terms``.  The value agrees with
+    that coset sum up to the rounding of two tallies and one product
+    (tests/support.py derives the bound) and is the same bit for bit
+    whatever the Bezout pair (``bezout`` pins one): X Q X^T mod N does not
+    depend on it, and the table of C weighs Q by even coefficients
+    (A C^{-1} is symmetric), so s^2 Q counts mod |det C| only, where every
+    s is one inverse of N.  The cost is O(N + |det C|) beyond the table
+    of C.
     """
     if not is_prime(n):
         raise ValueError(f"{n} is not prime")
@@ -132,16 +157,123 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
         if s * n + tt * cdet != 1:
             raise ValueError("invalid Bezout pair")
     x = c.adj().scale(tt)  # t * det(C) * C^{-1}
-    left = np.bincount(
-        (_pI_grid(n) @ _form_vector(q.conjugate_right(x), t)) % n, minlength=n)
+    left = _pI_value(q.conjugate_right(x), t, n)
     data = sp4.coset_data(c)
-    d, m = data.m, n * n * data.m
-    right = np.bincount(
-        (data.weights @ _form_vector(q.scale(s * s), t)) % d, minlength=d)
-    index = (np.arange(n)[:, None] * (n * d) + np.arange(d) * (n * n)) % m
-    value = _tally_value(index.ravel(), m, np.outer(left, right).ravel())
-    return SumValue(value=value, terms=int(left.sum() * right.sum()),
+    right = _tally_value(
+        (data.weights @ _form_vector(q.scale(s * s), t)) % data.m, data.m)
+    return SumValue(value=left * right, terms=(n ** 3 - n ** 2) * data.count,
                     method="factored")
+
+
+class _PrimeTables:
+    """Tables of one odd prime p for ``_pI_closed_form``: the inverses
+    mod p (``inverse[0]`` = 0), one square root of each square mod p (-1
+    for a non-square), and a memo of S(1, n; p) by n."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)],
+                                dtype=np.int64)
+        x = np.arange(p, dtype=np.int64)
+        roots = np.full(p, -1, dtype=np.int64)
+        roots[x * x % p] = x
+        self.sqrt = roots.tolist()
+        self._kloosterman: dict[int, complex] = {}
+
+    def legendre(self, a: int) -> int:
+        a %= self.p
+        return 0 if a == 0 else (1 if self.sqrt[a] >= 0 else -1)
+
+    def _numerators(self, n: int) -> np.ndarray:
+        """(x + n inv(x)) mod p over x in F_p^*."""
+        x = np.arange(1, self.p, dtype=np.int64)
+        return (x + n % self.p * self.inverse[1:]) % self.p
+
+    def row(self, n: int) -> np.ndarray:
+        """H_n: the counts of the numerators of S(1, n; p) mod p."""
+        return np.bincount(self._numerators(n), minlength=self.p)
+
+    def kloosterman(self, n: int) -> complex:
+        """S(1, n; p), the tally of its numerators, memoized."""
+        n %= self.p
+        value = self._kloosterman.get(n)
+        if value is None:
+            value = _tally_value(self._numerators(n), self.p)
+            self._kloosterman[n] = value
+        return value
+
+
+# one coefficient reads one level; the bound keeps a sweep over levels
+# from holding a table per level
+@lru_cache(maxsize=4)
+def _prime_tables(p: int) -> _PrimeTables:
+    return _PrimeTables(p)
+
+
+def _pI_closed_form(q: HalfIntegralForm, t: HalfIntegralForm,
+                    p: int) -> tuple[int, tuple[int, ...], int]:
+    """(a, ns, e) with K(Q, T; pI) = a * sum_{n in ns} S(1, n; p) + e for
+    an odd prime p, S(1, n; p) = sum over x in F_p^* of e((x + n inv(x))/p).
+
+    Write D_Q = q2^2 - 4 q1 q4, b = 2 q1 t1 + q2 t2 + 2 q4 t4 and chi for
+    the Legendre symbol mod p; let D = D_Q when p does not divide it, D_T
+    otherwise.  Then a = p chi(D), ns holds (b + r)/2 mod p for each root
+    r of r^2 = D_Q D_T mod p (one for r = 0, none for a non-square), and
+    e = p^2 when Q = lambda adj T mod p for some lambda != 0, with
+    adj T = (t4, -t2, t1), else 0.  Q = T = 0 mod p gives a = 0 and
+    e = p^3 - p^2.  As histograms: with H_n = ``_PrimeTables.row(n)``,
+    the counts of the grid's numerators mod p are
+    a sum_n H_n + e [residue 0] + k (1, ..., 1), k fixing the total
+    p^3 - p^2, because two integer vectors of one value differ by a
+    multiple of (1, ..., 1) for prime p.
+
+    Proof route (Kitaoka, Nagoya Math. J. 93, 1984; verified, not proven
+    here).  On the rows with d1 != 0, put u = delta: d4 <-> u is a
+    bijection onto F_p^*, and the numerator is A + B inv(u) + C u with
+    A = inv(d1) q1 + d1 t1 + d2 t2 + inv(d1) t4 d2^2, B = inv(d1) (q1 d2^2
+    - q2 d1 d2 + q4 d1^2) and C = inv(d1) t4.  The sum over u is then
+    e(A/p) times the Kloosterman sum S(B, C; p) in delta.  For C != 0
+    that is the sum over x in F_p^* of e((x + B C inv(x))/p), whose phase
+    A + B C inv(x) is quadratic in d2, so the sum over d2 is a quadratic
+    Gauss sum.  With the rows d1 = 0, uniform over the residues or p
+    copies of one, that should give the form above, but the case split is
+    not written out.  The checks are exact: tests/test_expsums.py
+    compares the histogram above with ``np.bincount(_pI_grid(p) @ v % p)``
+    for every vector at p = 3, 5 and 7 and for 1,024 random vectors at
+    each prime from 11 to 101, and
+    acceptance criterion 1 compares the value with the coset enumeration
+    of pI at p = 3, 5, 7.  No tail budget rests on the identity.
+    """
+    q1, q2, q4 = q.t1 % p, q.t2 % p, q.t4 % p
+    t1, t2, t4 = t.t1 % p, t.t2 % p, t.t4 % p
+    q_nonzero, t_nonzero = bool(q1 or q2 or q4), bool(t1 or t2 or t4)
+    if not (q_nonzero or t_nonzero):
+        return 0, (), p ** 3 - p ** 2
+    tables = _prime_tables(p)
+    dq = (q2 * q2 - 4 * q1 * q4) % p
+    dt = (t2 * t2 - 4 * t1 * t4) % p
+    chi = tables.legendre(dq or dt)
+    r = tables.sqrt[dq * dt % p]
+    ns: tuple[int, ...] = ()
+    if chi and r >= 0:
+        b, half = 2 * q1 * t1 + q2 * t2 + 2 * q4 * t4, (p + 1) // 2
+        ns = tuple(sorted({(b + r) * half % p, (b - r) * half % p}))
+    # Q = lambda adj T with lambda != 0: both nonzero, and the 2x2 minors
+    # of Q and adj T = (t4, -t2, t1) vanish
+    proportional = (q_nonzero and t_nonzero and (q1 * t2 + q2 * t4) % p == 0
+                    and (q1 * t1 - q4 * t4) % p == 0
+                    and (q2 * t1 + q4 * t2) % p == 0)
+    return p * chi, ns, (p * p if proportional else 0)
+
+
+def _pI_value(q: HalfIntegralForm, t: HalfIntegralForm, p: int) -> complex:
+    """K(Q, T; pI) for prime p: the closed form at odd p, the grid's tally
+    at p = 2."""
+    if p == 2:
+        return _tally_value((_pI_grid(2) @ _form_vector(q, t)) % 2, 2)
+    a, ns, e = _pI_closed_form(q, t, p)
+    tables = _prime_tables(p)
+    return complex(a * sum(tables.kloosterman(n) for n in ns) + e)
 
 
 @lru_cache(maxsize=None)

@@ -322,14 +322,24 @@ def _rank2_terms(q: HalfIntegralForm, t: HalfIntegralForm,
     """Yields (C', term) for one C' of each pair C', -C' in ``moduli`` (the
     box or its shell, see ``_one_of_each_pair``), with term =
     K(Q, T; N C') / |det N C'|^{3/2} * kernel.  Each term stands for two:
-    the sum over ``moduli`` is twice the sum of the terms.  K is the
-    factored tally when N does not divide det C' (the whole box at the
-    default beta, where |det C'| <= M < N) and the coset sum otherwise.
+    the sum over ``moduli`` is twice the sum of the terms.  K is
+    ``kloosterman_factored`` when N does not divide det C' (the whole box
+    at the default beta, where |det C'| <= M < N): the product of the
+    closed-form K(X Q X^T, T; N I), O(N) with no pI grid, and the tally of
+    the table of C'.  It is the coset sum of N C' otherwise.  The product
+    agrees with the coset sum up to the rounding of two tallies and one
+    product (tests/test_petersson.py compares the coefficient with both
+    the coset sum and the former joint tally of the two histograms within
+    that bound).  When (D_Q D_T | N) = -1 the closed form is exactly 0, so
+    such a term is 0.
 
     The term of -C' is the term of C', bit for bit.  -I_4 in Sp4(Z)
     carries the cosets of C onto those of -C and leaves A C^{-1} and
     C^{-1} D unchanged, so the phase histograms, and with them the tallied
-    values, are equal.  ``script_j_for_forms`` reads the kernel argument
+    values, are equal.  In the product, X = t adj(C') changes sign with
+    C', which leaves X Q X^T, and so the pI value, unchanged, and the
+    tables of C' and -C' have equal histograms.  ``script_j_for_forms``
+    reads the kernel argument
     from the exact integers tr(T adj(C) Q adj(C)^T) and (det C)^2, which
     adj(-C) = -adj(C) leaves unchanged, so the argument is the same float
     pair."""
@@ -467,7 +477,11 @@ def h_fourier(q: HalfIntegralForm, t: HalfIntegralForm,
 
 @dataclass(frozen=True)
 class GramResult:
-    matrix: np.ndarray            # G[i][j] ~ sum_F a_F(T_i) conj(a_F(T_j)) / ||F||^2
+    # G[i][j] = H(T_i, T_j) / (8 c_N (det T_i det T_j)^kappa), with
+    # H(A, B) = h_fourier(B, A).total det(B)^(k - 3/2), the quantity
+    # proportional to sum_F a_F(A) conj(a_F(B)) / ||F||^2; G is that
+    # sum only up to the determinant powers and a constant
+    matrix: np.ndarray
     tail_budget: np.ndarray       # entrywise bound on the truncation error
     hermitian_defect: float
     min_eigenvalue: float

@@ -180,20 +180,27 @@ def _enumerated_table(c: IntMat2) -> CosetData:
 
 # Largest n that ``_pI_grid`` accepts.  Its index arrays and table take
 # about 72 n^3 bytes at peak: 0.68 GB at n = 211, 1.0 GB at n = 240, but
-# 9 GB at n = 500 and 72 GB at n = 1009.
+# 9 GB at n = 500 and 72 GB at n = 1009.  It caps the coset sums of a
+# scalar modulus nI (``coset_data``) only: ``expsums.kloosterman_pI`` and
+# ``expsums.kloosterman_factored`` take the closed form at odd primes.
 MAX_PI_GRID_N = 240
 
 
-# One coefficient reads two grids, its level's and grid(1) for the
-# unimodular C' class; two entries keep both without holding one
-# (n^3 - n^2, 6) table per level of a sweep (49 MB at n = 101).
+# One coefficient at an odd level reads one grid, grid(1) for the
+# unimodular C' class; at level 2 it reads grid(2) as well.  Two entries
+# keep both without holding one (n^3 - n^2, 6) table per level of a
+# sweep (49 MB at n = 101).
 @lru_cache(maxsize=2)
 def _pI_grid(n: int) -> np.ndarray:
     """Kitaoka's closed form for n*I as a weight table mod n: the symmetric
     D = [[d1, d2], [d2, d4]] mod n with delta = det D a unit mod n, completed
     by A = inv(delta) adj(D), give the rows inv(delta) (d4, -d2, d1), d1,
-    d2, d4 (for n = 1 the one zero row).  Raises ValueError, before any
-    array is built, when n exceeds ``MAX_PI_GRID_N``."""
+    d2, d4 (for n = 1 the one zero row).  It builds the table of every
+    scalar Smith class in ``coset_data``, gives ``expsums.kloosterman_pI``
+    its value at n = 2, and is the oracle of the closed form at odd primes
+    (tests/test_expsums.py; acceptance criterion 1 compares it with the
+    coset enumeration).  Raises ValueError, before any array is built,
+    when n exceeds ``MAX_PI_GRID_N``."""
     if n > MAX_PI_GRID_N:
         raise ValueError(f"the pI grid of n = {n} exceeds the cap "
                          f"{MAX_PI_GRID_N} (about 72 n^3 bytes)")

@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siegelsums import expsums, petersson, sp4
+from siegelsums import acceptance, expsums, petersson, sp4
 from siegelsums.kernels import truncation_set
 from siegelsums.matcore import (
     GaussianInt,
     HalfIntegralForm,
     IntMat2,
+    _xgcd,
     gaussian_totient,
+    is_prime,
     kronecker,
 )
 from siegelsums.petersson import SpectralParams
@@ -30,6 +32,16 @@ from siegelsums.expsums import (
     kloosterman_pI,
     salie,
     twisted_average,
+)
+from support import (
+    closed_histogram,
+    factored_bound,
+    fold_counts,
+    grid_part,
+    joint_counts,
+    pI_bound,
+    table_histogram,
+    tally_bound,
 )
 
 HI = HalfIntegralForm.identity()
@@ -139,22 +151,123 @@ class TestKloosterman:
         assert abs(sv.value) <= sv.terms + 1e-9
 
 
+class TestClosedForm:
+    # the pI histogram assembled from the memo's rows H_n against the
+    # grid's, as integer vectors: every vector (q1, q2, q4, t1, t2, t4) mod p
+    # at p = 3, 5 and 7, and 1,024 random ones at each prime from 11 to 101
+    @staticmethod
+    def grid_counts(p, vectors):
+        # one bincount per block of vectors, each offset by p times its row
+        nums = (vectors @ sp4._pI_grid(p).T) % p
+        offset = nums + p * np.arange(len(vectors))[:, None]
+        return np.bincount(offset.ravel(), minlength=p * len(vectors)
+                           ).reshape(len(vectors), p)
+
+    @staticmethod
+    def closed_counts(p, vectors):
+        return np.array([closed_histogram(HalfIntegralForm(*v[:3]),
+                                          HalfIntegralForm(*v[3:]), p)
+                         for v in vectors.tolist()])
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_vector(self, p):
+        vectors = np.array(list(itertools.product(range(p), repeat=6)),
+                           dtype=np.int64)
+        for block in np.array_split(vectors, max(1, len(vectors) // 4096)):
+            assert np.array_equal(self.closed_counts(p, block),
+                                  self.grid_counts(p, block))
+
+    @pytest.mark.parametrize("p", [p for p in range(11, 102) if is_prime(p)])
+    def test_random_vectors(self, p):
+        # 1,024 vectors: every pair of 32 random Q and 32 random T, with
+        # the cases that the closed form splits off planted: Q = 0 and
+        # T = 0, D_Q = 0 and D_T = 0, and Q a multiple of adj T
+        rng = np.random.default_rng(p)
+        qs, ts = rng.integers(0, p, size=(2, 32, 3))
+        qs[0] = ts[0] = 0
+        qs[1] = ts[1] = [1, 2, 1]
+        lam = rng.integers(1, p, size=(4, 1))
+        qs[2:6] = lam * ts[2:6][:, ::-1] * [1, -1, 1] % p
+        # the grid's numerators split as a Q part plus a T part
+        aq = [grid_part(p, 0, q) for q in qs.tolist()]
+        bt = [grid_part(p, 3, t) for t in ts.tolist()]
+        for q, a in zip(qs.tolist(), aq):
+            for t, b in zip(ts.tolist(), bt):
+                assert np.array_equal(
+                    closed_histogram(HalfIntegralForm(*q),
+                                     HalfIntegralForm(*t), p),
+                    fold_counts(a, b, p)), (p, q, t)
+
+    def test_value_is_the_tally_of_the_histogram(self):
+        # kloosterman_pI's value against the tally of the grid, within the
+        # two routes' rounding bounds
+        for p in (3, 5, 7, 11, 13):
+            for q in pd_forms()[:6]:
+                for t in pd_forms()[:6]:
+                    got = kloosterman_pI(q, t, p)
+                    want = _tally_value(
+                        (sp4._pI_grid(p) @ expsums._form_vector(q, t)) % p, p)
+                    assert got.terms == p ** 3 - p ** 2
+                    assert abs(got.value - want) <= (
+                        pI_bound(p) + tally_bound(got.terms, p))
+
+    def test_level_two_tallies_its_grid(self):
+        for q in pd_forms()[:6]:
+            for t in pd_forms()[:6]:
+                want = _tally_value(
+                    (sp4._pI_grid(2) @ expsums._form_vector(q, t)) % 2, 2)
+                assert kloosterman_pI(q, t, 2).value == want
+
+    def test_runs_far_above_the_grid_cap_without_a_grid(self):
+        # N = 10,007: the grid would take 72 N^3 bytes and is refused
+        # above sp4.MAX_PI_GRID_N, so these calls cannot have built one
+        n = 10_007
+        assert n > sp4.MAX_PI_GRID_N
+        acceptance.clear_all_caches()
+        tracemalloc.start()
+        v = kloosterman_pI(HI, HalfIntegralForm(1, 1, 2), n)
+        f = kloosterman_factored(HI, HalfIntegralForm(1, 1, 2), n,
+                                 IntMat2.diag(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert sp4._pI_grid.cache_info().misses == 0
+        assert v.terms == n ** 3 - n ** 2
+        assert f.terms == v.terms * sp4.coset_data(IntMat2.diag(1, 2)).count
+        assert abs(v.value) <= v.terms and abs(f.value) <= f.terms
+        assert peak < 10 * 2 ** 20
+
+
 class TestFactored:
     FORMS = [(q, t) for q in (HI, HalfIntegralForm(1, 1, 2))
              for t in (HI, HalfIntegralForm(2, 1, 1))]
 
+    @staticmethod
+    def check_against_coset_sum(q, t, n, cmat, table):
+        # value within the product's bound plus the coset tally's, terms ==
+        got = kloosterman_factored(q, t, n, cmat)
+        nums = (table.weights @ expsums._form_vector(q, t)) % table.m
+        want = _tally_value(nums, table.m)
+        right = sp4.coset_data(cmat)
+        bound = (factored_bound(n, right.count, right.m)
+                 + tally_bound(table.count, table.m))
+        assert got.terms == table.count, (n, cmat, q, t)
+        assert abs(got.value - want) <= bound, (n, cmat, q, t)
+
     @pytest.mark.parametrize("n", [3, 5, 7, 11])
     def test_bit_identical_to_coset_sum(self, n):
-        # the tally's counts are the enumerated table's, so value and terms
-        # are equal, not close, on every box modulus (C' = I included)
+        # the pairs of the closed pI histogram and the table of C' give the
+        # coset table's histogram of N C' count for count, on every box
+        # modulus (C' = I included); the product of the two values is then
+        # the coset sum up to the rounding of two tallies and one product
         moduli = truncation_set(SpectralParams(k=10, level=n).m_bound)
         assert len(moduli) == 288
         for cmat in moduli:
             for q, t in self.FORMS:
-                got = kloosterman_factored(q, t, n, cmat)
-                want = kloosterman(q, t, cmat.scale(n))
-                assert (got.value, got.terms) == (want.value, want.terms), \
-                    (n, cmat, q, t)
+                assert np.array_equal(
+                    joint_counts(q, t, n, cmat, closed_histogram),
+                    table_histogram(q, t, cmat.scale(n))), (n, cmat, q, t)
+                self.check_against_coset_sum(q, t, n, cmat,
+                                             sp4.coset_data(cmat.scale(n)))
 
     @pytest.mark.parametrize("cmat", [
         I2, IntMat2.diag(1, 2), IntMat2(1, 1, -1, 1), IntMat2.diag(2, 2),
@@ -164,11 +277,7 @@ class TestFactored:
         # its Smith class; diag(2, 2) lies outside the box
         table = sp4._enumerated_table(cmat.scale(3))
         for q, t in self.FORMS:
-            nums = (table.weights @ np.array(
-                [q.t1, q.t2, q.t4, t.t1, t.t2, t.t4])) % table.m
-            got = kloosterman_factored(q, t, 3, cmat)
-            assert got.value == _tally_value(nums, table.m)
-            assert got.terms == table.count
+            self.check_against_coset_sum(q, t, 3, cmat, table)
 
     def test_det3_and_det4_classes(self):
         # the Smith classes (1, 3), (1, 4) and (2, 2) that the box reaches
@@ -181,16 +290,23 @@ class TestFactored:
         for cmat in moduli:
             for q in forms:
                 for t in forms:
-                    got = kloosterman_factored(q, t, 5, cmat)
-                    want = kloosterman(q, t, cmat.scale(5))
-                    assert (got.value, got.terms) == (want.value, want.terms), \
-                        (cmat, q, t)
+                    self.check_against_coset_sum(
+                        q, t, 5, cmat, sp4.coset_data(cmat.scale(5)))
 
     def test_bezout_independence(self):
-        c = IntMat2.diag(1, 2)
-        v1 = kloosterman_factored(HI, HI, 3, c, bezout=(1, -1))
-        v2 = kloosterman_factored(HI, HI, 3, c, bezout=(-1, 2))
-        assert v1 == v2
+        # X Q X^T mod N does not depend on the Bezout pair, and s^2 enters
+        # the table of C' through even weights only (A C^{-1} is
+        # symmetric), so mod |det C'|, where every s is an inverse of N:
+        # the value is the same bit for bit
+        for cmat in (IntMat2.diag(1, 2), IntMat2.diag(1, 5),
+                     IntMat2(1, 2, 3, 1), IntMat2(2, 1, 1, 3)):
+            cdet = cmat.det()
+            _, s, tt = _xgcd(3, cdet)
+            for q, t in self.FORMS:
+                values = {kloosterman_factored(
+                    q, t, 3, cmat, bezout=(s + k * cdet, tt - 3 * k))
+                    for k in range(-2, 3)}
+                assert len(values) == 1, (cmat, q, t)
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError, match="not coprime"):
@@ -370,6 +486,33 @@ class TestGridCaps:
         with pytest.raises(ValueError, match="exceeds the cap 67108864"):
             gauss_sum(1, 0, expsums.MAX_GAUSS_C + 1)
         assert time.perf_counter() - t0 < 1
+
+
+class TestRootsCache:
+    def test_bounded_over_a_sweep(self):
+        # one entry per modulus up to MAX_CACHED_ROOTS, at most 128 kept
+        expsums._roots_of_unity.cache_clear()
+        for c in range(1, 300):
+            gauss_sum(1, 1, c)
+        info = expsums._roots_of_unity.cache_info()
+        assert info.currsize == info.maxsize == 128
+
+    def test_level_sweep_stays_within_the_bound(self):
+        # each level adds its rank-1 moduli and its prime's tallies
+        acceptance.clear_all_caches()
+        for n in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+            petersson.h_fourier(HI, HI, SpectralParams(k=10, level=n))
+        assert expsums._roots_of_unity.cache_info().currsize <= 128
+
+    def test_larger_moduli_are_not_cached(self):
+        # their roots come from the same function, so a value does not
+        # depend on whether they were cached
+        expsums._roots_of_unity.cache_clear()
+        m = expsums.MAX_CACHED_ROOTS + 1
+        gauss_sum(1, 0, m)
+        assert expsums._roots_of_unity.cache_info().currsize == 0
+        assert np.array_equal(expsums._roots(m),
+                              expsums._roots_of_unity(m))
 
 
 class TestCongruenceCount:

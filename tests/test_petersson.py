@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siegelsums import acceptance, kernels, petersson, sp4
+from siegelsums import acceptance, expsums, kernels, petersson, sp4
 from siegelsums.expsums import SumValue, kloosterman, kloosterman_factored
 from siegelsums.kernels import (
     KernelArg,
@@ -34,6 +34,14 @@ from siegelsums.petersson import (
     main_term_residue,
     residue_fit_degree,
     spectral_gram,
+)
+from support import (
+    EPS,
+    factored_bound,
+    joint_tally,
+    rank2_bound,
+    tally_bound,
+    term_bound,
 )
 from siegelsums.petersson import (
     _complete_bottom_row,
@@ -302,6 +310,64 @@ def kernel_moduli(params):
             + shell_matrices(params.m_bound, 1)]
 
 
+def assert_rank2_route_within_bound(monkeypatch, q, t, params, oracle):
+    """h_fourier against h_fourier with each ``kloosterman_factored`` call
+    replaced by ``oracle(q, t, n, C')``, which returns (value, terms, m)
+    of a tally of ``terms`` summands mod m.  Every field but rank2 and
+    total is equal; those agree within the bound derived from the two
+    routes' rounding (tests/support.py): each K within
+    ``factored_bound`` plus the oracle's ``tally_bound``, each term within
+    ``term_bound``, and the sum within ``rank2_bound``, scaled by the
+    coefficient's factors."""
+    n, ell = params.level, params.ell
+    cache = {}
+
+    def replaced(q, t, n, cp):
+        if (q, t, n, cp) not in cache:
+            value, terms, m = oracle(q, t, n, cp)
+            cache[q, t, n, cp] = (SumValue(value, terms, "oracle"),
+                                  tally_bound(terms, m))
+        return cache[q, t, n, cp][0]
+
+    box = truncation_set(params.m_bound)
+    fast = h_fourier(q, t, params)
+    fast_terms = list(_rank2_terms(q, t, params, box))
+    monkeypatch.setattr(petersson, "kloosterman_factored", replaced)
+    slow = h_fourier(q, t, params)
+    slow_terms = list(_rank2_terms(q, t, params, box))
+    monkeypatch.undo()
+    for name in ("diagonal", "rank1", "rank1_tail", "rank2_tail",
+                 "tail_bound"):
+        assert getattr(fast, name) == getattr(slow, name), name
+    pairs = []
+    for (cp, a), (cp_b, b) in zip(fast_terms, slow_terms):
+        assert cp == cp_b
+        if cp.det() % n == 0:
+            assert a == b, cp  # the coset route on both sides
+            pairs.append((a, b, 0.0))
+            continue
+        right = sp4.coset_data(cp)
+        k_bound = (factored_bound(n, right.count, right.m)
+                   + cache[q, t, n, cp][1])
+        c = cp.scale(n)
+        kern = petersson._kernel_weight(q, t, ell, c)
+        bound = term_bound(k_bound, kern, c.det(), a, b)
+        assert abs(a - b) <= bound, cp
+        pairs.append((a, b, bound))
+    scale = 8 * math.pi ** 2 * (t.det() / q.det()) ** params.kappa
+    r2_bound = (scale * 2 * rank2_bound(pairs, len(pairs)) * (1 + 4 * EPS)
+                + 2 * EPS * (abs(fast.rank2) + abs(slow.rank2)))
+    assert abs(fast.rank2 - slow.rank2) <= r2_bound
+    assert abs(fast.total - slow.total) <= (
+        r2_bound + 2 * EPS * (abs(fast.total) + abs(slow.total)))
+
+
+def coset_oracle(q, t, n, cp):
+    """K(Q, T; n C') by the coset sum of n C', as (value, terms, m)."""
+    kv = kloosterman(q, t, cp.scale(n))
+    return kv.value, kv.terms, 2 * abs(cp.scale(n).det())
+
+
 @pytest.fixture(scope="module")
 def params():
     return SpectralParams(k=10, level=3)
@@ -551,25 +617,36 @@ class TestHFourier:
     @pytest.mark.parametrize("pair", PAIRS)
     def test_rank2_route_bit_identical_to_coset_sum(self, monkeypatch, level,
                                                     pair):
-        # every field of the coefficient is unchanged when each factored
-        # Kloosterman sum is replaced by the coset sum of N C'
+        # with each factored Kloosterman sum replaced by the coset sum of
+        # N C', the diagonal, rank-1 and budget fields are bit-identical;
+        # rank2 and total move by rounding only, within the derived bound
         q, t = PAIRS[pair]
         params = SpectralParams(k=10, level=level)
-        fast = h_fourier(q, t, params)
-        monkeypatch.setattr(petersson, "kloosterman_factored",
-                            lambda q, t, n, cp: kloosterman(q, t, cp.scale(n)))
-        brute = h_fourier(q, t, params)
-        assert fast == brute
+        assert_rank2_route_within_bound(monkeypatch, q, t, params,
+                                        coset_oracle)
+
+    @pytest.mark.parametrize("level", [3, 5, 7, 13, 47, 101])
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_rank2_route_matches_joint_tally(self, monkeypatch, level, pair):
+        # against the joint tally of the grid's pI histogram and the table
+        # of C' that the rank-2 route ran before the product of two values
+        q, t = PAIRS[pair]
+        params = SpectralParams(k=10, level=level)
+        assert_rank2_route_within_bound(monkeypatch, q, t, params,
+                                        joint_tally)
 
     def test_pI_grid_cache_is_bounded(self):
-        # a cold coefficient reads two grids, its level's and grid(1); a
-        # sweep over levels keeps no more than two
+        # a cold coefficient at an odd level reads one grid, grid(1) for
+        # the class of C' = +-I, and none of its level (level 2 reads
+        # grid(2) too); a sweep over levels keeps no more than two grids
+        # and four prime tables
         acceptance.clear_all_caches()
         h_fourier(HI, HI, SpectralParams(k=10, level=13, rank1_cutoff=3))
-        assert sp4._pI_grid.cache_info().misses == 2
-        for n in (3, 5, 7, 11, 13):
+        assert sp4._pI_grid.cache_info().misses == 1
+        for n in (2, 3, 5, 7, 11, 13, 17, 19):
             h_fourier(HI, HI, SpectralParams(k=10, level=n, rank1_cutoff=3))
         assert sp4._pI_grid.cache_info().currsize <= 2
+        assert expsums._prime_tables.cache_info().currsize <= 4
 
     def test_script_j_cache_is_bounded(self):
         # one cold coefficient looks up 69 distinct kernels at N <= 43 and

@@ -301,11 +301,16 @@ class TestPIGridCap:
         assert 72 * sp4.MAX_PI_GRID_N ** 3 <= 1.1e9
 
     def test_refused_on_every_route(self):
+        # the grid and the coset sum of N I, whose table is the grid, are
+        # refused; kloosterman_pI and kloosterman_factored take the closed
+        # form at odd N and build no grid (tests/test_expsums.py runs them
+        # at this N)
         HI = HalfIntegralForm(1, 0, 1)
         for call in (lambda: sp4._pI_grid(self.N),
-                     lambda: expsums.kloosterman_pI(HI, HI, self.N),
                      lambda: expsums.kloosterman(HI, HI,
-                                                 IntMat2.scalar(self.N)),
-                     lambda: expsums.kloosterman_factored(HI, HI, self.N, I)):
+                                                 IntMat2.scalar(self.N))):
             with pytest.raises(ValueError, match="exceeds the cap"):
                 call()
+        for call in (lambda: expsums.kloosterman_pI(HI, HI, self.N),
+                     lambda: expsums.kloosterman_factored(HI, HI, self.N, I)):
+            assert call().terms % (self.N ** 3 - self.N ** 2) == 0
