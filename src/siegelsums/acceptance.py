@@ -262,6 +262,7 @@ def criterion_6() -> dict:
                 vanish_ok = False
     bound_ok = True
     worst_salie = 0.0
+    worst_grid_dev = 0.0
     pforms = _pd_forms()
     for p in pforms:
         for s1 in (1, 2, 3):
@@ -278,7 +279,12 @@ def criterion_6() -> dict:
                     worst_salie = max(worst_salie, ratio)
                     if ratio > 1 + 1e-12:
                         bound_ok = False
-    ok = gauss_ok and vanish_ok and bound_ok
+                    # the closed form against the whole grid of c
+                    grid = expsums._salie_grid(p, s, c)
+                    worst_grid_dev = max(worst_grid_dev,
+                                         abs(h.value - grid.value))
+    ok = (gauss_ok and vanish_ok and bound_ok
+          and worst_grid_dev <= TOL)
     return {
         "criterion": 6,
         "name": "gauss and salie envelopes",
@@ -286,6 +292,7 @@ def criterion_6() -> dict:
         "worst_gauss_ratio": worst_gauss,
         "salie_vanishing": bool(vanish_ok),
         "worst_salie_ratio": worst_salie,
+        "worst_salie_grid_deviation": worst_grid_dev,
     }
 
 
@@ -454,6 +461,7 @@ def clear_all_caches() -> None:
     expsums._roots_of_unity.cache_clear()
     expsums._prime_tables.cache_clear()
     expsums._unit_table.cache_clear()
+    expsums._smith_class.cache_clear()
     petersson._script_j_cached.cache_clear()
     petersson._residue_series.cache_clear()
 

@@ -7,16 +7,17 @@ against a fixed denominator and a tally's value is a multiplicity-weighted
 sum over precomputed roots of unity, accumulated in a fixed index order.
 A pI sum at an odd prime is an integer combination of at most two
 classical Kloosterman sums, each such a tally, and a coprime factored sum
-is the product of two values.  Every sum runs on one serial path, so
-results are bit-reproducible.
+is the product of two values.  A Salie sum is Salie's closed form at the
+odd prime powers of c where it applies, an integer times a short sum of
+roots of unity mod c, times the tally of the numerator grid of the rest.
+Every sum runs on one serial path, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,10 +27,13 @@ from .matcore import (
     IntMat2,
     SingularModulusError,
     _xgcd,
+    conjugation_map,
+    elementary_divisors,
     gaussian_totient,
     is_go2,
     is_prime,
     kronecker,
+    prime_factors,
     require_fundamental_discriminant,
 )
 from . import sp4
@@ -131,16 +135,24 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
     of cosets of N*I and C whose summands are those of K(X Q X^T, T; N*I)
     and K(s^2 Q, T; C), and the phase of the pair is the sum of the two
     phases, so K(Q, T; N*C) is the product of the two sums.  The first is
-    ``kloosterman_pI``'s value (no grid at odd N), the second the tally of
-    the coset table of C; ``terms`` is the product of their terms, equal
-    to ``kloosterman(q, t, c.scale(n)).terms``.  The value agrees with
-    that coset sum up to the rounding of two tallies and one product
+    ``kloosterman_pI``'s value (no grid at odd N).  The second is read off
+    the Smith class of C: with U C V = diag(c1, c2)
+    (``elementary_divisors``, memoized by ``_smith_class``),
+    K(s^2 Q, T; C) = K(U s^2 Q U^T, V^T T V; diag(c1, c2)), the tally of
+    the class's cached table (``sp4.coset_data``) at those forms, so no
+    table of C itself is built.
+    With W the class table and M the change of forms, the derived table of
+    C is W M mod m and (W M) v = W (M v) mod m row for row, so the value
+    is the one the derived table gives, bit for bit.  ``terms`` is the
+    product of the two terms, equal to
+    ``kloosterman(q, t, c.scale(n)).terms``.  The value agrees with that
+    coset sum up to the rounding of two tallies and one product
     (tests/support.py derives the bound) and is the same bit for bit
     whatever the Bezout pair (``bezout`` pins one): X Q X^T mod N does not
     depend on it, and the table of C weighs Q by even coefficients
     (A C^{-1} is symmetric), so s^2 Q counts mod |det C| only, where every
-    s is one inverse of N.  The cost is O(N + |det C|) beyond the table
-    of C.
+    s is one inverse of N.  The cost is O(N + |det C|) beyond the class
+    table.
     """
     if not is_prime(n):
         raise ValueError(f"{n} is not prime")
@@ -158,27 +170,49 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
             raise ValueError("invalid Bezout pair")
     x = c.adj().scale(tt)  # t * det(C) * C^{-1}
     left = _pI_value(q.conjugate_right(x), t, n)
-    data = sp4.coset_data(c)
-    right = _tally_value(
-        (data.weights @ _form_vector(q.scale(s * s), t)) % data.m, data.m)
+    smith, q_map, t_map = _smith_class(c)
+    data = sp4.coset_data(smith)
+    m, s2 = data.m, s * s
+    forms = np.array([s2 * (a * q.t1 + b * q.t2 + d * q.t4) % m
+                      for a, b, d in q_map]
+                     + [(a * t.t1 + b * t.t2 + d * t.t4) % m
+                        for a, b, d in t_map], dtype=np.int64)
+    right = _tally_value((data.weights @ forms) % m, m)
     return SumValue(value=left * right, terms=(n ** 3 - n ** 2) * data.count,
                     method="factored")
 
 
+@lru_cache(maxsize=1024)
+def _smith_class(c: IntMat2) -> tuple[IntMat2, tuple, tuple]:
+    """(diag(c1, c2), ``conjugation_map(U)``, ``conjugation_map(V^T)``) for
+    U C V = diag(c1, c2): the Smith class of a box modulus and the change
+    of the two forms, a few integers per modulus.  A coefficient reads
+    each box modulus once (448 at N >= 47), but every coefficient of a
+    Gram matrix reads the same ones, so they are memoized; at most 1,024
+    moduli, emptied by ``acceptance.clear_all_caches``."""
+    c1, c2, u, v = elementary_divisors(c)
+    return IntMat2.diag(c1, c2), conjugation_map(u), conjugation_map(v.t())
+
+
 class _PrimeTables:
-    """Tables of one odd prime p for ``_pI_closed_form``: the inverses
-    mod p (``inverse[0]`` = 0), one square root of each square mod p (-1
-    for a non-square), and a memo of S(1, n; p) by n."""
+    """Tables of one odd prime p for ``_pI_closed_form`` and
+    ``_salie_closed``: the inverses mod p (``inverse[0]`` = 0), one square
+    root of each square mod p (-1 for a non-square), and a memo of
+    S(1, n; p) by n."""
 
     def __init__(self, p: int):
         self.p = p
-        self.inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)],
-                                dtype=np.int64)
         x = np.arange(p, dtype=np.int64)
         roots = np.full(p, -1, dtype=np.int64)
         roots[x * x % p] = x
         self.sqrt = roots.tolist()
         self._kloosterman: dict[int, complex] = {}
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        # built on first use: ``salie`` reads only the square roots
+        return np.array([0] + [pow(x, -1, self.p) for x in range(1, self.p)],
+                        dtype=np.int64)
 
     def legendre(self, a: int) -> int:
         a %= self.p
@@ -203,8 +237,10 @@ class _PrimeTables:
         return value
 
 
-# one coefficient reads one level; the bound keeps a sweep over levels
-# from holding a table per level
+# one coefficient reads one level for its pI sums, and its Salie sums read
+# the odd primes of one c after another (a table of p <= 43, all that N = 3
+# reads, takes microseconds); the bound keeps a sweep over levels from
+# holding a table per level
 @lru_cache(maxsize=4)
 def _prime_tables(p: int) -> _PrimeTables:
     return _PrimeTables(p)
@@ -276,7 +312,10 @@ def _pI_value(q: HalfIntegralForm, t: HalfIntegralForm, p: int) -> complex:
     return complex(a * sum(tables.kloosterman(n) for n in ns) + e)
 
 
-@lru_cache(maxsize=None)
+# ``salie``'s grid moduli are products of the prime powers of c it does not
+# take in closed form, two int64 entries a unit each; the bound keeps a
+# sweep over many c from holding a table per modulus
+@lru_cache(maxsize=128)
 def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray]:
     """(units d mod c, their inverses mod c); for c = 1 the class 0, whose
     inverse is taken as 0."""
@@ -291,10 +330,13 @@ def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray]:
 # Largest c that ``salie`` and ``gauss_sum`` accept, and the most entries
 # that ``twisted_average`` tallies, each to keep its peak below 4 GiB, as
 # sp4.MAX_PI_GRID_N does for the pI grid (bytes an entry under
-# tracemalloc).  ``salie`` tallies a phi(c) x c numerator grid at about 16
-# bytes an entry, 4 GiB at c = 2^14 (160 GB at c = 100,003).  ``gauss_sum``
-# peaks at 48 bytes an entry (the numerators, their counts and the roots
-# of unity with their construction), 3 GiB at c = 2^26.
+# tracemalloc).  ``salie`` allocates most for its grid factor g, the
+# product of the prime powers of c that the closed form does not take: a
+# phi(g) x g numerator grid at about 16 bytes an entry, 4 GiB at
+# g = c = 2^14 (160 GB at g = 100,003).  Its other arrays are O(c): the
+# roots of unity mod c and a square-root scan mod a prime power of c.
+# ``gauss_sum`` peaks at 48 bytes an entry (the numerators, their counts
+# and the roots of unity with their construction), 3 GiB at c = 2^26.
 # ``twisted_average`` tallies cosets x L1 x L2 numerators at 24 bytes an
 # entry (the numerators, the broadcast character weights and their float
 # copy), 3 GiB at 2^27 entries; 20I with q1 = q2 = 1 has 512 M.
@@ -303,38 +345,170 @@ MAX_GAUSS_C = 2 ** 26
 MAX_TWISTED_ENTRIES = 2 ** 27
 
 
-def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
-    """Salie-type sum H^+(P, S; c).
+def _square_roots(a: int, p: int, q: int) -> list[int]:
+    """The y mod q = p^e, p an odd prime, with y^2 = a mod q: from the
+    square-root table of ``_prime_tables(p)`` when q = p, from a scan of
+    y mod q otherwise."""
+    if q == p:
+        r = _prime_tables(p).sqrt[a]
+        return [] if r < 0 else sorted({r, (p - r) % p})
+    y = np.arange(q, dtype=np.int64)
+    return np.flatnonzero(y * y % q == a).tolist()
 
-    Vanishes unless s4 == p4.  Otherwise sums, over d1 mod c coprime to c
-    and d2 mod c,
 
-        e( (inv(d1) (s4 d2^2 - p2 d2 + p1) + s2 d2 + d1 s1) / c )
+def _salie_closed(p1: int, p2: int, s1: int, s2: int, s4: int, p: int,
+                  e: int, q: int) -> tuple[int, list[int]] | None:
+    """(w, rs) with I(P, S; q) = w sum_{r in rs} e(r/q) for the integral
+    part I of a Salie sum (``salie``) at q = p^e, p an odd prime, or None
+    where the closed form does not apply: p divides s4, or p divides both
+    X = -D_P inv(4 s4) and Y = -D_S inv(4 s4) (D_P = p2^2 - 4 p1 s4,
+    D_S = s2^2 - 4 s1 s4).
 
-    times the constant non-integral phase e( -p2 s2 / (2 c s4) ).  The
-    minus sum, with +p2 in both places, is H^-(P, S; c) = H^+(P, S'; c) for
-    S' = (s1, -s2, s4): d2 -> -d2 permutes the numerators and keeps the
-    phase, so the two agree bit for bit.  Raises ValueError, before any
-    array is built, when c exceeds ``MAX_SALIE_C``.
-    """
+    Derivation.  For a unit d1, the sum over d2 of e((a d2^2 + b d2)/q),
+    a = inv(d1) s4 a unit, b = s2 - inv(d1) p2, is the Gauss sum
+    e(-b^2 inv(4a)/q) (a|q) eps_q sqrt(q) (complete the square; eps_q = 1
+    for q = 1 mod 4, i otherwise), and (a|q) = (d1|q) (s4|q).  Expanding
+    -b^2 inv(4a) leaves, in the sum over d1,
+
+        I = eps_q sqrt(q) (s4|q) e(2 s2 p2 inv(4 s4)/q)
+            sum_{d1 unit} (d1|q) e((X inv(d1) + Y d1)/q).
+
+    That sum is symmetric in X and Y (d1 -> inv(d1)), and with U the one
+    of them that is a unit it is Salie's eps_q sqrt(q) (U|q) sum over the
+    y mod q with y^2 = XY of e(2y/q) (Iwaniec-Kowalski, Analytic Number
+    Theory, section 12.3).  So I = eps_q^2 q (s4|q) (U|q) e(w0/q) sum_y
+    e(2y/q), w0 = 2 s2 p2 inv(4 s4): w = +-q and rs = w0 + 2y mod q.  The
+    Jacobi symbol (x|p^e) is (x|p)^e.  A y^2 = XY with no root (XY a
+    non-residue) makes I exactly 0.  The identity is checked against the
+    grid, not proven here: tests/test_expsums.py compares ``salie`` with
+    ``_salie_grid`` at every c <= 200, and acceptance criterion 6 at
+    c <= 20."""
+    if s4 % p == 0:
+        return None
+    inv = pow(4 * s4, -1, q)
+    x = (4 * p1 * s4 - p2 * p2) * inv % q
+    y = (4 * s1 * s4 - s2 * s2) * inv % q
+    unit = y if y % p else x
+    if unit % p == 0:
+        return None
+    tables = _prime_tables(p)
+    chi = (tables.legendre(s4) * tables.legendre(unit)) ** e
+    w0 = 2 * s2 * p2 * inv
+    return ((1 if q % 4 == 1 else -1) * chi * q,
+            [(w0 + 2 * r) % q for r in _square_roots(x * y % q, p, q)])
+
+
+def _grid_numerators(p1: int, p2: int, s1: int, s2: int, s4: int,
+                     g: int) -> np.ndarray:
+    """The numerators mod g of the integral part of a Salie sum
+    (``salie``), one for each d1 mod g coprime to g and d2 mod g: the
+    phi(g) x g grid, raveled."""
+    d1, d1bar = _unit_table(g)
+    d2 = np.arange(g, dtype=np.int64)
+    # coefficients reduced mod g first, so no product exceeds g^2
+    quad = (s4 % g * (d2 * d2 % g) + (-p2) % g * d2 + p1 % g) % g
+    return ((d1bar[:, None] * quad[None, :] + (s2 % g * d2)[None, :]
+             + (s1 % g * d1)[:, None]) % g).ravel()
+
+
+def _salie_offset(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> complex:
+    """e(-p2 s2 / (2 c s4)), its angle from the exact residue mod 1."""
+    num, den = -p.t2 * s.t2, 2 * c * s.t4
+    if den < 0:
+        num, den = -num, -den
+    return complex(np.exp(2j * np.pi * (num % den / den)))
+
+
+def _check_salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> bool:
+    """Raise ValueError on an invalid c or s4 = 0; False when s4 != p4, where
+    the sum is 0 with no terms."""
     if c < 1:
         raise ValueError("c must be >= 1")
     if c > MAX_SALIE_C:
         raise ValueError(f"the Salie sum of c = {c} exceeds the cap "
-                         f"{MAX_SALIE_C} (about 16 c^2 bytes)")
+                         f"{MAX_SALIE_C} (about 16 c^2 bytes for its grid)")
     if s.t4 != p.t4:
-        return SumValue(0j, 0, "salie")
+        return False
     if s.t4 == 0:
         raise ValueError("s4 must be nonzero")
-    d1, d1bar = _unit_table(c)
-    d2 = np.arange(c, dtype=np.int64)
-    # coefficients reduced mod c first, so no product exceeds c^2
-    quad = (s.t4 % c * (d2 * d2 % c) + (-p.t2) % c * d2 + p.t1 % c) % c
-    nums = (d1bar[:, None] * quad[None, :] + (s.t2 % c * d2)[None, :]
-            + (s.t1 % c * d1)[:, None]) % c
-    value = _tally_value(nums.ravel(), c)
-    offset = Fraction(-p.t2 * s.t2, 2 * c * s.t4) % 1
-    value *= complex(np.exp(2j * np.pi * float(offset)))
+    return True
+
+
+def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
+    """Salie-type sum H^+(P, S; c).
+
+    Vanishes unless s4 == p4.  Otherwise it is I(P, S; c), the sum over d1
+    mod c coprime to c and d2 mod c of
+
+        e( (inv(d1) (s4 d2^2 - p2 d2 + p1) + s2 d2 + d1 s1) / c ),
+
+    times the constant non-integral phase e( -p2 s2 / (2 c s4) ).  The
+    minus sum, with +p2 in both places, is H^-(P, S; c) = H^+(P, S'; c) for
+    S' = (s1, -s2, s4): d2 -> -d2 permutes the numerators and keeps the
+    phase.
+
+    I is twisted multiplicative: for coprime c = c1 c2, u1 = inv(c2) mod
+    c1 and u2 = inv(c1) mod c2, n/c = n u1/c1 + n u2/c2 mod 1, and a
+    numerator mod c1 depends on (d1, d2) mod c1 alone, so I(P, S; c) =
+    I(u1 P, u1 S; c1) I(u2 P, u2 S; c2), every coefficient scaled.  Over
+    the prime powers q exactly dividing c, I is the product of I at q with
+    every coefficient scaled by inv(c/q) mod q.  An odd q whose prime
+    divides neither s4 nor both discriminants D_P, D_S takes Salie's
+    closed form (``_salie_closed``); the others, 2^e among them, multiply
+    to the grid modulus g, tallied on its phi(g) x g grid.  The grid of
+    all of c is ``_salie_grid``, the oracle.
+
+    The value is K C G times the offset: K the product of the closed
+    forms' signed moduli, C the sum of the roots e(n/c) over the sums n of
+    one closed-form numerator r_q (c/q) per closed q, and G the grid's
+    tally mod g.  K times the count of n times the grid's terms is at most
+    ``terms`` = phi(c) c, with equality on the grid alone, as a closed q
+    weighs q on at most phi(q) roots.  When the closed form at some q has
+    no square root the value is exactly 0j: so whenever an odd p dividing
+    c but not s4 has (D_P D_S | p) = -1.  When every q is on the grid the
+    value is the grid's, bit for bit.
+
+    Raises ValueError, before any array is built, when c exceeds
+    ``MAX_SALIE_C``.
+    """
+    if not _check_salie(p, s, c):
+        return SumValue(0j, 0, "salie")
+    coeffs = (p.t1, p.t2, s.t1, s.t2, s.t4)
+    nums, weight, g, phi = [0], 1, 1, 1
+    for prime, e in prime_factors(c):
+        q = prime ** e
+        phi *= q // prime * (prime - 1)
+        u = pow(c // q, -1, q)
+        scaled = [u * x % q for x in coeffs]
+        closed = None if prime == 2 else _salie_closed(*scaled, prime, e, q)
+        if closed is None:
+            g *= q
+            continue
+        w, rs = closed
+        weight *= w
+        nums = [(n + r * (c // q)) % c for n in nums for r in rs]
+    if g == c:
+        return _salie_grid(p, s, c)
+    if not nums:
+        return SumValue(0j, phi * c, "salie")
+    roots = _roots_of_unity(c)  # c <= MAX_SALIE_C = MAX_CACHED_ROOTS
+    value = weight * sum(complex(roots[n]) for n in nums)
+    if g > 1:
+        v = pow(c // g, -1, g)
+        value *= _tally_value(
+            _grid_numerators(*(v * x % g for x in coeffs), g), g)
+    value *= _salie_offset(p, s, c)
+    return SumValue(value=value, terms=phi * c, method="salie")
+
+
+def _salie_grid(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
+    """H^+(P, S; c) tallied on the whole phi(c) x c grid of c, with no closed
+    form: ``salie``'s oracle (tests/test_expsums.py, acceptance criterion
+    6), and its value whenever every prime power of c is on the grid."""
+    if not _check_salie(p, s, c):
+        return SumValue(0j, 0, "salie")
+    nums = _grid_numerators(p.t1, p.t2, s.t1, s.t2, s.t4, c)
+    value = _tally_value(nums, c) * _salie_offset(p, s, c)
     return SumValue(value=value, terms=nums.size, method="salie")
 
 

@@ -311,14 +311,23 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _euclid_step(a: int, b: int) -> IntMat2:
-    """A determinant-one E with E (a, b)^T = (g, 0)^T, for b != 0: g = a
-    when a != 0 divides b, else g = gcd(a, b) from ``_xgcd``.  The one
-    elimination step of the two routines below."""
+def _euclid_step(a: int, b: int) -> tuple[int, int, int, int]:
+    """The entries (e11, e12, e21, e22) of a determinant-one E with
+    E (a, b)^T = (g, 0)^T, for b != 0: g = a when a != 0 divides b, else
+    g = gcd(a, b) from ``_xgcd``.  The one elimination step of the two
+    routines below."""
     if a != 0 and b % a == 0:
-        return IntMat2(1, 0, -(b // a), 1)
+        return 1, 0, -(b // a), 1
     g, s, t = _xgcd(a, b)
-    return IntMat2(s, t, -(b // g), a // g)
+    return s, t, -(b // g), a // g
+
+
+def _mul4(x: tuple[int, int, int, int],
+          y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The entries of X Y for 2x2 matrices given by their entries."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
 def elementary_divisors(c: IntMat2) -> tuple[int, int, IntMat2, IntMat2]:
@@ -330,27 +339,32 @@ def elementary_divisors(c: IntMat2) -> tuple[int, int, IntMat2, IntMat2]:
     the right (into V) to clear m12, and, once M is diagonal with m11 not
     dividing m22, by adding column 2 to column 1; |m11| shrinks at every
     gcd step, so the loop ends.
-    Signs are fixed last, on the left.  ``petersson._rank2_shell_bound``
-    relies on this order of steps, and tests/test_matcore.py pins U, V.
+    Signs are fixed last, on the left.  M, U and V are carried as entry
+    tuples, and U and V become ``IntMat2`` once, at the end.
+    ``petersson._rank2_shell_bound`` relies on this order of steps, and
+    tests/test_matcore.py pins U, V.
     """
     if c.det() == 0:
         raise SingularModulusError("singular modulus")
-    m, u, v = c, IntMat2.identity(), IntMat2.identity()
-    while m.c != 0 or m.b != 0 or m.d % m.a != 0:
-        if m.c != 0:
-            e = _euclid_step(m.a, m.c)
-            m, u = e.mul(m), e.mul(u)
-        elif m.b != 0:
-            e = _euclid_step(m.a, m.b).t()
-            m, v = m.mul(e), v.mul(e)
+    m, u, v = c.entries(), (1, 0, 0, 1), (1, 0, 0, 1)
+    while m[2] != 0 or m[1] != 0 or m[3] % m[0] != 0:
+        if m[2] != 0:
+            e = _euclid_step(m[0], m[2])
+            m, u = _mul4(e, m), _mul4(e, u)
         else:
-            e = IntMat2(1, 0, 1, 1)
-            m, v = m.mul(e), v.mul(e)
-    sign = IntMat2.diag(1 if m.a > 0 else -1, 1 if m.d > 0 else -1)
-    m, u = sign.mul(m), sign.mul(u)
-    assert u.is_unimodular() and v.is_unimodular()
-    assert m.a >= 1 and m.d % m.a == 0 and m.a * m.d == abs(c.det())
-    return m.a, m.d, u, v
+            if m[1] != 0:
+                e11, e12, e21, e22 = _euclid_step(m[0], m[1])
+                e = (e11, e21, e12, e22)  # the transpose
+            else:
+                e = (1, 0, 1, 1)
+            m, v = _mul4(m, e), _mul4(v, e)
+    s1, s2 = (1 if m[0] > 0 else -1), (1 if m[3] > 0 else -1)
+    c1, c2 = s1 * m[0], s2 * m[3]
+    uu = IntMat2(s1 * u[0], s1 * u[1], s2 * u[2], s2 * u[3])
+    vv = IntMat2(*v)
+    assert uu.is_unimodular() and vv.is_unimodular()
+    assert c1 >= 1 and c2 % c1 == 0 and c1 * c2 == abs(c.det())
+    return c1, c2, uu, vv
 
 
 def solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[int] | None:
@@ -372,10 +386,10 @@ def solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[int] | N
         k = len(y)
         for j in range(k + 1, nc):
             if cols[j][i] != 0:
-                e = _euclid_step(cols[k][i], cols[j][i])
+                e11, e12, e21, e22 = _euclid_step(cols[k][i], cols[j][i])
                 pairs = list(zip(cols[k], cols[j]))
-                cols[k] = [e.a * p + e.b * q for p, q in pairs]
-                cols[j] = [e.c * p + e.d * q for p, q in pairs]
+                cols[k] = [e11 * p + e12 * q for p, q in pairs]
+                cols[j] = [e21 * p + e22 * q for p, q in pairs]
         residual = b - sum(cols[j][i] * y[j] for j in range(k))
         if k < nc and cols[k][i] != 0:
             if residual % cols[k][i] != 0:

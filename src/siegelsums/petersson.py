@@ -138,17 +138,26 @@ class HCoefficient:
 
 
 # The floor of _rank1_sum's completion check, in ulps (2^-52) of the two
-# compared Salie values' summed SumValue.terms.  A Salie value is a tally:
-# exact counts, summing to its terms, dotted with the rounded roots e(r/c).
-# A root's argument 2 pi r / c < 2 pi takes three roundings, at most
-# 3 * 2^-53 * 2 pi ~ 9.4 ulps of 1, and exp adds at most one more, so the
-# roots move a tally by at most 10 ulps of its terms.  The dot's additions
-# add errors of random sign: for Q = T = (1, 1, 100) at N = 101 and
-# c <= 2,424, the two compared values, equal but for rounding, differed by
-# at most 0.3 ulps of their summed terms, every source included.  The floor
-# is 2.9e-7 at c = 9,191 (6.6e7 terms each), where that pair's values are
-# noise near 1e-8 and the relative tolerance 1e-8 * max(1, |val|) alone
-# raised.
+# compared Salie values' summed SumValue.terms.  A root e(r/c) is within 10
+# ulps of its value: its argument 2 pi r / c < 2 pi takes three roundings,
+# at most 3 * 2^-53 * 2 pi ~ 9.4 ulps of 1, and exp one more.  A value
+# tallied on the grid alone (every prime power of c is 2^e or divides s4
+# or both discriminants) has exact counts summing to its terms, so the
+# roots move it by at most 10 ulps of its terms: the floor.  Its dot's
+# additions err with random sign: for Q = T = (1, 1, 100) at N = 101 and
+# c <= 2,424, all then on the grid, two compared values, equal but for
+# rounding, differed by at most 0.3 ulps of their summed terms.  That
+# argument covers the grid factors only.  A value in closed form at every
+# prime power of c is K C times the offset, C a sum of R roots, with
+# K R = R terms / phi(c); it errs by at most 25 + R ulps of K R
+# (tests/support.py, ``salie_bound``), so where the floor decides (10 ulps
+# of phi(c) c above the relative tolerance 1e-8 * max(1, |val|), from
+# c ~ 2,200 on) by at most (25 + R) R / phi(c) ulps of its terms, below 4
+# for every odd c from 2,201 to MAX_SALIE_C (worst 3,675 = 3 5^2 7^2 with
+# the most roots each prime power allows), and an inert one is exactly 0.
+# The floor was 2.9e-7 at c = 9,191 (6.6e7 terms each), where the grid
+# left that pair's values as noise near 1e-8, which the relative tolerance
+# alone raised.
 _TALLY_ULPS = 10
 
 
@@ -223,11 +232,14 @@ def _rank1_sum(q: HalfIntegralForm, t: HalfIntegralForm,
     term-by-term sum up to rounding (tests/test_petersson.py: within
     n 2^{-52} sum |term|).
 
-    When (D_Q D_T | N) = -1 every Salie value is zero up to rounding
-    (tests/test_petersson.py checks |H| <= 1e-12 c^{3/2}), so the sum is
-    rounding noise of the same size as its terms and no bound relative to
-    the sum of |term| can hold.  A cut c_hi above ``MAX_SALIE_C``, where
-    the block s = 1 would end, raises ValueError before any Salie sum.
+    When (D_Q D_T | N) = -1 at an odd level N the sum is exactly 0j.  A
+    form whose discriminant is a non-residue mod N represents no multiple
+    of N primitively (D must be a square mod 4s), so every term has N prime
+    to s4 = s, and D_P D_S = D_Q D_T: ``salie`` returns exactly 0j at every
+    c = N j (tests/test_petersson.py checks the coefficient of six such
+    pairs and every Salie value of the inert pairs of seven forms at the
+    primes 5 to 67).  A cut c_hi above ``MAX_SALIE_C``, where the block
+    s = 1 would end, raises ValueError before any Salie sum.
     """
     ell = params.ell
     n = params.level

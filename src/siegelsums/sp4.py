@@ -17,9 +17,10 @@ by diag(U^-T, U) on the left and diag(V, V^-T) on the right maps the
 cosets of C one-to-one onto those of diag(c1, c2), and each summand of
 K(Q, T; C) onto the summand of K(U Q U^T, V^T T V; diag(c1, c2)).  The
 table of C is therefore its Smith form's table composed with that
-integer linear change of the form coordinates.  A scalar Smith form
-takes its table from Kitaoka's closed form (``_pI_grid``), every other
-one from the enumeration, which also checks the closed form.
+integer linear change of the form coordinates, or, equivalently, its
+Smith form's table read at the changed forms.  A scalar Smith form takes
+its table from Kitaoka's closed form (``_pI_grid``), every other one from
+the enumeration, which also checks the closed form.
 """
 
 from __future__ import annotations
@@ -228,7 +229,12 @@ def coset_data(c: IntMat2) -> CosetData:
     diag(c1, c2) at (U Q U^T, V^T T V), so its ``weights`` are the Smith
     form's times the block-diagonal map of (q1, q2, q4, t1, t2, t4) to
     those forms' coordinates, mod m, in the Smith form's coset order
-    (``kloosterman`` tallies them, so the order does not matter).
+    (``kloosterman`` tallies them, so the order does not matter).  That
+    derived table pays for itself where a modulus is read many times, as
+    by ``expsums.kloosterman`` over a table of form pairs;
+    ``expsums.kloosterman_factored``, which reads each box modulus once
+    per coefficient, asks for the Smith class's table and maps the two
+    forms instead (it memoizes the Smith decomposition, not a table).
     """
     c1, c2, u, v = elementary_divisors(c)
     if c == IntMat2.diag(c1, c2):

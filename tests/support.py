@@ -1,5 +1,5 @@
-"""Oracles and rounding bounds shared by the tests of the pI Kloosterman
-sums and of the rank-2 sum.
+"""Oracles and rounding bounds shared by the tests of the Salie sums, the
+pI Kloosterman sums and the rank-2 sum.
 
 A bound here is derived from the operations a route performs, never
 fitted to the errors seen: the tests compare two routes of one exact sum
@@ -29,6 +29,27 @@ def tally_bound(terms: int, m: int) -> float:
     3.1).  Both parts together: sqrt(2) gamma_m terms < m 2^-52 terms for
     m < 2^40."""
     return (_TALLY_ULPS + m) * EPS * terms
+
+
+def salie_bound(terms: int, c: int) -> float:
+    """|value - H(P, S; c)| for ``expsums.salie`` or ``expsums._salie_grid``
+    with ``terms`` = phi(c) c.
+
+    ``salie``'s value is K C G times the offset e(-p2 s2 / (2 c s4)): C a
+    sum of R rounded roots mod c, K the integer weight of the closed forms
+    and G the tally of the grid factor's phi(g) g terms mod g (G = 1 when
+    g = 1), with W = K R phi(g) g <= terms, as a closed-form prime power q
+    weighs q on at most phi(q) square roots (at most 2 p^{k/2} <= phi(q)
+    for q = p^e, p odd, whatever the power p^k of p in XY).  In ulps
+    (2^-52) of W: the roots of C move it by ``_TALLY_ULPS`` and its R - 1
+    additions by R; K C rounds once; G errs by ``_TALLY_ULPS`` + g
+    (``tally_bound``); the product K C G rounds by at most 2; the offset,
+    computed as a root is, errs by ``_TALLY_ULPS`` and its product by 2.
+    That is 2 ``_TALLY_ULPS`` + 15 + R + g <= 2 ``_TALLY_ULPS`` + 16 + c,
+    as R <= c/g and c/g + g <= c + 1, plus one for the second-order
+    terms.  The grid route, the tally of all of c times the offset, errs
+    by at most 2 ``_TALLY_ULPS`` + 2 + c ulps of terms, within that."""
+    return (2 * _TALLY_ULPS + 17 + c) * EPS * terms
 
 
 def pI_bound(p: int) -> float:

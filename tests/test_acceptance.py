@@ -14,6 +14,7 @@ import pytest
 import siegelsums
 from siegelsums import acceptance, expsums, petersson
 from siegelsums.matcore import HalfIntegralForm, IntMat2
+from support import salie_bound
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,9 @@ def test_criterion_06_gauss_salie_bounds(battery):
     rec = _check(battery, 6)
     assert rec["worst_gauss_ratio"] <= 1.0 + 1e-12
     assert rec["worst_salie_ratio"] <= 1.0 + 1e-12
+    # closed form against the grid at c <= 20, where phi(c) c <= 400: both
+    # routes within their derived bound
+    assert rec["worst_salie_grid_deviation"] <= 2 * salie_bound(400, 20)
 
 
 def test_criterion_07_kernels(battery):

@@ -21,6 +21,7 @@ from siegelsums.matcore import (
     gaussian_totient,
     is_prime,
     kronecker,
+    prime_factors,
 )
 from siegelsums.petersson import SpectralParams
 from siegelsums.expsums import (
@@ -40,6 +41,7 @@ from support import (
     grid_part,
     joint_counts,
     pI_bound,
+    salie_bound,
     table_histogram,
     tally_bound,
 )
@@ -77,8 +79,8 @@ def oracle_pI(q, t, p):
 
 def salie_reference(p, s, c, sign):
     """Salie sum H^{+/-}(P, S; c), the upper sign for sign = +1, by the
-    plain double loop over d1 (a unit) and d2 mod c, tallied like
-    ``salie``, so the two agree to the last bit."""
+    plain double loop over d1 (a unit) and d2 mod c, tallied like the grid
+    route ``expsums._salie_grid``, so the two agree to the last bit."""
     nums = []
     for d1 in range(c):
         if math.gcd(d1, c) != 1:
@@ -308,6 +310,52 @@ class TestFactored:
                     for k in range(-2, 3)}
                 assert len(values) == 1, (cmat, q, t)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_reads_smith_class_tables_only(self, monkeypatch, n):
+        # the C' sum is the tally of the Smith class's table at
+        # (U s^2 Q U^T, V^T T V): no table of C' itself is asked for, and
+        # the value is the product with the tally of C''s derived table
+        # at (s^2 Q, T), bit for bit
+        real = sp4.coset_data
+        asked = []
+
+        def spy(c):
+            asked.append(c)
+            return real(c)
+
+        moduli = truncation_set(SpectralParams(k=10, level=n).m_bound)
+        for cmat in moduli:
+            _, s, tt = _xgcd(n, cmat.det())
+            for q, t in self.FORMS:
+                asked.clear()
+                monkeypatch.setattr(sp4, "coset_data", spy)
+                got = kloosterman_factored(q, t, n, cmat)
+                monkeypatch.undo()
+                assert len(asked) == 1 and asked[0].b == asked[0].c == 0
+                assert asked[0].a >= 1 and asked[0].d % asked[0].a == 0
+                data = sp4.coset_data(cmat)
+                right = _tally_value(
+                    (data.weights @ expsums._form_vector(q.scale(s * s), t))
+                    % data.m, data.m)
+                left = expsums._pI_value(
+                    q.conjugate_right(cmat.adj().scale(tt)), t, n)
+                assert got.value == left * right, (n, cmat, q, t)
+
+    def test_smith_class_memo_is_bounded_and_bit_stable(self):
+        # the second form pair over the same moduli reads every Smith
+        # decomposition from the memo, and a warm read equals a cold one
+        moduli = truncation_set(SpectralParams(k=10, level=5).m_bound)
+        acceptance.clear_all_caches()
+        cold = [kloosterman_factored(q, t, 5, cmat).value
+                for q, t in self.FORMS for cmat in moduli]
+        info = expsums._smith_class.cache_info()
+        assert info.maxsize == 1024
+        assert info.misses == info.currsize == len(moduli)
+        assert info.hits == (len(self.FORMS) - 1) * len(moduli)
+        warm = [kloosterman_factored(q, t, 5, cmat).value
+                for q, t in self.FORMS for cmat in moduli]
+        assert warm == cold
+
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError, match="not coprime"):
             kloosterman_factored(HI, HI, 3, IntMat2.scalar(3))
@@ -374,7 +422,10 @@ class TestSalie:
                     assert abs(got.value) <= cap + 1e-12
 
     def test_bit_identical_to_reference_loop(self):
-        # H^-(P, S; c) is H^+(P, (s1, -s2, s4); c) to the last bit
+        # the grid route is the plain loop to the last bit, and H^-(P, S; c)
+        # is H^+(P, (s1, -s2, s4); c) on it; ``salie``, which takes the
+        # closed form wherever it applies, is within the two values'
+        # derived rounding bounds of the loop, with the same terms
         pairs = [((1, 0, 1), (1, 1, 1)), ((2, -3, 5), (-4, 7, 5)),
                  ((-3, 5, -2), (5, -1, -2)), ((7, -11, 3), (-2, 4, 3)),
                  # entries far beyond int64 once multiplied out
@@ -382,10 +433,86 @@ class TestSalie:
         for pt, st_ in pairs:
             p, s = HalfIntegralForm(*pt), HalfIntegralForm(*st_)
             for c in range(1, 41):
-                got = salie(p, s, c)
-                assert (got.value, got.terms) == salie_reference(p, s, c, 1)
-                got = salie(p, minus_form(s), c)
-                assert (got.value, got.terms) == salie_reference(p, s, c, -1)
+                for sign, arg in ((1, s), (-1, minus_form(s))):
+                    want, terms = salie_reference(p, s, c, sign)
+                    grid = expsums._salie_grid(p, arg, c)
+                    assert (grid.value, grid.terms) == (want, terms)
+                    got = salie(p, arg, c)
+                    assert got.terms == terms
+                    assert abs(got.value - want) <= 2 * salie_bound(terms, c)
+
+    @pytest.mark.parametrize("group", ["criterion-6", "shared-primes",
+                                       "distinct-primes"])
+    def test_closed_form_matches_grid(self, group):
+        # every c <= 200 against the whole grid, within the two routes'
+        # bounds: the criterion-6 forms (each P with one of its S, in
+        # turn); pairs with gcd(c, s4 D_P D_S) > 1 for many c, the p | s4,
+        # p | D_P alone and p | gcd(D_P, D_S) cases; and pairs whose D_P
+        # and D_S have different primes
+        if group == "criterion-6":
+            pairs = []
+            for i, p in enumerate(acceptance._pd_forms()):
+                ss = [HalfIntegralForm(s1, s2, p.t4) for s1 in (1, 2, 3)
+                      for s2 in (-2, -1, 0, 1, 2)]
+                ss = [s for s in ss if s.is_positive_definite()]
+                pairs.append((p, ss[i % len(ss)]))
+        elif group == "shared-primes":
+            pairs = [(HalfIntegralForm(*a), HalfIntegralForm(*b)) for a, b in (
+                ((1, 1, 3), (2, 1, 3)), ((1, 0, 15), (2, 3, 15)),
+                ((3, 3, 3), (3, 3, 3)), ((1, 3, 9), (2, 3, 9)),
+                ((5, 5, 5), (1, 5, 5)), ((7, 7, 7), (2, 7, 7)),
+                ((1, 0, 1), (1, 2, 1)), ((2, 6, 6), (4, 6, 6)),
+                ((1, 1, 100), (1, 1, 100)), ((3, 0, 7), (5, 0, 7)))]
+        else:
+            pairs = [(HalfIntegralForm(*a), HalfIntegralForm(*b)) for a, b in (
+                ((1, 1, 1), (1, 0, 1)), ((1, 1, 2), (1, 0, 2)),
+                ((2, 1, 3), (1, 1, 3)), ((1, 1, 5), (3, 1, 5)),
+                ((1, 0, 7), (2, 1, 7)), ((3, 2, 4), (1, 1, 4)))]
+            for p, s in pairs:
+                dp, ds = (f.t2 * f.t2 - 4 * f.t1 * f.t4 for f in (p, s))
+                assert math.gcd(dp, ds) in (1, 2, 4), (p, s)
+        for p, s in pairs:
+            for c in range(1, 201):
+                got, grid = salie(p, s, c), expsums._salie_grid(p, s, c)
+                assert got.terms == grid.terms
+                assert abs(got.value - grid.value) <= 2 * salie_bound(
+                    got.terms, c), (p, s, c)
+
+    def test_exact_zero_when_inert_at_a_prime(self):
+        # an odd p dividing c but not s4 with (D_P D_S | p) = -1 makes the
+        # value exactly 0j; the grid agrees within its bound
+        rng = random.Random(20261020)
+        zeros = 0
+        for _ in range(400):
+            s4 = rng.choice([1, 2, 3, 5, 7, -2, 10])
+            p = HalfIntegralForm(rng.randint(-9, 9), rng.randint(-9, 9), s4)
+            s = HalfIntegralForm(rng.randint(-9, 9), rng.randint(-9, 9), s4)
+            c = rng.randint(1, 150)
+            dd = (p.t2 ** 2 - 4 * p.t1 * s4) * (s.t2 ** 2 - 4 * s.t1 * s4)
+            inert = any(q > 2 and s4 % q and kronecker(dd, q) == -1
+                        for q, _ in prime_factors(c))
+            got = salie(p, s, c)
+            if inert:
+                zeros += 1
+                assert got.value == 0j and got.terms > 0, (p, s, c)
+                grid = expsums._salie_grid(p, s, c)
+                assert abs(grid.value) <= salie_bound(grid.terms, c)
+        assert zeros >= 50
+
+    def test_large_prime_modulus_is_cheap(self):
+        # c = 12,007 is prime: the closed form alone, where the grid would
+        # take 144 M entries (2.3 GB)
+        q = HalfIntegralForm(1, 1, 100)
+        acceptance.clear_all_caches()
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        got = salie(q, q, 12_007)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert got.terms == 12_006 * 12_007
+        assert 0 < abs(got.value) <= 2 * 12_007 * (1 + 1e-12)
+        assert elapsed < 1 and peak < 10 * 2 ** 20
 
     def test_degenerate_and_invalid_arguments(self):
         p = HalfIntegralForm(1, 2, 3)

@@ -1,6 +1,8 @@
 import cmath
 import functools
 import math
+import time
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -40,6 +42,7 @@ from support import (
     factored_bound,
     joint_tally,
     rank2_bound,
+    salie_bound,
     tally_bound,
     term_bound,
 )
@@ -541,11 +544,78 @@ class TestHFourier:
                 monkeypatch.setattr(petersson, "salie", record)
                 _rank1_sum(q, t, params)
                 if symbol == -1:
-                    assert max(sizes, default=0.0) <= 1e-12, (q, t)
+                    assert max(sizes, default=0.0) == 0.0, (q, t)
                 else:
                     assert max(sizes) >= 1e-3, (q, t)
                 seen.add(symbol)
         assert seen == {1, -1}
+
+    @pytest.mark.parametrize("level, q, t", [
+        (5, (1, 0, 1), (1, 1, 1)), (7, (1, 0, 1), (1, 1, 1)),
+        (11, (1, 1, 1), (1, 1, 2)), (13, (1, 1, 1), (1, 1, 2)),
+        (7, (2, 1, 3), (1, 0, 5)), (13, (2, 1, 3), (1, 0, 5))])
+    def test_rank1_exact_zero_for_inert_pairs(self, level, q, t):
+        # (D_Q D_T | N) = -1: every term has N prime to s4 = s (a form
+        # whose discriminant is a non-residue mod N represents no multiple
+        # of N primitively), so every Salie value is exactly 0j, and so is
+        # the rank-1 part; the rank-1 budget stays
+        q, t = HalfIntegralForm(*q), HalfIntegralForm(*t)
+        dd = q.det4() * t.det4()
+        assert pow(dd % level, (level - 1) // 2, level) == level - 1
+        h = h_fourier(q, t, SpectralParams(k=10, level=level))
+        assert h.rank1 == 0j
+        assert h.rank1_tail > 0
+
+    @pytest.mark.parametrize("level", [3, 5, 13, 47])
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_rank1_within_bound_of_grid_route(self, monkeypatch, level,
+                                              pair):
+        # the rank-1 sum is linear in its Salie values, so with every value
+        # from the whole-c grid (the route before the closed form) it moves
+        # by at most the sum run on twice each value's bound, with each
+        # Bessel factor replaced by its modulus, plus the rounding of both
+        # sums, each within n 2^-52 of its sum of |term|
+        q, t = PAIRS[pair]
+        params = SpectralParams(k=10, level=level)
+        got = _rank1_sum(q, t, params)[0]
+        _, n, size = reference_rank1(q, t, params)
+        real_salie, real_j = petersson.salie, petersson.bessel_j
+        monkeypatch.setattr(petersson, "salie", expsums._salie_grid)
+        grid = _rank1_sum(q, t, params)[0]
+
+        def bound(p, s, c):
+            terms = real_salie(p, s, c).terms
+            return SumValue(complex(2 * salie_bound(terms, c)), terms, "bound")
+
+        monkeypatch.setattr(petersson, "salie", bound)
+        monkeypatch.setattr(petersson, "bessel_j",
+                            lambda ell, x: abs(real_j(ell, x)))
+        gap = abs(_rank1_sum(q, t, params)[0])
+        assert abs(got - grid) <= gap + n * EPS * (2 * size + gap)
+
+    @pytest.mark.parametrize("level, want", [(31, 1.72127630069),
+                                             (101, -0.257181188508)])
+    def test_rank1_of_large_discriminant(self, level, want):
+        # Q = T = (1, 1, 100) runs c up to about 12,000: the grid route
+        # took 581 s at N = 31, and 170 s and 2 GB at N = 101, for the same
+        # values to 12 digits.  At N = 101 a cold sum, timed once the
+        # first run has imported what the Bessel factors need, takes under
+        # 1 s and 200 MB
+        q = HalfIntegralForm(1, 1, 100)
+        params = SpectralParams(k=10, level=level)
+        r1, _ = _rank1_sum(q, q, params)
+        assert abs(r1 - want) <= 1e-10 and abs(r1.imag) <= 1e-10
+        if level == 101:
+            acceptance.clear_all_caches()
+            t0 = time.perf_counter()
+            _rank1_sum(q, q, params)
+            assert time.perf_counter() - t0 < 1
+            acceptance.clear_all_caches()
+            tracemalloc.start()
+            _rank1_sum(q, q, params)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 200 * 2 ** 20
 
     def test_completion_dependence_raises(self, monkeypatch, params):
         # a stand-in Salie value that sees U's free top row through P = U Q U^T
