@@ -461,7 +461,6 @@ def clear_all_caches() -> None:
     expsums._roots_of_unity.cache_clear()
     expsums._prime_tables.cache_clear()
     expsums._unit_table.cache_clear()
-    expsums._smith_class.cache_clear()
     petersson._script_j_cached.cache_clear()
     petersson._residue_series.cache_clear()
 

@@ -27,14 +27,13 @@ from .matcore import (
     IntMat2,
     SingularModulusError,
     _xgcd,
-    conjugation_map,
-    elementary_divisors,
     gaussian_totient,
     is_go2,
     is_prime,
     kronecker,
     prime_factors,
     require_fundamental_discriminant,
+    unit_inverses,
 )
 from . import sp4
 from .sp4 import _pI_grid
@@ -136,11 +135,10 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
     and K(s^2 Q, T; C), and the phase of the pair is the sum of the two
     phases, so K(Q, T; N*C) is the product of the two sums.  The first is
     ``kloosterman_pI``'s value (no grid at odd N).  The second is read off
-    the Smith class of C: with U C V = diag(c1, c2)
-    (``elementary_divisors``, memoized by ``_smith_class``),
-    K(s^2 Q, T; C) = K(U s^2 Q U^T, V^T T V; diag(c1, c2)), the tally of
-    the class's cached table (``sp4.coset_data``) at those forms, so no
-    table of C itself is built.
+    the Smith class U C V = diag(c1, c2) of C, memoized by
+    ``sp4.smith_class``: K(s^2 Q, T; C) = K(U s^2 Q U^T, V^T T V;
+    diag(c1, c2)), the tally of the class's cached table
+    (``sp4.coset_data``) at those forms, so no table of C itself is built.
     With W the class table and M the change of forms, the derived table of
     C is W M mod m and (W M) v = W (M v) mod m row for row, so the value
     is the one the derived table gives, bit for bit.  ``terms`` is the
@@ -170,7 +168,7 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
             raise ValueError("invalid Bezout pair")
     x = c.adj().scale(tt)  # t * det(C) * C^{-1}
     left = _pI_value(q.conjugate_right(x), t, n)
-    smith, q_map, t_map = _smith_class(c)
+    smith, q_map, t_map = sp4.smith_class(c)
     data = sp4.coset_data(smith)
     m, s2 = data.m, s * s
     forms = np.array([s2 * (a * q.t1 + b * q.t2 + d * q.t4) % m
@@ -180,18 +178,6 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
     right = _tally_value((data.weights @ forms) % m, m)
     return SumValue(value=left * right, terms=(n ** 3 - n ** 2) * data.count,
                     method="factored")
-
-
-@lru_cache(maxsize=1024)
-def _smith_class(c: IntMat2) -> tuple[IntMat2, tuple, tuple]:
-    """(diag(c1, c2), ``conjugation_map(U)``, ``conjugation_map(V^T)``) for
-    U C V = diag(c1, c2): the Smith class of a box modulus and the change
-    of the two forms, a few integers per modulus.  A coefficient reads
-    each box modulus once (448 at N >= 47), but every coefficient of a
-    Gram matrix reads the same ones, so they are memoized; at most 1,024
-    moduli, emptied by ``acceptance.clear_all_caches``."""
-    c1, c2, u, v = elementary_divisors(c)
-    return IntMat2.diag(c1, c2), conjugation_map(u), conjugation_map(v.t())
 
 
 class _PrimeTables:
@@ -211,8 +197,7 @@ class _PrimeTables:
     @cached_property
     def inverse(self) -> np.ndarray:
         # built on first use: ``salie`` reads only the square roots
-        return np.array([0] + [pow(x, -1, self.p) for x in range(1, self.p)],
-                        dtype=np.int64)
+        return np.array(unit_inverses(self.p), dtype=np.int64)
 
     def legendre(self, a: int) -> int:
         a %= self.p
@@ -317,11 +302,10 @@ def _pI_value(q: HalfIntegralForm, t: HalfIntegralForm, p: int) -> complex:
 # sweep over many c from holding a table per modulus
 @lru_cache(maxsize=128)
 def _unit_table(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """(units d mod c, their inverses mod c); for c = 1 the class 0, whose
-    inverse is taken as 0."""
-    units = [d for d in range(c) if math.gcd(d, c) == 1]
-    inverses = [0 if c == 1 else pow(d, -1, c) for d in units]
-    table = (np.array(units, dtype=np.int64), np.array(inverses, dtype=np.int64))
+    """(units d mod c, their inverses mod c); for c = 1 the class 0."""
+    units = np.array([d for d in range(c) if math.gcd(d, c) == 1],
+                     dtype=np.int64)
+    table = (units, np.array(unit_inverses(c), dtype=np.int64)[units])
     for arr in table:
         arr.setflags(write=False)
     return table

@@ -205,6 +205,11 @@ def prime_factors(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def unit_inverses(n: int) -> list[int]:
+    """inv(x) mod n at index x for each unit x mod n, 0 off the units."""
+    return [pow(x, -1, n) if math.gcd(x, n) == 1 else 0 for x in range(n)]
+
+
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in prime_factors(n))
 

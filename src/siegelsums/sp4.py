@@ -18,9 +18,10 @@ cosets of C one-to-one onto those of diag(c1, c2), and each summand of
 K(Q, T; C) onto the summand of K(U Q U^T, V^T T V; diag(c1, c2)).  The
 table of C is therefore its Smith form's table composed with that
 integer linear change of the form coordinates, or, equivalently, its
-Smith form's table read at the changed forms.  A scalar Smith form takes
-its table from Kitaoka's closed form (``_pI_grid``), every other one from
-the enumeration, which also checks the closed form.
+Smith form's table read at the changed forms (``coset_data`` and
+``expsums.kloosterman_factored``, both through ``smith_class``).  A scalar
+Smith form takes its table from Kitaoka's closed form (``_pI_grid``),
+every other one from the enumeration, which also checks the closed form.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .matcore import (
     conjugation_map,
     elementary_divisors,
     solve_integer_system,
+    unit_inverses,
 )
 
 
@@ -210,12 +212,23 @@ def _pI_grid(n: int) -> np.ndarray:
     delta = (d1 * d4 - d2 * d2) % n
     keep = np.gcd(delta, n) == 1
     d1, d2, d4 = d1[keep], d2[keep], d4[keep]
-    invd = np.array([pow(x, -1, n) if math.gcd(x, n) == 1 else 0
-                     for x in range(n)], dtype=np.int64)[delta[keep]]
+    invd = np.array(unit_inverses(n), dtype=np.int64)[delta[keep]]
     rows = np.stack([invd * d4 % n, -invd * d2 % n, invd * d1 % n,
                      d1, d2, d4], axis=1)
     rows.setflags(write=False)
     return rows
+
+
+@lru_cache(maxsize=None)
+def smith_class(c: IntMat2) -> tuple[IntMat2, tuple, tuple]:
+    """(diag(c1, c2), ``conjugation_map(U)``, ``conjugation_map(V^T)``) for
+    U C V = diag(c1, c2): the Smith class of a Kloosterman modulus and the
+    change of forms onto it, for ``coset_data`` and ``kloosterman_factored``
+    alike; it builds no table.  Unbounded: its keys are the C' of the box
+    (one of each pair +-C') and its shells, which M alone fixes: 144 at
+    M = 2, 448 at 3, 1,068 at 4, 1,988 at 5, about 0.6 KB each."""
+    c1, c2, u, v = elementary_divisors(c)
+    return IntMat2.diag(c1, c2), conjugation_map(u), conjugation_map(v.t())
 
 
 @lru_cache(maxsize=None)
@@ -224,39 +237,37 @@ def coset_data(c: IntMat2) -> CosetData:
 
     A Smith form diag(n, n) takes 2n times the rows of ``_pI_grid(n)``
     (E = A adj(C) = n A, F = adj(C) D = n D) mod m = 2 n^2; any other
-    Smith form is enumerated.  With U C V = diag(c1, c2), the summand of a
-    coset of any other C at (Q, T) is that of the matching coset of
-    diag(c1, c2) at (U Q U^T, V^T T V), so its ``weights`` are the Smith
-    form's times the block-diagonal map of (q1, q2, q4, t1, t2, t4) to
-    those forms' coordinates, mod m, in the Smith form's coset order
+    Smith form is enumerated.  Any other C derives its table from its
+    class (``smith_class``): the Smith form's ``weights`` times the
+    block-diagonal map of (q1, q2, q4, t1, t2, t4) to the coordinates of
+    (U Q U^T, V^T T V), mod m, in the Smith form's coset order
     (``kloosterman`` tallies them, so the order does not matter).  That
-    derived table pays for itself where a modulus is read many times, as
-    by ``expsums.kloosterman`` over a table of form pairs;
-    ``expsums.kloosterman_factored``, which reads each box modulus once
-    per coefficient, asks for the Smith class's table and maps the two
-    forms instead (it memoizes the Smith decomposition, not a table).
+    derived table pays where a modulus is read for many form pairs, as by
+    ``expsums.kloosterman``; ``expsums.kloosterman_factored`` reads each
+    box modulus once per coefficient (1,068 at M = 4) and maps the two
+    forms instead.
     """
-    c1, c2, u, v = elementary_divisors(c)
-    if c == IntMat2.diag(c1, c2):
-        if c1 != c2:
+    smith, q_map, t_map = smith_class(c)
+    if c == smith:
+        if c.a != c.d:
             return _enumerated_table(c)
-        m = 2 * c1 * c1
-        rows = (2 * c1 * _pI_grid(c1)) % m
+        m = 2 * c.a * c.a
+        rows = (2 * c.a * _pI_grid(c.a)) % m
         rows.setflags(write=False)
         return CosetData(m=m, weights=rows, count=len(rows))
-    base = coset_data(IntMat2.diag(c1, c2))
+    base = coset_data(smith)
     m = base.m
     conj = np.zeros((6, 6), dtype=np.int64)
-    for i, w in ((0, u), (3, v.t())):  # U Q U^T and V^T T V, mod m
-        conj[i:i + 3, i:i + 3] = [[x % m for x in row]
-                                  for row in conjugation_map(w)]
+    for i, cmap in ((0, q_map), (3, t_map)):  # U Q U^T and V^T T V, mod m
+        conj[i:i + 3, i:i + 3] = [[x % m for x in row] for row in cmap]
     rows = (base.weights @ conj) % m
     rows.setflags(write=False)
     return CosetData(m=m, weights=rows, count=base.count)
 
 
 def clear_caches() -> None:
-    """Drop the memoized coset tables and pI grids (used by determinism
-    re-runs)."""
+    """Drop the memoized Smith classes, coset tables and pI grids (used by
+    determinism re-runs)."""
+    smith_class.cache_clear()
     coset_data.cache_clear()
     _pI_grid.cache_clear()

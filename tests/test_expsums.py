@@ -342,19 +342,24 @@ class TestFactored:
                 assert got.value == left * right, (n, cmat, q, t)
 
     def test_smith_class_memo_is_bounded_and_bit_stable(self):
-        # the second form pair over the same moduli reads every Smith
-        # decomposition from the memo, and a warm read equals a cold one
-        moduli = truncation_set(SpectralParams(k=10, level=5).m_bound)
-        acceptance.clear_all_caches()
-        cold = [kloosterman_factored(q, t, 5, cmat).value
-                for q, t in self.FORMS for cmat in moduli]
-        info = expsums._smith_class.cache_info()
-        assert info.maxsize == 1024
-        assert info.misses == info.currsize == len(moduli)
-        assert info.hits == (len(self.FORMS) - 1) * len(moduli)
-        warm = [kloosterman_factored(q, t, 5, cmat).value
-                for q, t in self.FORMS for cmat in moduli]
-        assert warm == cold
+        # the memo is bounded by the box, not by a guessed size: over the
+        # M = 2 box of N = 5 and the M = 4 box of N = 421 (2,136 moduli,
+        # more than the former bound of 1,024) each modulus misses once,
+        # every later form pair hits, and a warm read equals a cold one;
+        # each class table built looks its own class up once more
+        for n, size in ((5, 288), (421, 2136)):
+            moduli = truncation_set(SpectralParams(k=10, level=n).m_bound)
+            assert len(moduli) == size
+            acceptance.clear_all_caches()
+            cold = [kloosterman_factored(q, t, n, cmat).value
+                    for q, t in self.FORMS for cmat in moduli]
+            info = sp4.smith_class.cache_info()
+            classes = sp4.coset_data.cache_info().misses
+            assert info.misses == info.currsize == len(moduli)
+            assert info.hits == (len(self.FORMS) - 1) * len(moduli) + classes
+            warm = [kloosterman_factored(q, t, n, cmat).value
+                    for q, t in self.FORMS for cmat in moduli]
+            assert warm == cold
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError, match="not coprime"):

@@ -289,6 +289,31 @@ class TestDerivedTables:
         assert before.currsize == after.currsize == 2
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
+    @pytest.mark.parametrize("coset_data_first", [True, False])
+    def test_one_smith_decomposition_per_modulus(self, monkeypatch,
+                                                 coset_data_first):
+        # the derived table of C' and the factored sum at 5 C' read one
+        # memo entry, whichever comes first: the Smith form runs once on
+        # C' and once on its class diag(1, 2), whose table both read.
+        # expsums holds no Smith form of its own for the spy to miss
+        assert not hasattr(expsums, "elementary_divisors")
+        sp4.clear_caches()
+        calls = []
+        real = sp4.elementary_divisors
+
+        def spy(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(sp4, "elementary_divisors", spy)
+        HI = HalfIntegralForm(1, 0, 1)
+        c = IntMat2(1, 1, -1, 1)
+        reads = [lambda: sp4.coset_data(c),
+                 lambda: expsums.kloosterman_factored(HI, HI, 5, c)]
+        for read in reads if coset_data_first else reads[::-1]:
+            read()
+        assert calls == [c, IntMat2.diag(1, 2)]
+
 
 class TestPIGridCap:
     # an n far above the cap: were the check missing, building its grid
