@@ -26,7 +26,6 @@ from .matcore import (
     HalfIntegralForm,
     IntMat2,
     SingularModulusError,
-    _xgcd,
     gaussian_totient,
     is_go2,
     is_prime,
@@ -128,29 +127,19 @@ def kloosterman_pI(q: HalfIntegralForm, t: HalfIntegralForm, p: int) -> SumValue
 def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
                          c: IntMat2,
                          bezout: tuple[int, int] | None = None) -> SumValue:
-    """K(Q, T; N*C) through coprime moduli N*I and C, as a product.
-
-    With s*N + t*det(C) = 1 and X = t*adj(C), each coset of N*C is a pair
-    of cosets of N*I and C whose summands are those of K(X Q X^T, T; N*I)
-    and K(s^2 Q, T; C), and the phase of the pair is the sum of the two
-    phases, so K(Q, T; N*C) is the product of the two sums.  The first is
-    ``kloosterman_pI``'s value (no grid at odd N).  The second is read off
-    the Smith class U C V = diag(c1, c2) of C, memoized by
-    ``sp4.smith_class``: K(s^2 Q, T; C) = K(U s^2 Q U^T, V^T T V;
-    diag(c1, c2)), the tally of the class's cached table
-    (``sp4.coset_data``) at those forms, so no table of C itself is built.
-    With W the class table and M the change of forms, the derived table of
-    C is W M mod m and (W M) v = W (M v) mod m row for row, so the value
-    is the one the derived table gives, bit for bit.  ``terms`` is the
-    product of the two terms, equal to
-    ``kloosterman(q, t, c.scale(n)).terms``.  The value agrees with that
-    coset sum up to the rounding of two tallies and one product
-    (tests/support.py derives the bound) and is the same bit for bit
-    whatever the Bezout pair (``bezout`` pins one): X Q X^T mod N does not
-    depend on it, and the table of C weighs Q by even coefficients
-    (A C^{-1} is symmetric), so s^2 Q counts mod |det C| only, where every
-    s is one inverse of N.  The cost is O(N + |det C|) beyond the class
-    table.
+    """K(Q, T; N*C) through coprime moduli N*I and C, as a product: the
+    one-modulus call of ``_kloosterman_factored_values``, which gives the
+    value (see there for the factorisation).  ``terms`` is the product of
+    the two terms, equal to ``kloosterman(q, t, c.scale(n)).terms``.  The
+    value agrees with that coset sum up to the rounding of two tallies and
+    one product (tests/support.py derives the bound) and is the same bit
+    for bit whatever the Bezout pair s N + t det C = 1 (``bezout`` pins
+    one; by default s = inv(N) mod |det C| and t = inv(det C) mod N):
+    X Q X^T mod N, X = t adj(C), does not depend on it, and the table of
+    C weighs Q by even coefficients (A C^{-1} is symmetric), so s^2 Q
+    counts mod |det C| only, where every s is one inverse of N.  Raises
+    ValueError unless N is prime, prime to det C and the pair is one, and
+    SingularModulusError for det C = 0.
     """
     if not is_prime(n):
         raise ValueError(f"{n} is not prime")
@@ -160,24 +149,75 @@ def kloosterman_factored(q: HalfIntegralForm, t: HalfIntegralForm, n: int,
     if math.gcd(cdet, n) != 1:
         raise ValueError("modulus not coprime")
     if bezout is None:
-        g, s, tt = _xgcd(n, cdet)
-        assert g == 1
-    else:
-        s, tt = bezout
-        if s * n + tt * cdet != 1:
-            raise ValueError("invalid Bezout pair")
-    x = c.adj().scale(tt)  # t * det(C) * C^{-1}
-    left = _pI_value(q.conjugate_right(x), t, n)
-    smith, q_map, t_map = sp4.smith_class(c)
-    data = sp4.coset_data(smith)
-    m, s2 = data.m, s * s
-    forms = np.array([s2 * (a * q.t1 + b * q.t2 + d * q.t4) % m
-                      for a, b, d in q_map]
-                     + [(a * t.t1 + b * t.t2 + d * t.t4) % m
-                        for a, b, d in t_map], dtype=np.int64)
-    right = _tally_value((data.weights @ forms) % m, m)
-    return SumValue(value=left * right, terms=(n ** 3 - n ** 2) * data.count,
+        bezout = (pow(n, -1, abs(cdet)), pow(cdet, -1, n))
+    elif bezout[0] * n + bezout[1] * cdet != 1:
+        raise ValueError("invalid Bezout pair")
+    p = q.conjugate_right(c.adj())
+    [(value, count)] = _kloosterman_factored_values(
+        q, t, n, [c], [(p.t1, p.t2, p.t4)], [bezout])
+    return SumValue(value=value, terms=(n ** 3 - n ** 2) * count,
                     method="factored")
+
+
+def _kloosterman_factored_values(q: HalfIntegralForm, t: HalfIntegralForm,
+                                 n: int, moduli: list[IntMat2],
+                                 adj_forms: list[tuple[int, int, int]],
+                                 inverses: list[tuple[int, int]]
+                                 ) -> list[tuple[complex, int]]:
+    """(K(Q, T; N C'), coset count of C') for each C' of ``moduli``, given
+    the coordinates (p1, p2, p4) of p' = adj C' Q adj C'^T in
+    ``adj_forms`` and in ``inverses`` a pair (s, t) with s N = 1 mod
+    |det C'| and t det C' = 1 mod N (a Bezout pair s N + t det C' = 1 is
+    one), each in the order of the moduli.  N must be prime and prime to every
+    det C': ``kloosterman_factored`` checks this for one modulus, and
+    ``petersson`` calls this only on such moduli.
+
+    With X = t adj(C'), each coset of N C' is a pair of cosets of N I and
+    C' whose summands are those of K(X Q X^T, T; N I) and
+    K(s^2 Q, T; C'), and the phase of the pair is the sum of the two
+    phases, so K(Q, T; N C') is the product of the two sums.  The first is
+    ``kloosterman_pI``'s value at X Q X^T = t^2 p', and only its residues
+    mod N count: one value per distinct residue triple.  The second is
+    read off the Smith class U C' V = diag(c1, c2), memoized by
+    ``sp4.smith_class``: K(s^2 Q, T; C') = K(U s^2 Q U^T, V^T T V;
+    diag(c1, c2)), the tally of the class's cached table W
+    (``sp4.coset_data``) at those forms, so no table of C' itself is
+    built.  The derived table of C' is W M mod m, M the change of forms,
+    and (W M) v = W (M v) mod m row for row, so the tally is the one the
+    derived table gives.  The moduli of one class share one integer
+    product W F, F the matrix of their form vectors, and one bincount of
+    its numerators, each column offset by m times its index; each modulus
+    then takes its own row of counts dotted with the roots, the count
+    vector and the dot of a tally of that modulus alone, so every value is
+    the one-modulus value bit for bit.  The cost is O(N + |det C'|) a
+    modulus beyond the class tables.
+    """
+    left: dict[tuple[int, int, int], complex] = {}  # pI values by residues
+    classes: dict[IntMat2, list] = {}
+    keys = []
+    for i, (c, p, (s, tt)) in enumerate(zip(moduli, adj_forms, inverses)):
+        key = tuple(tt * tt * x % n for x in p)
+        if key not in left:
+            left[key] = _pI_value(HalfIntegralForm(*key), t, n)
+        smith, q_map, t_map = sp4.smith_class(c)
+        classes.setdefault(smith, []).append((i, s * s, q_map, t_map))
+        keys.append(key)
+    out: list = [None] * len(moduli)
+    for smith, members in classes.items():
+        data = sp4.coset_data(smith)
+        m = data.m
+        forms = np.array([[s2 * (a * q.t1 + b * q.t2 + d * q.t4) % m
+                           for a, b, d in q_map]
+                          + [(a * t.t1 + b * t.t2 + d * t.t4) % m
+                             for a, b, d in t_map]
+                          for _, s2, q_map, t_map in members],
+                         dtype=np.int64).T
+        nums = (data.weights @ forms) % m + m * np.arange(len(members))
+        counts = np.bincount(nums.ravel(), minlength=m * len(members))
+        roots = _roots_of_unity(m) if m <= MAX_CACHED_ROOTS else _roots(m)
+        for (i, *_), row in zip(members, counts.reshape(len(members), m)):
+            out[i] = (left[keys[i]] * complex(np.dot(row, roots)), data.count)
+    return out
 
 
 class _PrimeTables:

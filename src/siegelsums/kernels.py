@@ -13,7 +13,6 @@ integral for J_nu, and Gauss-Legendre for the kernel, as oracles.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -151,6 +150,22 @@ def script_j(ell: float, arg: KernelArg) -> float:
         f"doublings of at most {SCRIPT_J_MAX_INTERVALS} intervals")
 
 
+def kernel_arg(x: int, y: int, den: int) -> KernelArg:
+    """The eigenvalue pair of the symmetric matrix of trace x / den and
+    determinant y / den, for integers with a positive discriminant.
+
+    The triple is first taken in lowest terms.  The eigenvalues are
+    (x +- sqrt(x^2 - 4 y den)) / (2 den), the smaller one formed as
+    2 y / (x + sqrt(x^2 - 4 y den)): the discriminant is an exact integer
+    and no subtraction follows.  The reduced triple is unique for a given
+    trace and determinant, so equal arguments give bit-equal floats and
+    one cached kernel each, whichever integers they came from."""
+    g = math.gcd(x, y, den)
+    x, y, den = x // g, y // g, den // g
+    root = x + math.sqrt(x * x - 4 * y * den)
+    return KernelArg(2 * y / root, root / (2 * den))
+
+
 def script_j_for_forms(t_form: HalfIntegralForm, q_form: HalfIntegralForm,
                        c: IntMat2) -> KernelArg:
     """Eigenvalue argument of the kernel attached to T C^{-1} Q C^{-T}.
@@ -158,20 +173,14 @@ def script_j_for_forms(t_form: HalfIntegralForm, q_form: HalfIntegralForm,
     With A = adj C and delta = det C, the matrix is T A Q A^T / delta^2 for
     the symmetric matrices of the forms.  Its trace is x / den and its
     determinant y / den for the integers x = 16 tr(T A Q A^T), y = det4 T
-    det4 Q and den = 16 delta^2, taken in lowest terms.  The eigenvalues
-    are (x +- sqrt(x^2 - 4 y den)) / (2 den), the smaller one formed as
-    2 y / (x + sqrt(x^2 - 4 y den)): the discriminant is an exact integer
-    and no subtraction follows.  The reduced triple is unique for a given
-    trace and determinant, so equal arguments give bit-equal floats and
-    one cached kernel each."""
+    det4 Q and den = 16 delta^2, reduced by ``kernel_arg``.  The rank-2
+    sums of ``petersson`` reach the same reduction without this call: for
+    c = N C' they take x = N^2 x' and den = 16 N^4 (det C')^2 from the
+    level-free integers x' = 16 tr(T adj C' Q adj C'^T) and (det C')^2,
+    so their floats are this function's, bit for bit."""
     p = q_form.conjugate_right(c.adj())  # A Q A^T
     x = 16 * (t_form.t1 * p.t1 + t_form.t4 * p.t4) + 8 * t_form.t2 * p.t2
-    y = t_form.det4() * q_form.det4()
-    den = 16 * c.det() ** 2
-    g = math.gcd(x, y, den)
-    x, y, den = x // g, y // g, den // g
-    root = x + math.sqrt(x * x - 4 * y * den)
-    return KernelArg(2 * y / root, root / (2 * den))
+    return kernel_arg(x, t_form.det4() * q_form.det4(), 16 * c.det() ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +241,15 @@ def default_beta(k: int) -> float:
     return (2.0 * k - 8.0) / (2.0 * k + 2.0)
 
 
-# Largest box bound M that box_bound returns.  truncation_set scans all
-# (2M+1)^4 entry tuples: 0.27 s at M = 16, 4.0 s at M = 32 and 4.6 s at 33,
-# the width-1 shell's scan (two vCPUs).  The shell's terms cost more: a
-# level-3 tail diagnostic takes about 2.6-2.9 s at M = 16, mostly scan and
-# Kloosterman sums.  The default beta gives M <= 3 for N <= 211.
+# Largest box bound M that box_bound returns.  The scan behind
+# truncation_set and shell_matrices visits all (2B+1)^4 entry tuples of
+# its bound B in numpy slabs: 0.015 s at B = 16 and 0.14 s at 32 and 33,
+# as for shell_matrices(32, 1), the width-1 shell of the largest box (two
+# vCPUs).  Peak memory under tracemalloc is 78 MB for truncation_set(33),
+# whose 1,135,848 rows are 36 MB of it, and 13 MB for
+# shell_matrices(32, 1).  The shell's terms cost more: a level-3 tail
+# diagnostic takes about 0.7 s at M = 16, mostly Kloosterman sums and
+# Smith forms.  The default beta gives M <= 3 for N <= 211.
 MAX_BOX_BOUND = 32
 
 
@@ -251,28 +264,59 @@ def box_bound(level: int, ell: float, beta: float) -> int:
     return int(math.ceil(level ** exponent - 1e-12))
 
 
-def truncation_set(m: int) -> list[IntMat2]:
-    """The box of bound m: a list of the nonsingular matrices with entries
-    and |det| at most m, in lexicographic order of (a, b, c, d), the order
-    in which the scan over the four entries meets them.  Raises ValueError
+# A slab of the scan takes as many first entries a as fit in this many
+# entry tuples, and at least one, (2B+1)^3 tuples: a few MB of arrays
+_SCAN_TUPLES = 1 << 18
+
+
+def _scan(bound: int, inner: int | None = None) -> np.ndarray:
+    """The (n, 4) int64 rows (a, b, c, d) with entries and |det| at most
+    ``bound`` and det != 0, and, for an ``inner`` bound, some entry or
+    |det| above it, in lexicographic order.  The scan runs over slabs of
+    first entries a, each slab a broadcast grid in (a, b, c, d) order, so
+    np.nonzero meets the rows in order and memory stays bounded by the
+    rows kept.  Raises ValueError, before any array is built, when
+    ``bound`` exceeds MAX_BOX_BOUND + 1."""
+    if bound > MAX_BOX_BOUND + 1:
+        raise ValueError(f"box bound {bound} exceeds {MAX_BOX_BOUND + 1}, "
+                         "the width-1 shell of the largest box")
+    r = np.arange(-bound, bound + 1, dtype=np.int64)
+    size = len(r)
+    b, c, d = r[:, None, None], r[None, :, None], r[None, None, :]
+    bcd = np.maximum(np.abs(b), np.maximum(np.abs(c), np.abs(d)))
+    step = max(1, _SCAN_TUPLES // max(1, size ** 3))
+    parts = [np.empty((0, 4), dtype=np.int64)]
+    for lo in range(0, size, step):
+        a = r[lo:lo + step, None, None, None]
+        det = np.abs(a * d - b * c)
+        keep = (det > 0) & (det <= bound)
+        if inner is not None:
+            keep &= (det > inner) | (np.maximum(np.abs(a), bcd) > inner)
+        ia, ib, ic, id_ = np.nonzero(keep)
+        parts.append(np.stack([r[lo + ia], r[ib], r[ic], r[id_]], axis=1))
+    return np.concatenate(parts)
+
+
+def truncation_set(m: int) -> np.ndarray:
+    """The box of bound m: the nonsingular matrices (a, b, c, d) with
+    entries and |det| at most m, as the rows of an (n, 4) int64 array in
+    lexicographic order.  The order is mirrored: row i is minus row
+    n - 1 - i, as negation reverses the order of a set that it keeps, so
+    the second half holds one of each pair C', -C'.  Raises ValueError
     before scanning when m exceeds MAX_BOX_BOUND + 1, the bound of the
     largest box's width-1 shell."""
-    if m > MAX_BOX_BOUND + 1:
-        raise ValueError(f"box bound {m} exceeds {MAX_BOX_BOUND + 1}, the "
-                         "width-1 shell of the largest box")
-    return [IntMat2(a, b, c, d)
-            for a, b, c, d in itertools.product(range(-m, m + 1), repeat=4)
-            if 0 < abs(a * d - b * c) <= m]
+    return _scan(m)
 
 
 # ---------------------------------------------------------------------------
 # The shell just outside the box
 
 
-def shell_matrices(m: int, width: int = 1) -> list[IntMat2]:
+def shell_matrices(m: int, width: int = 1) -> np.ndarray:
     """Nonsingular matrices just outside the box of bound m: entries and
-    |det| at most m + width, but some entry or |det| above m, in
-    lexicographic order."""
-    return [c for c in truncation_set(m + width)
-            if abs(c.det()) > m or max(map(abs, c.entries())) > m]
-
+    |det| at most m + width, but some entry or |det| above m, as the rows
+    of an (n, 4) int64 array in lexicographic order, mirrored like
+    ``truncation_set``'s.  The scan keeps only the shell's rows, so the
+    box inside it is never held.  Raises ValueError before scanning when
+    m + width exceeds MAX_BOX_BOUND + 1."""
+    return _scan(m + width, m)

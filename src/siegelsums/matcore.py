@@ -90,9 +90,14 @@ class IntMat2:
 def conjugation_map(u: IntMat2) -> tuple[tuple[int, int, int], ...]:
     """The 3x3 integer matrix taking the coordinates (q1, q2, q4) of a
     half-integral form Q, q2 the doubled off-diagonal entry, to those of
-    U Q U^T; row i gives the i-th coordinate.  The one place where the
-    change of forms is written out."""
-    a, b, c, d = u.entries()
+    U Q U^T; row i gives the i-th coordinate."""
+    return conjugation_coeffs(*u.entries())
+
+
+def conjugation_coeffs(a, b, c, d):
+    """``conjugation_map`` of [[a, b], [c, d]], for integer entries or,
+    elementwise, integer arrays of them (one matrix per element).  The one
+    place where the change of forms is written out."""
     return ((a * a, a * b, b * b),
             (2 * a * c, a * d + b * c, 2 * b * d),
             (c * c, c * d, d * d))

@@ -22,20 +22,26 @@ from .matcore import (
     HalfIntegralForm,
     IntMat2,
     _xgcd,
-    elementary_divisors,
     aut_count,
+    conjugation_coeffs,
+    elementary_divisors,
     gl2_equivalence,
     is_prime,
     representations,
     require_fundamental_discriminant,
 )
-from .expsums import MAX_SALIE_C, kloosterman, kloosterman_factored, salie
+from .expsums import (MAX_SALIE_C, _kloosterman_factored_values, kloosterman,
+                      salie)
+# script_j_for_forms, the kernel argument of one modulus, is not called
+# here (``_kernel`` reaches its floats from level-free integers); it stays
+# bound for tools that trace this module's names, as perfbench does
 from .kernels import (
     KernelArg,
     bessel_j,
     box_bound,
     default_beta,
     gamma_factor,
+    kernel_arg,
     poly_factor,
     require_weight,
     script_j,
@@ -308,70 +314,98 @@ def _rank1_tail_bound(det_tq: float, n: int, z: float, ell: float) -> float:
 
 
 # one cold coefficient of ((1,1,1), (1,1,2)) misses 69 times at N <= 43 and
-# 145 at N = 47, once per distinct exact argument (``script_j_for_forms``);
+# 145 at N = 47, once per distinct exact argument (``_kernel``);
 # the bound keeps a sweep over levels from growing without end
 @lru_cache(maxsize=4096)
 def _script_j_cached(ell: float, e1: float, e2: float) -> float:
     return script_j(ell, KernelArg(e1, e2))
 
 
-def _one_of_each_pair(moduli: list[IntMat2]) -> list[IntMat2]:
+def _one_of_each_pair(moduli: np.ndarray) -> np.ndarray:
     """One of each pair C', -C' of a box or shell: the second half of the
-    lexicographic list, which is mirrored (entry i is minus entry n-1-i),
-    the matrices whose first nonzero entry is positive."""
+    lexicographic rows, which are mirrored (row i is minus row n-1-i), the
+    matrices whose first nonzero entry is positive."""
     return moduli[len(moduli) // 2:]
 
 
-def _kernel_weight(q: HalfIntegralForm, t: HalfIntegralForm, ell: float,
-                   c: IntMat2) -> float:
-    """The rank-2 kernel at the modulus c = N C'."""
-    arg = script_j_for_forms(t, q, c)
-    return _script_j_cached(ell, arg.eig1, arg.eig2)
+def _kernel(params: SpectralParams, y: int, x: int, det: int) -> float:
+    """The rank-2 kernel at the modulus N C', from y = det4 T det4 Q and
+    the level-free exact integers x' = 16 tr(T adj C' Q adj C'^T) and
+    det C'.  ``script_j_for_forms`` of N C' reduces x = N^2 x', y and
+    den = 16 N^4 (det C')^2 (adj(N C') = N adj C'), so ``kernel_arg`` of
+    those integers gives its floats bit for bit, and ``_script_j_cached``
+    evaluates each distinct argument once."""
+    n2 = params.level ** 2
+    arg = kernel_arg(n2 * x, y, 16 * n2 * n2 * det * det)
+    return _script_j_cached(params.ell, arg.eig1, arg.eig2)
+
+
+def _rank2_pass(q: HalfIntegralForm, t: HalfIntegralForm,
+                moduli: np.ndarray):
+    """One C' of each pair of ``moduli`` as IntMat2, with the exact
+    integers det C', x' = 16 tr(T adj C' Q adj C'^T) and the coordinates
+    of p' = adj C' Q adj C'^T, all from one array pass over the rows in
+    Python ints (object arrays), so that forms of any size stay exact."""
+    half = _one_of_each_pair(moduli)
+    a, b, c, d = half.astype(object).T
+    # adj C' = (d, -b, -c, a), as in HalfIntegralForm.conjugate_right
+    p = [r1 * q.t1 + r2 * q.t2 + r4 * q.t4
+         for r1, r2, r4 in conjugation_coeffs(d, -b, -c, a)]
+    xs = 16 * (t.t1 * p[0] + t.t4 * p[2]) + 8 * t.t2 * p[1]
+    mats = [IntMat2(*row) for row in half.tolist()]
+    return (mats, (a * d - b * c).tolist(), xs.tolist(),
+            list(zip(*(x.tolist() for x in p))))
 
 
 def _rank2_terms(q: HalfIntegralForm, t: HalfIntegralForm,
-                 params: SpectralParams, moduli: list[IntMat2]):
-    """Yields (C', term) for one C' of each pair C', -C' in ``moduli`` (the
-    box or its shell, see ``_one_of_each_pair``), with term =
-    K(Q, T; N C') / |det N C'|^{3/2} * kernel.  Each term stands for two:
-    the sum over ``moduli`` is twice the sum of the terms.  K is
-    ``kloosterman_factored`` when N does not divide det C' (the whole box
-    at the default beta, where |det C'| <= M < N): the product of the
-    closed-form K(X Q X^T, T; N I), O(N) with no pI grid, and the tally of
-    the table of C'.  It is the coset sum of N C' otherwise.  The product
-    agrees with the coset sum up to the rounding of two tallies and one
-    product (tests/test_petersson.py compares the coefficient with both
-    the coset sum and the former joint tally of the two histograms within
-    that bound).  When (D_Q D_T | N) = -1 the closed form is exactly 0, so
-    such a term is 0.
+                 params: SpectralParams, moduli: np.ndarray) -> list[complex]:
+    """The terms K(Q, T; N C') / |det N C'|^{3/2} * kernel, one for each
+    C' of ``_one_of_each_pair(moduli)`` in its order (the box or its
+    shell), from one pass over the rows (``_rank2_pass``).  Each term
+    stands for two: the sum over ``moduli`` is twice the sum of the terms.
+    K comes from ``_kloosterman_factored_values`` for the C' with N prime
+    to det C' (the whole box at the default beta, where |det C'| <= M < N):
+    the product of the closed-form K(X Q X^T, T; N I), O(N) with no pI
+    grid, and the tally of the class table of C', grouped by Smith class.
+    It is the coset sum of N C' otherwise.  The product agrees with the
+    coset sum up to the rounding of two tallies and one product
+    (tests/test_petersson.py compares the coefficient with both the coset
+    sum and the former joint tally of the two histograms within that
+    bound).  When (D_Q D_T | N) = -1 the closed form is exactly 0, so such
+    a term is 0, and its kernel is not looked up.
 
     The term of -C' is the term of C', bit for bit.  -I_4 in Sp4(Z)
     carries the cosets of C onto those of -C and leaves A C^{-1} and
     C^{-1} D unchanged, so the phase histograms, and with them the tallied
     values, are equal.  In the product, X = t adj(C') changes sign with
     C', which leaves X Q X^T, and so the pI value, unchanged, and the
-    tables of C' and -C' have equal histograms.  ``script_j_for_forms``
-    reads the kernel argument
-    from the exact integers tr(T adj(C) Q adj(C)^T) and (det C)^2, which
-    adj(-C) = -adj(C) leaves unchanged, so the argument is the same float
-    pair."""
-    n = params.level
-    ell = params.ell
-    for cp in _one_of_each_pair(moduli):
-        c = cp.scale(n)
-        kv = (kloosterman_factored(q, t, n, cp) if cp.det() % n
-              else kloosterman(q, t, c))
-        if kv.value == 0:
-            yield cp, 0j
+    tables of C' and -C' have equal histograms.  The kernel argument is
+    read from the exact integers x' = 16 tr(T adj(C') Q adj(C')^T) and
+    det C' (``_kernel``), which adj(-C') = -adj(C') leaves unchanged,
+    so the argument is the same float pair."""
+    n, y = params.level, t.det4() * q.det4()
+    mats, dets, xs, adj_forms = _rank2_pass(q, t, moduli)
+    factored = [i for i, det in enumerate(dets) if det % n]
+    values = _kloosterman_factored_values(
+        q, t, n, [mats[i] for i in factored], [adj_forms[i] for i in factored],
+        [(pow(n, -1, abs(dets[i])), pow(dets[i], -1, n)) for i in factored])
+    kvs = {i: kv for i, (kv, _) in zip(factored, values)}
+    terms = []
+    for i, (cp, det, x) in enumerate(zip(mats, dets, xs)):
+        kv = kvs[i] if det % n else kloosterman(q, t, cp.scale(n)).value
+        if kv == 0:
+            terms.append(0j)
             continue
-        kern = _kernel_weight(q, t, ell, c)
-        yield cp, kv.value * kern / abs(c.det()) ** 1.5
+        terms.append(kv * _kernel(params, y, x, det) / abs(n * n * det) ** 1.5)
+    return terms
 
 
 def _rank2_sum(q: HalfIntegralForm, t: HalfIntegralForm,
                params: SpectralParams) -> tuple[complex, float]:
+    """Twice the sum of the box's ``_rank2_terms``, added in their order,
+    and the shell budget."""
     total = 0j
-    for _, term in _rank2_terms(q, t, params, truncation_set(params.m_bound)):
+    for term in _rank2_terms(q, t, params, truncation_set(params.m_bound)):
         total += term
     return 2.0 * total, _rank2_shell_bound(q, t, params)
 
@@ -393,27 +427,28 @@ def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
     sums of 4.1e-16 and 8.3e-23) covers them by the envelope's slack.
 
     The shell sum visits one C' of each pair C', -C' and counts it twice,
-    as ``_rank2_terms`` does: the envelope of -C' is that of C', bit for
-    bit.  The kernel factor is equal as in ``_rank2_terms`` (its argument
-    comes from integers that C -> -C leaves unchanged), and c1, c2 are.
-    For t4: ``_xgcd(-a, -b)`` is ``(g, -s, -t)`` when ``_xgcd(a, b)`` is
-    ``(g, s, t)`` (negating both arguments keeps every floor quotient),
-    so ``elementary_divisors`` runs on -C through the same steps as on C
-    up to signs, and returns -V or V (tests/test_matcore.py checks this);
-    V^T T V is the same form.  The budget depends on exactly that V, which
+    as ``_rank2_terms`` does, with its kernels from the same pass over the
+    rows (``_rank2_pass``); the envelopes are added in the rows' order.
+    The envelope of -C' is that of C', bit for bit.  The kernel factor is
+    equal as in ``_rank2_terms`` (its argument comes from integers that
+    C -> -C leaves unchanged), and c1, c2 are.  For t4: ``_xgcd(-a, -b)``
+    is ``(g, -s, -t)`` when ``_xgcd(a, b)`` is ``(g, s, t)`` (negating both
+    arguments keeps every floor quotient), so ``elementary_divisors`` runs
+    on -C through the same steps as on C up to signs, and returns -V or V
+    (tests/test_matcore.py checks this); V^T T V is the same form.  The
+    budget depends on exactly that V, which
     TestElementaryDivisors.test_outputs_pinned in tests/test_matcore.py
     pins by a digest.
     """
-    n = params.level
-    ell = params.ell
+    n, y = params.level, t.det4() * q.det4()
+    mats, dets, xs, _ = _rank2_pass(q, t, shell_matrices(params.m_bound, 1))
     bound = 0.0
-    for cp in _one_of_each_pair(shell_matrices(params.m_bound, 1)):
-        c = cp.scale(n)
-        c1, c2, _, v = elementary_divisors(c)
+    for cp, det, x in zip(mats, dets, xs):
+        c1, c2, _, v = elementary_divisors(cp.scale(n))
         t4 = t.conjugate_left(v).t4  # (2,2)-entry of V^T T V
         k_env = 8.0 * c1 * c1 * math.sqrt(c2) * math.sqrt(math.gcd(c2, t4))
-        kern = _kernel_weight(q, t, ell, c)
-        bound += k_env * abs(kern) / abs(c.det()) ** 1.5
+        kern = _kernel(params, y, x, det)
+        bound += k_env * abs(kern) / abs(n * n * det) ** 1.5
     # twice for the pairs, twice again for the moduli beyond the shell
     return 4.0 * bound
 
@@ -445,8 +480,8 @@ def tail_diagnostic(m1: int, m2: int, params: SpectralParams,
         raise ValueError(
             f"shell_width must be non-negative, got {shell_width}")
     shell = shell_matrices(params.m_bound, shell_width)
-    terms = _rank2_terms(q, t, params, shell)
-    observed = 2.0 * sum(abs(term) for _, term in terms)
+    observed = 2.0 * sum(abs(term)
+                         for term in _rank2_terms(q, t, params, shell))
     beta = params.beta
     exponent = -1.0 - beta + 5.0 * (1.0 + beta) / (2.0 * params.ell)
     return TailReport(

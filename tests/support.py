@@ -6,15 +6,38 @@ fitted to the errors seen: the tests compare two routes of one exact sum
 within the sum of their bounds.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
 
 from siegelsums import expsums, sp4
-from siegelsums.matcore import _xgcd
+from siegelsums.matcore import IntMat2, _xgcd
 from siegelsums.petersson import _TALLY_ULPS
 
 EPS = 2.0 ** -52
+
+
+def mats(rows) -> list[IntMat2]:
+    """The (n, 4) rows of ``kernels.truncation_set`` or ``shell_matrices``
+    as a list of IntMat2, in their order."""
+    return [IntMat2(*row) for row in np.asarray(rows).tolist()]
+
+
+def scan_box(m: int) -> list[IntMat2]:
+    """The box of bound m by the plain four-entry scan, the oracle of
+    ``kernels.truncation_set``: the nonsingular matrices with entries and
+    |det| at most m, in the order itertools.product meets them."""
+    return [IntMat2(a, b, c, d)
+            for a, b, c, d in itertools.product(range(-m, m + 1), repeat=4)
+            if 0 < abs(a * d - b * c) <= m]
+
+
+def scan_shell(m: int, width: int) -> list[IntMat2]:
+    """The shell of ``width`` around the box of bound m by the same scan,
+    the oracle of ``kernels.shell_matrices``."""
+    return [c for c in scan_box(m + width)
+            if abs(c.det()) > m or max(map(abs, c.entries())) > m]
 
 
 def tally_bound(terms: int, m: int) -> float:

@@ -40,6 +40,7 @@ from support import (
     fold_counts,
     grid_part,
     joint_counts,
+    mats,
     pI_bound,
     salie_bound,
     table_histogram,
@@ -261,7 +262,8 @@ class TestFactored:
         # coset table's histogram of N C' count for count, on every box
         # modulus (C' = I included); the product of the two values is then
         # the coset sum up to the rounding of two tallies and one product
-        moduli = truncation_set(SpectralParams(k=10, level=n).m_bound)
+        moduli = mats(truncation_set(
+            SpectralParams(k=10, level=n).m_bound))
         assert len(moduli) == 288
         for cmat in moduli:
             for q, t in self.FORMS:
@@ -323,7 +325,8 @@ class TestFactored:
             asked.append(c)
             return real(c)
 
-        moduli = truncation_set(SpectralParams(k=10, level=n).m_bound)
+        moduli = mats(truncation_set(
+            SpectralParams(k=10, level=n).m_bound))
         for cmat in moduli:
             _, s, tt = _xgcd(n, cmat.det())
             for q, t in self.FORMS:
@@ -348,7 +351,8 @@ class TestFactored:
         # every later form pair hits, and a warm read equals a cold one;
         # each class table built looks its own class up once more
         for n, size in ((5, 288), (421, 2136)):
-            moduli = truncation_set(SpectralParams(k=10, level=n).m_bound)
+            moduli = mats(truncation_set(
+                SpectralParams(k=10, level=n).m_bound))
             assert len(moduli) == size
             acceptance.clear_all_caches()
             cold = [kloosterman_factored(q, t, n, cmat).value
@@ -360,6 +364,24 @@ class TestFactored:
             warm = [kloosterman_factored(q, t, n, cmat).value
                     for q, t in self.FORMS for cmat in moduli]
             assert warm == cold
+
+    @pytest.mark.parametrize("n", [2, 5, 47])
+    def test_batch_equals_one_modulus_calls(self, n):
+        # one call over a box's moduli (its Smith classes mixed, so each
+        # class's bincount serves several moduli) gives each modulus the
+        # value and count of its own call, bit for bit
+        moduli = [c for c in mats(truncation_set(
+            SpectralParams(k=10, level=n).m_bound)) if c.det() % n]
+        inverses = [(pow(n, -1, abs(c.det())), pow(c.det(), -1, n))
+                    for c in moduli]
+        for q, t in self.FORMS:
+            one = [kloosterman_factored(q, t, n, c) for c in moduli]
+            adj = [q.conjugate_right(c.adj()) for c in moduli]
+            batch = expsums._kloosterman_factored_values(
+                q, t, n, moduli, [(p.t1, p.t2, p.t4) for p in adj], inverses)
+            assert [v for v, _ in batch] == [f.value for f in one]
+            assert [(n ** 3 - n ** 2) * k for _, k in batch] == [
+                f.terms for f in one]
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError, match="not coprime"):

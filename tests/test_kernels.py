@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from siegelsums.kernels import (
     weight_w,
 )
 from siegelsums.petersson import SpectralParams, tail_diagnostic
+from support import mats, scan_box, scan_shell
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -396,8 +398,8 @@ class TestScriptJ:
         # every distinct argument that the rank-2 sums and shell budgets of
         # the three pairs look up
         params = SpectralParams(k=10, level=level)
-        moduli = (truncation_set(params.m_bound)
-                  + shell_matrices(params.m_bound, 1))
+        moduli = (mats(truncation_set(params.m_bound))
+                  + mats(shell_matrices(params.m_bound, 1)))
         args = {script_j_for_forms(t, q, cp.scale(level))
                 for q, t in PAIRS for cp in moduli}
         for arg in args:
@@ -535,7 +537,7 @@ class TestTruncation:
         assert SpectralParams(k=k, level=level).m_bound == m
 
     def test_membership(self):
-        box = set(truncation_set(SpectralParams(k=10, level=3).m_bound))
+        box = set(mats(truncation_set(SpectralParams(k=10, level=3).m_bound)))
         assert IntMat2.identity() in box
         assert IntMat2.diag(0, 1) not in box     # singular
         assert IntMat2.diag(3, 1) not in box     # entry too large
@@ -543,7 +545,7 @@ class TestTruncation:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_stream_matches_exhaustive_filter(self, m):
-        got = [c.entries() for c in truncation_set(m)]
+        got = [tuple(row) for row in truncation_set(m).tolist()]
         want = sorted(brute_box_members(m))
         assert got == want
 
@@ -556,14 +558,14 @@ class TestTruncation:
 
     def test_unit_box_count(self):
         # entries and determinant bounded by 1: exhaustive filter gives 40
-        elems = truncation_set(1)
+        elems = mats(truncation_set(1))
         assert len(elems) == len(brute_box_members(1)) == 40
         assert all(abs(c.det()) == 1 for c in elems)
 
     def test_shell_disjoint_from_box(self):
         m = SpectralParams(k=10, level=3).m_bound
-        shell = shell_matrices(m, 1)
-        assert shell and not set(shell) & set(truncation_set(m))
+        shell = mats(shell_matrices(m, 1))
+        assert shell and not set(shell) & set(mats(truncation_set(m)))
 
     @pytest.mark.parametrize("level", [3, 5, 7, 11, 13, 31, 47, 101])
     @pytest.mark.parametrize("k", [10, 12])
@@ -571,23 +573,53 @@ class TestTruncation:
         # reference: the exhaustive four-entry scan, filtered to the
         # shell; the members and their order must agree
         m = SpectralParams(k=k, level=level).m_bound
-        box = set(truncation_set(m))
+        box = set(mats(truncation_set(m)))
         for width in (-1, 0, 1, 2):
             want = [c for c in (IntMat2(*e) for e in
                                 brute_box_members(m + width))
                     if c not in box]
-            assert shell_matrices(m, width) == want, width
+            assert mats(shell_matrices(m, width)) == want, width
 
     @pytest.mark.parametrize("scan", [lambda: truncation_set(34),
                                       lambda: shell_matrices(2, 200)],
                              ids=["box", "shell"])
     def test_oversized_scan_raises_before_scanning(self, scan):
         # 34 is one past the width-1 shell of the largest box; a scan at
-        # 202 would visit 405^4 entry tuples
+        # 202 would visit 405^4 entry tuples.  Nothing is allocated first:
+        # the smallest slab of a scan at 34 would take megabytes
         t0 = time.perf_counter()
+        tracemalloc.start()
         with pytest.raises(ValueError, match="exceeds 33"):
             scan()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         assert time.perf_counter() - t0 < 1.0
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_rows_equal_the_itertools_scan(self, m):
+        # the array scan against the plain four-entry scan it replaced,
+        # row for row, for the box and its shells of widths 0 to 3; every
+        # list is mirrored, row i minus row n - 1 - i, which
+        # petersson._one_of_each_pair relies on
+        arrays = [truncation_set(m)] + [shell_matrices(m, w)
+                                        for w in range(4)]
+        oracles = [scan_box(m)] + [scan_shell(m, w) for w in range(4)]
+        for rows, want in zip(arrays, oracles):
+            assert rows.dtype == np.int64 and rows.shape == (len(want), 4)
+            assert mats(rows) == want
+            assert np.array_equal(rows, -rows[::-1])
+
+    def test_largest_shell_memory(self):
+        # the width-1 shell of the largest box, 96,832 rows: the list of
+        # IntMat2 it replaced peaked at 122 MiB under tracemalloc, and a
+        # one-shot grid of its 67^4 entry tuples would take 0.65 GB
+        tracemalloc.start()
+        shell = shell_matrices(kernels.MAX_BOX_BOUND, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(shell) == 96_832
+        assert peak <= 122 * 2 ** 20
 
 
 class TestTailDiagnostic:

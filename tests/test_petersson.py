@@ -41,6 +41,7 @@ from support import (
     EPS,
     factored_bound,
     joint_tally,
+    mats,
     rank2_bound,
     salie_bound,
     tally_bound,
@@ -209,16 +210,17 @@ def reference_rank1(q, t, params):
 
 
 def reference_rank2_terms(q, t, params, moduli):
-    """{C': term} over every C' of ``moduli``, with the term of -C' taken
-    from C' where ``moduli`` holds C' first."""
+    """{C': term} over every C' of the ``moduli`` rows, one modulus at a
+    time, with the term of -C' taken from C' where ``moduli`` holds C'
+    first."""
     n, ell = params.level, params.ell
     terms = {}
-    for cp in moduli:
+    for cp in mats(moduli):
         if cp.scale(-1) in terms:
             terms[cp] = terms[cp.scale(-1)]
             continue
         c = cp.scale(n)
-        kv = (petersson.kloosterman_factored(q, t, n, cp) if cp.det() % n
+        kv = (expsums.kloosterman_factored(q, t, n, cp) if cp.det() % n
               else petersson.kloosterman(q, t, c))
         if kv.value == 0:
             terms[cp] = 0j
@@ -230,11 +232,11 @@ def reference_rank2_terms(q, t, params, moduli):
 
 
 def reference_shell_envelopes(q, t, params):
-    """{C': envelope} over the shell of width 1, the envelope of -C' taken
-    from C'."""
+    """{C': envelope} over the shell of width 1, one modulus at a time,
+    the envelope of -C' taken from C'."""
     n, ell = params.level, params.ell
     envs = {}
-    for cp in shell_matrices(params.m_bound, 1):
+    for cp in mats(shell_matrices(params.m_bound, 1)):
         if cp.scale(-1) in envs:
             envs[cp] = envs[cp.scale(-1)]
             continue
@@ -309,42 +311,52 @@ def kernel_moduli(params):
     """The moduli N C' of the box and its shell of width 1, whose kernels a
     coefficient looks up."""
     return [cp.scale(params.level)
-            for cp in truncation_set(params.m_bound)
-            + shell_matrices(params.m_bound, 1)]
+            for cp in mats(truncation_set(params.m_bound))
+            + mats(shell_matrices(params.m_bound, 1))]
 
 
 def assert_rank2_route_within_bound(monkeypatch, q, t, params, oracle):
-    """h_fourier against h_fourier with each ``kloosterman_factored`` call
-    replaced by ``oracle(q, t, n, C')``, which returns (value, terms, m)
-    of a tally of ``terms`` summands mod m.  Every field but rank2 and
-    total is equal; those agree within the bound derived from the two
-    routes' rounding (tests/support.py): each K within
-    ``factored_bound`` plus the oracle's ``tally_bound``, each term within
-    ``term_bound``, and the sum within ``rank2_bound``, scaled by the
-    coefficient's factors."""
+    """h_fourier against h_fourier with the seam where the rank-2 pass
+    reads its factored Kloosterman sums, ``_kloosterman_factored_values``
+    as ``petersson`` binds it, replaced by ``oracle(q, t, n, C')`` for
+    each modulus, which returns (value, terms, m) of a tally of ``terms``
+    summands mod m.  Every field but rank2 and total is equal; those agree
+    within the bound derived from the two routes' rounding
+    (tests/support.py): each K within ``factored_bound`` plus the oracle's
+    ``tally_bound``, each term within ``term_bound``, and the sum within
+    ``rank2_bound``, scaled by the coefficient's factors.  Returns the
+    number of moduli the oracle ran for in the replaced h_fourier, each of
+    them once: the one of each pair C', -C' of the box with N prime to
+    det C', in their order."""
     n, ell = params.level, params.ell
-    cache = {}
+    cache, calls = {}, []
 
-    def replaced(q, t, n, cp):
-        if (q, t, n, cp) not in cache:
-            value, terms, m = oracle(q, t, n, cp)
-            cache[q, t, n, cp] = (SumValue(value, terms, "oracle"),
-                                  tally_bound(terms, m))
-        return cache[q, t, n, cp][0]
+    def replaced(q, t, n, moduli, *args, **kwargs):
+        out = []
+        for cp in moduli:
+            calls.append(cp)
+            if (q, t, n, cp) not in cache:
+                value, terms, m = oracle(q, t, n, cp)
+                cache[q, t, n, cp] = ((value, terms), tally_bound(terms, m))
+            out.append(cache[q, t, n, cp][0])
+        return out
 
     box = truncation_set(params.m_bound)
+    half = mats(petersson._one_of_each_pair(box))
     fast = h_fourier(q, t, params)
-    fast_terms = list(_rank2_terms(q, t, params, box))
-    monkeypatch.setattr(petersson, "kloosterman_factored", replaced)
+    fast_terms = _rank2_terms(q, t, params, box)
+    monkeypatch.setattr(petersson, "_kloosterman_factored_values", replaced)
     slow = h_fourier(q, t, params)
-    slow_terms = list(_rank2_terms(q, t, params, box))
+    ran = list(calls)
+    slow_terms = _rank2_terms(q, t, params, box)
     monkeypatch.undo()
+    assert ran == [cp for cp in half if cp.det() % n]
     for name in ("diagonal", "rank1", "rank1_tail", "rank2_tail",
                  "tail_bound"):
         assert getattr(fast, name) == getattr(slow, name), name
     pairs = []
-    for (cp, a), (cp_b, b) in zip(fast_terms, slow_terms):
-        assert cp == cp_b
+    assert len(fast_terms) == len(slow_terms) == len(half)
+    for cp, a, b in zip(half, fast_terms, slow_terms):
         if cp.det() % n == 0:
             assert a == b, cp  # the coset route on both sides
             pairs.append((a, b, 0.0))
@@ -353,7 +365,8 @@ def assert_rank2_route_within_bound(monkeypatch, q, t, params, oracle):
         k_bound = (factored_bound(n, right.count, right.m)
                    + cache[q, t, n, cp][1])
         c = cp.scale(n)
-        kern = petersson._kernel_weight(q, t, ell, c)
+        arg = script_j_for_forms(t, q, c)
+        kern = petersson._script_j_cached(ell, arg.eig1, arg.eig2)
         bound = term_bound(k_bound, kern, c.det(), a, b)
         assert abs(a - b) <= bound, cp
         pairs.append((a, b, bound))
@@ -363,6 +376,7 @@ def assert_rank2_route_within_bound(monkeypatch, q, t, params, oracle):
     assert abs(fast.rank2 - slow.rank2) <= r2_bound
     assert abs(fast.total - slow.total) <= (
         r2_bound + 2 * EPS * (abs(fast.total) + abs(slow.total)))
+    return len(ran)
 
 
 def coset_oracle(q, t, n, cp):
@@ -661,8 +675,9 @@ class TestHFourier:
     def test_shell_decay(self, params):
         # partial rank-2 sums grouped by |det C'|
         shells = {}
-        for cp, term in _rank2_terms(HI, HI, params,
-                                     truncation_set(params.m_bound)):
+        box = truncation_set(params.m_bound)
+        for cp, term in zip(mats(petersson._one_of_each_pair(box)),
+                            _rank2_terms(HI, HI, params, box)):
             d = abs(cp.det())
             shells[d] = shells.get(d, 0j) + term
         assert sorted(shells) == [1, 2]
@@ -680,10 +695,17 @@ class TestHFourier:
         shell = shell_matrices(params.m_bound, 3)
         # each term stands for the pair C', -C'
         exact = 2 * sum(abs(term)
-                        for _, term in _rank2_terms(q, t, params, shell))
+                        for term in _rank2_terms(q, t, params, shell))
         assert _rank2_shell_bound(q, t, params) >= exact
 
-    @pytest.mark.parametrize("level", [3, 5])
+    # the oracle runs once for each modulus of the box that does not take
+    # the coset route, among one of each pair C', -C': 144 at an odd level
+    # with M = 2, 448 with M = 3, and 52 at N = 2, where 92 of the 144
+    # have an even determinant
+    ORACLE_RUNS = {2: 52, 3: 144, 5: 144, 7: 144, 13: 144, 47: 448,
+                   101: 448}
+
+    @pytest.mark.parametrize("level", [2, 3, 5])
     @pytest.mark.parametrize("pair", PAIRS)
     def test_rank2_route_bit_identical_to_coset_sum(self, monkeypatch, level,
                                                     pair):
@@ -692,8 +714,8 @@ class TestHFourier:
         # rank2 and total move by rounding only, within the derived bound
         q, t = PAIRS[pair]
         params = SpectralParams(k=10, level=level)
-        assert_rank2_route_within_bound(monkeypatch, q, t, params,
-                                        coset_oracle)
+        assert assert_rank2_route_within_bound(
+            monkeypatch, q, t, params, coset_oracle) == self.ORACLE_RUNS[level]
 
     @pytest.mark.parametrize("level", [3, 5, 7, 13, 47, 101])
     @pytest.mark.parametrize("pair", PAIRS)
@@ -702,8 +724,8 @@ class TestHFourier:
         # of C' that the rank-2 route ran before the product of two values
         q, t = PAIRS[pair]
         params = SpectralParams(k=10, level=level)
-        assert_rank2_route_within_bound(monkeypatch, q, t, params,
-                                        joint_tally)
+        assert assert_rank2_route_within_bound(
+            monkeypatch, q, t, params, joint_tally) == self.ORACLE_RUNS[level]
 
     def test_pI_grid_cache_is_bounded(self):
         # a cold coefficient at an odd level reads one grid, grid(1) for
@@ -763,8 +785,8 @@ class TestHFourier:
         q, t = PAIRS[pair]
         params = SpectralParams(k=10, level=level)
         n, ell = params.level, params.ell
-        box = truncation_set(params.m_bound)
-        shell = shell_matrices(params.m_bound, 1)
+        box = mats(truncation_set(params.m_bound))
+        shell = mats(shell_matrices(params.m_bound, 1))
         assert len(box) == 288
         kernel = {cp: script_j(ell, script_j_for_forms(t, q, cp.scale(n)))
                   for cp in box + shell}
@@ -790,30 +812,29 @@ class TestHFourier:
             assert term[cp.scale(-1)] == term[cp], cp
         for cp in shell:
             assert envelope[cp.scale(-1)] == envelope[cp], cp
-        real = petersson.kloosterman_factored
+        real = petersson._kloosterman_factored_values
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(q, t, n, moduli, *args):
+            calls.extend(moduli)
+            return real(q, t, n, moduli, *args)
 
-        monkeypatch.setattr(petersson, "kloosterman_factored", counted)
-        terms = list(_rank2_terms(q, t, params, box))
-        assert len(calls) == 144
-        assert [cp for cp, _ in terms] == box[144:]
-        assert [term for _, term in terms] == [term[cp] for cp in box[144:]]
+        monkeypatch.setattr(petersson, "_kloosterman_factored_values", counted)
+        terms = _rank2_terms(q, t, params, truncation_set(params.m_bound))
+        assert calls == box[144:]
+        assert terms == [term[cp] for cp in box[144:]]
 
     def test_box_and_shell_lists_are_mirrored(self):
         # entry i is minus entry n - 1 - i, so the second half holds one
         # C' of each pair C', -C', the one whose first nonzero entry is
         # positive
-        lists = [truncation_set(m) for m in range(1, 5)]
-        lists += [shell_matrices(m, w) for m in range(1, 5)
+        lists = [mats(truncation_set(m)) for m in range(1, 5)]
+        lists += [mats(shell_matrices(m, w)) for m in range(1, 5)
                   for w in range(1, 4)]
-        for mats in lists:
-            assert mats and len(mats) % 2 == 0
-            assert mats == [cp.scale(-1) for cp in reversed(mats)]
-            for cp in mats[len(mats) // 2:]:
+        for mlist in lists:
+            assert mlist and len(mlist) % 2 == 0
+            assert mlist == [cp.scale(-1) for cp in reversed(mlist)]
+            for cp in mlist[len(mlist) // 2:]:
                 assert next(x for x in cp.entries() if x) > 0, cp
 
     @pytest.mark.parametrize("level", [2, 3, 5, 7, 13])
@@ -822,8 +843,11 @@ class TestHFourier:
                                                     pair):
         # the multiplicity sums against the term-by-term references: each
         # part within n 2^-52 sum |term| (n terms), the rank-2 terms equal,
-        # and the same Salie, Kloosterman and kernel work.  Level 2 is the
-        # only default-beta level whose box takes the coset route
+        # and the same Salie, Kloosterman and kernel work, a factored sum
+        # counted once per modulus whether one call of
+        # _kloosterman_factored_values covers many or kloosterman_factored
+        # one.  Level 2 is the only default-beta level whose box takes the
+        # coset route
         q, t = PAIRS[pair]
         params = SpectralParams(k=10, level=level)
         box = truncation_set(params.m_bound)
@@ -832,11 +856,18 @@ class TestHFourier:
 
         def run(compute):
             counts = {}
-            for name in ("salie", "kloosterman_factored", "kloosterman"):
-                def spy(*args, _name=name, _real=getattr(petersson, name)):
-                    counts[_name] = counts.get(_name, 0) + 1
+            spied = [(petersson, "salie", "salie", lambda args: 1),
+                     (petersson, "kloosterman", "kloosterman", lambda a: 1),
+                     (petersson, "_kloosterman_factored_values", "factored",
+                      lambda args: len(args[3])),
+                     (expsums, "kloosterman_factored", "factored",
+                      lambda args: 1)]
+            for module, name, key, weight in spied:
+                def spy(*args, _key=key, _weight=weight,
+                        _real=getattr(module, name)):
+                    counts[_key] = counts.get(_key, 0) + _weight(args)
                     return _real(*args)
-                monkeypatch.setattr(petersson, name, spy)
+                monkeypatch.setattr(module, name, spy)
             acceptance.clear_all_caches()
             out = compute()
             counts["kernel misses"] = (
@@ -856,18 +887,75 @@ class TestHFourier:
 
         ref_r1, n1, size1 = ref1
         assert abs(r1 - ref_r1) <= n1 * eps * size1
-        for cp, term in _rank2_terms(q, t, params, box):
+        for cp, term in zip(mats(petersson._one_of_each_pair(box)),
+                            _rank2_terms(q, t, params, box)):
             assert term == ref_terms[cp] == ref_terms[cp.scale(-1)], cp
         ref_r2 = 0j
-        for cp in box:
+        for cp in mats(box):
             ref_r2 += ref_terms[cp]
-        size2 = sum(abs(ref_terms[cp]) for cp in box)
+        size2 = sum(abs(ref_terms[cp]) for cp in mats(box))
         assert abs(r2 - ref_r2) <= len(box) * eps * size2
         ref_bound = 0.0
-        for cp in shell:
+        for cp in mats(shell):
             ref_bound += ref_envs[cp]
         ref_bound *= 2.0
         assert abs(bound - ref_bound) <= len(shell) * eps * ref_bound
+
+    @pytest.mark.parametrize("level", [2, 3, 5, 13, 47])
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_rank2_fields_bit_identical_to_term_by_term_reference(
+            self, level, pair):
+        # the references, one modulus at a time, summed in the order and
+        # arithmetic of the per-modulus loop that the array pass replaced:
+        # one C' of each pair, twice the sum, four times the envelopes
+        q, t = PAIRS[pair]
+        params = SpectralParams(k=10, level=level)
+        box = truncation_set(params.m_bound)
+        shell = shell_matrices(params.m_bound, 1)
+        acceptance.clear_all_caches()
+        h = h_fourier(q, t, params)
+        ref_terms = reference_rank2_terms(q, t, params, box)
+        ref_envs = reference_shell_envelopes(q, t, params)
+        total = 0j
+        for cp in mats(petersson._one_of_each_pair(box)):
+            total += ref_terms[cp]
+        bound = 0.0
+        for cp in mats(petersson._one_of_each_pair(shell)):
+            bound += ref_envs[cp]
+        scale = 8 * math.pi ** 2 * (t.det() / q.det()) ** params.kappa
+        assert h.rank2 == scale * (2.0 * total)
+        assert h.rank2_tail == scale * (4.0 * bound)
+
+    @pytest.mark.parametrize("level", [3, 13])
+    @pytest.mark.parametrize("width", [0, 1, 2])
+    def test_tail_diagnostic_bit_identical_to_reference(self, level, width):
+        params = SpectralParams(k=10, level=level)
+        shell = shell_matrices(params.m_bound, width)
+        ref = reference_rank2_terms(HI, HI, params, shell)
+        want = 2.0 * sum(abs(ref[cp])
+                         for cp in mats(petersson._one_of_each_pair(shell)))
+        rep = petersson.tail_diagnostic(1, 1, params, width)
+        assert rep.shell_size == len(shell)
+        assert rep.observed_tail == want
+
+    def test_exact_integers_of_large_forms(self):
+        # forms of any size: the pass computes in Python ints, and its
+        # determinants, x' and adjugate forms equal the per-modulus
+        # IntMat2 arithmetic, past 2^63 too
+        shell = shell_matrices(3, 1)
+        big = 2 ** 40
+        for q, t in [(HalfIntegralForm(big + 1, 3, big + 5),
+                      HalfIntegralForm(big - 1, -7, big)),
+                     (HalfIntegralForm(3, 1, 2), HalfIntegralForm(1, 1, 5)),
+                     (HalfIntegralForm(10 ** 30, 1, 10 ** 30), HI)]:
+            got = petersson._rank2_pass(q, t, shell)
+            want_mats = mats(petersson._one_of_each_pair(shell))
+            assert got[0] == want_mats
+            assert got[1] == [cp.det() for cp in want_mats]
+            adj = [q.conjugate_right(cp.adj()) for cp in want_mats]
+            assert got[2] == [16 * (t.t1 * p.t1 + t.t4 * p.t4)
+                              + 8 * t.t2 * p.t2 for p in adj]
+            assert got[3] == [(p.t1, p.t2, p.t4) for p in adj]
 
 
 class TestKernelArguments:
@@ -939,6 +1027,7 @@ class TestKernelArguments:
         eps = 2.0 ** -52
         r2 = _rank2_sum(q, t, params)[0]
         bound = _rank2_shell_bound(q, t, params)
+        rows, box, shell = box, mats(box), mats(shell)
         move = {}  # bound on the kernel's relative move
         for cp in box + shell:
             c = cp.scale(n)
@@ -949,7 +1038,7 @@ class TestKernelArguments:
                 abs(old.eig2 - new.eig2) / new.eig2)
         monkeypatch.setattr(petersson, "script_j_for_forms",
                             numpy_script_j_for_forms)
-        ref_terms = reference_rank2_terms(q, t, params, box)
+        ref_terms = reference_rank2_terms(q, t, params, rows)
         ref_envs = reference_shell_envelopes(q, t, params)
 
         ref_r2 = 0j
