@@ -463,6 +463,7 @@ def clear_all_caches() -> None:
     expsums._unit_table.cache_clear()
     petersson._script_j_cached.cache_clear()
     petersson._residue_series.cache_clear()
+    lfun._character.cache_clear()
 
 
 def run_all() -> tuple[list[dict], dict[int, float]]:

@@ -5,8 +5,13 @@ L(s, chi_q) is evaluated through the Hurwitz-zeta decomposition
 L(s, chi) = m^{-s} sum_{a mod m} chi(a) zeta(s, a/m) with Euler-Maclaurin
 evaluation of the Hurwitz zeta on an outer grid u = s_i + t_j, the 1-D and
 scalar functions being its t = [0] case.  As x^{-u} = x^{-s_i} x^{-t_j},
-each Euler-Maclaurin term summed over the phi classes with chi(a) != 0 is a
-(len(s) x phi)(phi x len(t)) matrix product, 64 classes at a time.
+the direct terms over the N phi pairs (n, a) of a term index n < N and a
+class with chi(a) != 0 are (len(s) x 64)(64 x len(t)) matrix products, 64
+pairs at a time, and the 13 tail terms of each block of 64 classes are one
+batched product.  On the 33 nodes that the main term's Taylor coefficients
+are read from, N = 9, so a character with phi = 72 classes (q = -148) takes
+11 direct-term products and 2 tail products.
+The classes and values of chi_q are memoized per q (_character).
 
 The number N of direct terms is set per call from the remainder bound of
 F. Johansson (Numer. Algorithms 69 (2015)) after the 12 Bernoulli terms:
@@ -37,6 +42,7 @@ of each term rounds with |Im s| log n, so there it is ~1e-13 at
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,17 +68,29 @@ _STIRLING_MIN_RE = 10.0
 # rounding of the class sums
 _EM_TARGET = 1e-17
 # Largest number of direct terms _em_terms returns, reached at |Im u| ~ 1.04e5
-# on the critical line.  A scalar dirichlet_l(s, 5) there took 1.3 s on two
-# vCPUs, and each further block of _CLASS_BLOCK classes adds about as much.
+# on the critical line.  A scalar dirichlet_l(s, 5) there takes 0.1 s on two
+# vCPUs (4e5 pairs (n, class), _CLASS_BLOCK to a product), and the time grows
+# with the number of classes phi: 1.7 s at q = -148, phi = 72.
 MAX_DIRECT_TERMS = 100_000
 # Smallest Re u that _hurwitz_grid accepts.  At Re u = -0.47 the
 # functional equation still holds to 1e-13.
 MIN_RE_U = -0.5
-# classes per matrix product, so that its factors stay O(len(s) + len(t))
+# (n, class) pairs per direct-term product and classes per tail product of
+# _hurwitz_grid, so that each factor has at most 64 max(len(s), len(t))
+# entries: 34 KB on the 33 Taylor-circle nodes that petersson._taylor reads
 _CLASS_BLOCK = 64
+# entries (256 KB) of a tail block's factor and product in _hurwitz_grid,
+# which take as many t-columns as keep both within it, at least one: all of a
+# 1-D call, 9 columns of the tests' 128 x 128 grids
+_TAIL_ENTRIES = 2 ** 14
 # |u - 1| below which the singular part is summed pointwise (_hurwitz_grid)
 _SINGULAR_DELTA = 1.0 / 16
 _TWO_M = 2 * len(_BERNOULLI)
+# B_{2i+2} / (2i+2)!, i < 12, the Euler-Maclaurin Bernoulli weights
+_BERNOULLI_SCALE = np.array([b / math.factorial(2 * i + 2)
+                             for i, b in enumerate(_BERNOULLI)])
+# tail terms per class: w^{-u} / 2 and the twelve Bernoulli terms
+_EM_TAIL = 1 + len(_BERNOULLI)
 
 
 def _em_log_bound(w: float, absu: float, sigma: float) -> float:
@@ -113,25 +131,42 @@ def _em_terms(u: np.ndarray) -> int:
 def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
                   coeffs: np.ndarray) -> np.ndarray:
     """sum_a c_a zeta(s_i + t_j, alpha_a) on the outer grid s x t, by
-    Euler-Maclaurin after N = _em_terms(u) direct terms: one matrix product
-    per term and block of at most _CLASS_BLOCK classes.  Raises ValueError
+    Euler-Maclaurin after N = _em_terms(u) direct terms.  Raises ValueError
     for a non-finite point, ArithmeticError when N would exceed
     MAX_DIRECT_TERMS or a point has Re u < MIN_RE_U, and PoleError when
     sum_a c_a != 0 and a point is within 1e-14 of u = 1.
 
-    With w = N + alpha and u = s_i + t_j the singular part
-    w^{1-u}/(u-1) is split as (w^{1-u} - 1)/(u - 1) + 1/(u - 1).  As
-    w^{1-u} = w^{1-s_i} w^{-t_j}, sum_a c_a w_a^{1-u} is one more matrix
-    product per block (its s-factor is exp((1 - s_i) log w), whose exponent
-    rounds with |1 - s_i|), and the first piece is that sum less sum_a c_a,
-    over u - 1.  The difference cancels: its rounding exceeds that of the
-    pointwise sum_a c_a expm1((1 - u) log w_a)/(u - 1) by a factor of about
-    1/(|u - 1| log w).  A grid with a point within _SINGULAR_DELTA = 1/16 of
-    u = 1 gets N >= 8 from _em_terms, so log w > log 8, and only the points
-    with |u - 1| < 1/16, where that factor would pass 16/log 8 ~ 7.7 (three
-    bits), take the pointwise form: one expm1 pass per class, with its
-    limit -sum_a c_a log w_a at u = 1, so the result is continuous through
-    u = 1.  The main-term residue's circle |u - 1| = 1/2 never takes it.
+    The direct terms c_a (n + alpha_a)^{-s_i} (n + alpha_a)^{-t_j} run over
+    the N phi pairs (n, a), n-major, _CLASS_BLOCK pairs at a time.  Each
+    block takes its logs log(n + alpha_a) from its pair indices and makes one
+    exp pass on each side and one matrix product, so memory stays
+    O(_CLASS_BLOCK (len(s) + len(t))) however large N phi is (10^8 at
+    MAX_DIRECT_TERMS and phi = 1000).  A 1-D call (t = [0]) still makes the
+    t-side exp of each block, _CLASS_BLOCK ones against _CLASS_BLOCK len(s)
+    exps on the s-side.
+
+    The 13 tail terms of a class, c_a w_a^{-u} / 2 and the twelve Bernoulli
+    terms (B_{2i+2} / (2i+2)!) (u)_{2i+1} c_a w_a^{-u-2i-1}, w = N + alpha,
+    are one batched product per block of _CLASS_BLOCK classes: the
+    (term, t_j, class) factor c_a w_a^{-2i-1} w_a^{-t_j} times the
+    (class, s_i) factor w_a^{-s_i}, over as many t-columns at a time as keep
+    its terms x points within _TAIL_ENTRIES (all of a 1-D call).  The
+    products are then weighted by (B_{2i+2} / (2i+2)!) (u)_{2i+1}, built
+    once per call as one running product over i.
+
+    The singular part w^{1-u}/(u-1) is split as (w^{1-u} - 1)/(u - 1) +
+    1/(u - 1).  As w^{1-u} = w^{1-s_i} w^{-t_j}, sum_a c_a w_a^{1-u} is one
+    more product per class block (its s-factor is exp((1 - s_i) log w),
+    whose exponent rounds with |1 - s_i|), and the first piece is that sum
+    less sum_a c_a, over u - 1.  The difference cancels: its rounding
+    exceeds that of the pointwise sum_a c_a expm1((1 - u) log w_a)/(u - 1)
+    by a factor of about 1/(|u - 1| log w).  A grid with a point within
+    _SINGULAR_DELTA = 1/16 of u = 1 gets N >= 8 from _em_terms, so
+    log w > log 8, and only the points with |u - 1| < 1/16, where that
+    factor would pass 16/log 8 ~ 7.7 (three bits), take the pointwise form:
+    one expm1 pass per class, with its limit -sum_a c_a log w_a at u = 1,
+    so the result is continuous through u = 1.  The main-term residue's
+    circle |u - 1| = 1/2 never takes it.
     """
     if not (np.isfinite(s).all() and np.isfinite(t).all()):
         raise ValueError("L-values need finite points")
@@ -143,35 +178,52 @@ def _hurwitz_grid(s: np.ndarray, t: np.ndarray, alphas: np.ndarray,
             f"Re u = {sigma:.3g} is below {MIN_RE_U}: the direct sum of the "
             "growing terms (n + alpha)^(-u) loses the value to rounding")
 
-    def powers(lx):
-        return np.exp(-np.outer(s, lx)), np.exp(-np.outer(lx, t))
-
-    # the Bernoulli terms' factors (B_{2i+2} / (2i+2)!) (u)_{2i+1} in u,
-    # built once for every class block
-    bern_u = []
-    poch, fact = u, 2.0
-    for i, b in enumerate(_BERNOULLI):
-        bern_u.append((b / fact) * poch)
-        # advance (u)_{2i+1} -> (u)_{2i+3}
-        poch = poch * ((u + 2 * i + 1) * (u + 2 * i + 2))
-        fact *= (2 * i + 3) * (2 * i + 4)
-
     total = np.zeros_like(u)
+    phi = len(alphas)
+    pairs = n_terms * phi
+    for lo in range(0, pairs, _CLASS_BLOCK):
+        n, a = np.divmod(np.arange(lo, min(lo + _CLASS_BLOCK, pairs)), phi)
+        lx = np.log(n + alphas[a])
+        xs, xt = np.multiply.outer(-s, lx), np.multiply.outer(lx, -t)
+        np.exp(xs, out=xs)
+        np.exp(xt, out=xt)
+        xt *= coeffs[a, None]
+        total += xs @ xt
+
+    # (u)_{2i+1} B_{2i+2} / (2i+2)!, i < 12, indexed (i, t_j, s_i) like the
+    # tail products: one running product of
+    # (u + 2j - 1)(u + 2j) = u^2 + (4j - 1) u + (2j - 1) 2j
+    j = np.arange(1, len(_BERNOULLI))[:, None, None]
+    poch = np.empty((len(_BERNOULLI), len(t), len(s)), dtype=complex)
+    poch[:] = u.T
+    poch[1:] += 4.0 * j - 1
+    poch[1:] *= u.T
+    poch[1:] += (2.0 * j - 1) * (2 * j)
+    for i in range(1, len(_BERNOULLI)):
+        poch[i] *= poch[i - 1]
+    poch *= _BERNOULLI_SCALE[:, None, None]
+
     sing = np.zeros_like(u)   # sum_a c_a w_a^{1-u}
-    for lo in range(0, len(alphas), _CLASS_BLOCK):
+    cols = max(1, _TAIL_ENTRIES // (_EM_TAIL * max(len(s), _CLASS_BLOCK)))
+    for lo in range(0, phi, _CLASS_BLOCK):
         alpha, c = alphas[lo:lo + _CLASS_BLOCK], coeffs[lo:lo + _CLASS_BLOCK]
-        for n in range(n_terms):
-            xs, xt = powers(np.log(n + alpha))
-            total += (xs * c) @ xt
         w = n_terms + alpha
         lw = np.log(w)
-        ws, wt = powers(lw)
-        total += (ws * (0.5 * c)) @ wt
-        sing += (np.exp(np.outer(1 - s, lw)) * c) @ wt
-        wpow = c / w
-        for term in bern_u:
-            total += term * ((ws * wpow) @ wt)
-            wpow = wpow / (w * w)   # w^{-2i-1} -> w^{-2i-3}
+        wt = np.exp(np.multiply.outer(-t, lw))
+        sing += np.exp(np.multiply.outer(1 - s, lw)) @ (c[:, None] * wt.T)
+        # c w^{-2i-1}, i < 12, then c/2
+        wpow = np.empty((_EM_TAIL, len(w)))
+        wpow[0], wpow[1:] = c / w, 1 / (w * w)
+        np.cumprod(wpow[:-1], axis=0, out=wpow[:-1])
+        wpow[-1] = 0.5 * c
+        ws = np.exp(np.multiply.outer(lw, -s))
+        for c0 in range(0, len(t), cols):
+            c1 = c0 + cols
+            part = ((wpow[:, None, :] * wt[None, c0:c1]).reshape(-1, len(w))
+                    @ ws).reshape(_EM_TAIL, -1, len(s))
+            total.T[c0:c1] += part[-1] + (poch[:, c0:c1] * part[:-1]).sum(
+                axis=0)
+
     d = u - 1
     csum = coeffs.sum()
     near = np.abs(d) < _SINGULAR_DELTA
@@ -235,6 +287,21 @@ def character_period(q: int) -> int:
     return abs(q) if q % 4 in (0, 1) else 4 * abs(q)
 
 
+@lru_cache(maxsize=32)
+def _character(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The classes a/m with chi_q(a) != 0, m = character_period(q), and
+    their values chi_q(a), as read-only arrays: the Kronecker table is built
+    once per q.  A main-term fit reads five characters; 32 characters of
+    1,000 classes would hold 0.5 MB.  Cleared by acceptance.clear_all_caches."""
+    m = character_period(q)
+    chi = np.array([kronecker(q, a) for a in range(1, m + 1)], dtype=float)
+    classes = np.flatnonzero(chi)
+    alphas, coeffs = (classes + 1) / m, chi[classes]
+    alphas.setflags(write=False)
+    coeffs.setflags(write=False)
+    return alphas, coeffs
+
+
 def dirichlet_l_grid(s: np.ndarray, t: np.ndarray, q: int) -> np.ndarray:
     """L(s_i + t_j, chi_q) over the outer grid of two 1-D arrays, shape
     (len(s), len(t)); chi_q(n) = kronecker(q, n), and q = 1 gives zeta.
@@ -247,11 +314,9 @@ def dirichlet_l_grid(s: np.ndarray, t: np.ndarray, q: int) -> np.ndarray:
     character values sum to zero.
     """
     s, t = np.asarray(s, dtype=complex), np.asarray(t, dtype=complex)
-    m = character_period(q)
-    chi = np.array([kronecker(q, a) for a in range(1, m + 1)], dtype=float)
-    classes = np.flatnonzero(chi)
-    lm = math.log(m)
-    return (_hurwitz_grid(s, t, (classes + 1) / m, chi[classes])
+    alphas, coeffs = _character(q)
+    lm = math.log(character_period(q))
+    return (_hurwitz_grid(s, t, alphas, coeffs)
             * np.outer(np.exp(-s * lm), np.exp(-t * lm)))
 
 

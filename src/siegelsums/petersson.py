@@ -614,9 +614,17 @@ def _taylor(f, what: str, terms: int) -> np.ndarray:
     |u| <= rho = _TAYLOR_RADIUS, from one FFT of f on the n points of that
     circle: it gives f_m rho^m plus the aliased f_{m+n} rho^{m+n} + ...
     Raises ArithmeticError unless the top quarter has decayed to _TAIL_TOL
-    of max |f|, which puts the aliased terms below that too."""
+    of max |f|, which puts the aliased terms below that too.
+
+    f must be real on the real axis, so that f(conj u) = conj f(u): it is
+    called once, on the n/2 + 1 nodes k = 0 .. n/2 of the upper half
+    circle, and node n - k takes the conjugate of node k.  Every integrand
+    of ``_residue_series`` is such an f: a product of L-values of real
+    characters, ``gamma_factor``, ``poly_factor``, exp(2u log|q|) and u^e.
+    """
     n = _TAYLOR_NODES
-    values = f(_TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(n) / n))
+    half = f(_TAYLOR_RADIUS * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n))
+    values = np.concatenate([half, half[n // 2 - 1:0:-1].conj()])
     c = np.fft.fft(values) / n
     tail = float(np.abs(c[n - n // 4:]).max())
     if not tail <= _TAIL_TOL * float(np.abs(values).max()):
@@ -666,7 +674,10 @@ def main_term_residue(q1: int, q2: int, level: float, k: int,
                                    + sum_{i <= e1} C(i+j, i) ae_{e1-i} g_{i+j}).
 
     A circle whose series has not decayed raises ArithmeticError.  The
-    report's ``radius`` and ``nodes`` are the circle's, 1/2 and 64.
+    report's ``radius`` and ``nodes`` are the circle's, 1/2 and 64.  As
+    each of a, b and g is real on the real axis, ``_taylor`` evaluates it on
+    33 of the 64 nodes and takes the other 31 by conjugation: a cold call
+    makes five L-calls of 33 points each.
     """
     _check_discriminant_pair(q1, q2)
     require_weight(k)

@@ -1,19 +1,24 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import loggamma
 
+from siegelsums import acceptance
 from siegelsums.lfun import (
     _BERNOULLI,
+    _CLASS_BLOCK,
+    _EM_TAIL,
     _EM_TARGET,
     _SINGULAR_DELTA,
     MAX_DIRECT_TERMS,
     MIN_RE_U,
     PoleError,
     _em_log_bound,
+    _character,
     _em_terms,
     _hurwitz_grid,
     character_period,
@@ -395,6 +400,60 @@ class TestEulerMaclaurinCut:
             dirichlet_l_vec(np.array([2.0, s]), -4)
         with pytest.raises(ValueError, match="finite"):
             dirichlet_l_grid(np.array([2.0]), np.array([s]), 1)
+
+
+class TestCharacterMemo:
+    def test_matches_kronecker_table(self):
+        # the memo's classes and values against the table that
+        # dirichlet_l_grid built on every call before, for every
+        # 0 < |q| <= 200
+        for q in [q for q in range(-200, 201) if q]:
+            m = character_period(q)
+            chi = [kronecker(q, a) for a in range(1, m + 1)]
+            alphas, coeffs = _character(q)
+            assert np.array_equal(
+                alphas, [(a + 1) / m for a in range(m) if chi[a]]), q
+            assert np.array_equal(coeffs, [x for x in chi if x]), q
+            assert not (alphas.flags.writeable or coeffs.flags.writeable)
+
+    def test_built_once_per_q(self):
+        # a pair (1, q) reads chi_q for its q-factor and for the coupled
+        # factor; the second read is a hit, and clear_all_caches empties it
+        acceptance.clear_all_caches()
+        s = 1 + 0.5 * np.exp(2j * np.pi * np.arange(33) / 64)
+        dirichlet_l_vec(s, 13)
+        dirichlet_l_grid(s, np.zeros(1), 13)
+        info = _character.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        acceptance.clear_all_caches()
+        assert _character.cache_info().currsize == 0
+
+
+class TestBlockMemory:
+    def test_peak_bounded_by_block(self):
+        # 64 points at Re s = 1/2, Im s = 1000 need N = 880 direct terms;
+        # chi_{-148} has phi = 72 classes, so the direct sum has 63,360
+        # (n, class) pairs: 65 MB as one s-side factor.  Blocked, what is
+        # alive at once is at most three complex arrays of a block's
+        # s-side size len(s) x _CLASS_BLOCK (the last direct-term factor
+        # and a tail block's exponent and exp), numpy's ufunc buffers of at
+        # most min(getbufsize(), block) elements for each of three operands,
+        # and per-call arrays of the points: u, the totals, the Pochhammer
+        # factors and one tail product, fewer than 4 _EM_TAIL + 4 entries
+        # per point.  All complex, 16 bytes an entry.
+        s = 0.5 + 1000j + 1e-3 * np.arange(64)
+        assert _em_terms(s) == 880 and len(_character(-148)[0]) == 72
+        block = len(s) * _CLASS_BLOCK
+        bound = 16 * (3 * block + 3 * min(np.getbufsize(), block)
+                      + (4 * _EM_TAIL + 4) * len(s))
+        dirichlet_l_vec(s, -148)
+        tracemalloc.start()
+        try:
+            dirichlet_l_vec(s, -148)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 class TestHurwitz:

@@ -110,11 +110,16 @@ def _grid_oracle(q1, q2, level, k, radius=0.08, nodes=128, poly="(1-s)^2"):
             np.abs(aw) @ np.abs(grid) @ np.abs(bw) / n2)
 
 
+def _fit_discriminants():
+    """1 and the fundamental discriminants with |q| <= 40."""
+    return [1] + [q for q in range(-40, 41)
+                  if q not in (0, 1) and is_fundamental_discriminant(q)]
+
+
 def _oracle_pairs():
     """Coprime pairs of 1 and the fundamental discriminants with |q| <= 40
     and phi(|q1 q2|) <= 36, plus five pairs outside that pool."""
-    discs = [1] + [q for q in range(-40, 41)
-                   if q not in (0, 1) and is_fundamental_discriminant(q)]
+    discs = _fit_discriminants()
 
     def phi(n):
         for p, _ in prime_factors(n):
@@ -1304,3 +1309,48 @@ class TestCoupledFactor:
                     main_term_residue(5, 13, 1e3, 10)
             finally:
                 acceptance.clear_all_caches()
+
+
+class TestTaylorReflection:
+    def test_evaluates_upper_half_circle_once(self):
+        # f is called once, on nodes k = 0 .. n/2 of the circle; a
+        # polynomial with real coefficients comes back exactly
+        n, rho = petersson._TAYLOR_NODES, petersson._TAYLOR_RADIUS
+        calls = []
+
+        def spy(u):
+            calls.append(u.copy())
+            return 1 + u * (2 + u * 3)
+
+        coeffs = petersson._taylor(spy, "spy", 4)
+        assert len(calls) == 1 and len(calls[0]) == n // 2 + 1
+        assert np.array_equal(
+            calls[0], rho * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n))
+        assert np.allclose(coeffs, [1, 2, 3, 0], rtol=0, atol=1e-14)
+
+    def test_reflection_matches_direct_evaluation(self, monkeypatch):
+        # the three integrands of _residue_series, for every discriminant
+        # with |q| <= 40 (pairs (q, 1): the q-factor, the 1-factor and the
+        # coupled L(1 + u, chi_q)) at k = 10, 12 and 14, evaluated directly
+        # on all 64 nodes: node n - k against the conjugate of node k.
+        # Bound: _taylor counts a coefficient at or below _TAIL_TOL max|f|
+        # as rounding, and a change of at most delta at every node moves
+        # each FFT coefficient (1/n) sum_k f_k e^{-2 pi i mk/n} by at most
+        # delta.  So the reflection must hold within _TAIL_TOL max|f|.  The
+        # worst seen is 9.0e-15 max|f| (1.4e-14 of |f| at the node): the
+        # nodes n - k and conj(node k) differ by up to 7.1e-16 rho, so the
+        # two evaluations round apart, while at exact conjugates they agree.
+        n = petersson._TAYLOR_NODES
+        nodes = petersson._TAYLOR_RADIUS * np.exp(
+            2j * np.pi * np.arange(n) / n)
+        integrands = []
+        monkeypatch.setattr(petersson, "_taylor",
+                            lambda f, what, terms: integrands.append(f))
+        for q in _fit_discriminants():
+            for k in (10, 12, 14):
+                petersson._residue_series.__wrapped__(q, 1, k, "(1-s)^2")
+        assert len(integrands) == 3 * 3 * len(_fit_discriminants())
+        for f in integrands:
+            values = f(nodes)
+            delta = np.abs(values[n // 2 + 1:] - values[n // 2 - 1:0:-1].conj())
+            assert delta.max() <= petersson._TAIL_TOL * np.abs(values).max()
