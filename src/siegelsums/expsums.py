@@ -51,7 +51,7 @@ class SumValue:
     method: str
 
 
-# Largest modulus whose roots of unity are memoized, at most 128 of them:
+# Largest m whose roots e(j/m) ``_roots_mod`` memoizes, at most 128 m:
 # 32 MiB at 16 bytes a root.  A cold coefficient reads 42-48 moduli at
 # N = 3 (its rank-1 c's), 4-5 at N = 47 and 101.  A tally at a larger
 # modulus, or one evicted by a longer sweep, recomputes its roots; it
@@ -60,14 +60,16 @@ MAX_CACHED_ROOTS = 2 ** 14
 
 
 def _roots(m: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(m) / m)
-
-
-@lru_cache(maxsize=128)
-def _roots_of_unity(m: int) -> np.ndarray:
-    w = _roots(m)
+    w = np.exp(2j * np.pi * np.arange(m) / m)
     w.setflags(write=False)
     return w
+
+
+_roots_of_unity = lru_cache(maxsize=128)(_roots)
+
+
+def _roots_mod(m: int) -> np.ndarray:
+    return _roots_of_unity(m) if m <= MAX_CACHED_ROOTS else _roots(m)
 
 
 def _tally_value(numerators: np.ndarray, m: int,
@@ -75,8 +77,7 @@ def _tally_value(numerators: np.ndarray, m: int,
     """sum of w e(n/m) over the numerator array, via multiplicity counts;
     w is the matching entry of ``weights``, or 1 without them."""
     counts = np.bincount(numerators, weights=weights, minlength=m)
-    roots = _roots_of_unity(m) if m <= MAX_CACHED_ROOTS else _roots(m)
-    return complex(np.dot(counts, roots))
+    return complex(counts.dot(_roots_mod(m)))  # np.dot less its dispatch
 
 
 def _form_vector(q: HalfIntegralForm, t: HalfIntegralForm) -> np.ndarray:
@@ -214,7 +215,7 @@ def _kloosterman_factored_values(q: HalfIntegralForm, t: HalfIntegralForm,
                          dtype=np.int64).T
         nums = (data.weights @ forms) % m + m * np.arange(len(members))
         counts = np.bincount(nums.ravel(), minlength=m * len(members))
-        roots = _roots_of_unity(m) if m <= MAX_CACHED_ROOTS else _roots(m)
+        roots = _roots_mod(m)
         for (i, *_), row in zip(members, counts.reshape(len(members), m)):
             out[i] = (left[keys[i]] * complex(np.dot(row, roots)), data.count)
     return out
@@ -511,11 +512,9 @@ def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
         w, rs = closed
         weight *= w
         nums = [(n + r * (c // q)) % c for n in nums for r in rs]
-    if g == c:
-        return _salie_grid(p, s, c)
     if not nums:
         return SumValue(0j, phi * c, "salie")
-    roots = _roots_of_unity(c)  # c <= MAX_SALIE_C = MAX_CACHED_ROOTS
+    roots = _roots_mod(c)
     value = weight * sum(complex(roots[n]) for n in nums)
     if g > 1:
         v = pow(c // g, -1, g)
@@ -528,7 +527,7 @@ def salie(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
 def _salie_grid(p: HalfIntegralForm, s: HalfIntegralForm, c: int) -> SumValue:
     """H^+(P, S; c) tallied on the whole phi(c) x c grid of c, with no closed
     form: ``salie``'s oracle (tests/test_expsums.py, acceptance criterion
-    6), and its value whenever every prime power of c is on the grid."""
+    6), equal to it bit for bit when every prime power of c is on the grid."""
     if not _check_salie(p, s, c):
         return SumValue(0j, 0, "salie")
     nums = _grid_numerators(p.t1, p.t2, s.t1, s.t2, s.t4, c)

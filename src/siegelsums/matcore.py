@@ -350,9 +350,9 @@ def elementary_divisors(c: IntMat2) -> tuple[int, int, IntMat2, IntMat2]:
     dividing m22, by adding column 2 to column 1; |m11| shrinks at every
     gcd step, so the loop ends.
     Signs are fixed last, on the left.  M, U and V are carried as entry
-    tuples, and U and V become ``IntMat2`` once, at the end.
-    ``petersson._rank2_shell_bound`` relies on this order of steps, and
-    tests/test_matcore.py pins U, V.
+    tuples, and U and V become ``IntMat2`` once, at the end.  The shell
+    budget reads the V of ``sp4.smith_class`` for C' as that of N C' (a
+    positive scale keeps every step); tests/test_matcore.py pins U, V.
     """
     if c.det() == 0:
         raise SingularModulusError("singular modulus")

@@ -24,7 +24,6 @@ from .matcore import (
     _xgcd,
     aut_count,
     conjugation_coeffs,
-    elementary_divisors,
     gl2_equivalence,
     is_prime,
     representations,
@@ -32,9 +31,7 @@ from .matcore import (
 )
 from .expsums import (MAX_SALIE_C, _kloosterman_factored_values, kloosterman,
                       salie)
-# script_j_for_forms, the kernel argument of one modulus, is not called
-# here (``_kernel`` reaches its floats from level-free integers); it stays
-# bound for tools that trace this module's names, as perfbench does
+from .sp4 import smith_class
 from .kernels import (
     KernelArg,
     bessel_j,
@@ -45,11 +42,15 @@ from .kernels import (
     poly_factor,
     require_weight,
     script_j,
-    script_j_for_forms,
     shell_matrices,
     truncation_set,
 )
 from .lfun import dirichlet_l_vec
+# Not called here, and bound for tools that trace this module's names
+# (perfbench): script_j_for_forms, as ``_kernel`` reaches its floats from
+# level-free integers, and elementary_divisors, memoized by smith_class
+from .kernels import script_j_for_forms
+from .matcore import elementary_divisors
 
 
 # ---------------------------------------------------------------------------
@@ -415,37 +416,37 @@ def _rank2_shell_bound(q: HalfIntegralForm, t: HalfIntegralForm,
     """Envelope budget for the rank-2 terms dropped outside the box.
 
     On the shell of width 1 just outside the box, each |K(Q, T; N C')| is
-    replaced by 8 c1^2 c2^{1/2} (c2, t4)^{1/2} in the elementary divisors
-    of N C' (the envelope tests/test_expsums.py asserts on sampled
-    moduli) and paired with the exact kernel value.  That shell sum is
-    doubled to stand for every modulus beyond it, which assumes the later
-    shells add at most as much again.  Nothing proves that decay:
-    test_rank2_budget_covers_three_shells in tests/test_petersson.py
-    checks the budget against the exact terms through width 3 at N = 3,
-    13 and (for (I, I)) 31; there the shell sums of (I, I) do not shrink
-    from width 1 to 3, and the budget (3.5e-14 and 1.2e-20 against exact
-    sums of 4.1e-16 and 8.3e-23) covers them by the envelope's slack.
+    replaced by 8 c1^2 c2^{1/2} (c2, t4)^{1/2}, c1 and c2 the elementary
+    divisors of N C' and t4 = (V^T T V)_22 (an envelope tests/test_expsums.py
+    asserts on sampled moduli), and paired with the exact kernel value.  That
+    shell sum is doubled to stand for every modulus beyond it, which assumes
+    the later shells add at most as much again.  Nothing proves that decay:
+    test_rank2_budget_covers_three_shells in tests/test_petersson.py checks
+    the budget against the exact terms through width 3 at N = 3, 13 and (for
+    (I, I)) 31; there the shell sums of (I, I) do not shrink from width 1 to
+    3, and the budget (3.5e-14 and 1.2e-20 against exact sums of 4.1e-16 and
+    8.3e-23) covers them by the envelope's slack.
 
     The shell sum visits one C' of each pair C', -C' and counts it twice,
     as ``_rank2_terms`` does, with its kernels from the same pass over the
     rows (``_rank2_pass``); the envelopes are added in the rows' order.
-    The envelope of -C' is that of C', bit for bit.  The kernel factor is
-    equal as in ``_rank2_terms`` (its argument comes from integers that
-    C -> -C leaves unchanged), and c1, c2 are.  For t4: ``_xgcd(-a, -b)``
-    is ``(g, -s, -t)`` when ``_xgcd(a, b)`` is ``(g, s, t)`` (negating both
-    arguments keeps every floor quotient), so ``elementary_divisors`` runs
-    on -C through the same steps as on C up to signs, and returns -V or V
-    (tests/test_matcore.py checks this); V^T T V is the same form.  The
-    budget depends on exactly that V, which
-    TestElementaryDivisors.test_outputs_pinned in tests/test_matcore.py
-    pins by a digest.
+    c1, c2 and t4 come from the memoized Smith class of C' (``smith_class``,
+    t4 from the last row of its ``t_map``).  Each step of
+    ``elementary_divisors`` (an ``_euclid_step`` test, an ``_xgcd`` floor
+    quotient) is the same on N C as on C for N > 0, and the same up to
+    signs on -C, as ``_xgcd(-a, -b)`` is ``(g, -s, -t)``: so N C' has the
+    U and V of C' and N times its divisors, and -C' has -V or V, so its
+    envelope is that of C', bit for bit (the kernel factor is equal as in
+    ``_rank2_terms``).  tests/test_matcore.py checks both, and
+    TestElementaryDivisors.test_outputs_pinned there pins V by a digest.
     """
     n, y = params.level, t.det4() * q.det4()
     mats, dets, xs, _ = _rank2_pass(q, t, shell_matrices(params.m_bound, 1))
     bound = 0.0
     for cp, det, x in zip(mats, dets, xs):
-        c1, c2, _, v = elementary_divisors(cp.scale(n))
-        t4 = t.conjugate_left(v).t4  # (2,2)-entry of V^T T V
+        smith, _, (_, _, (a, b, d)) = smith_class(cp)
+        c1, c2 = n * smith.a, n * smith.d
+        t4 = a * t.t1 + b * t.t2 + d * t.t4  # (2,2)-entry of V^T T V
         k_env = 8.0 * c1 * c1 * math.sqrt(c2) * math.sqrt(math.gcd(c2, t4))
         kern = _kernel(params, y, x, det)
         bound += k_env * abs(kern) / abs(n * n * det) ** 1.5

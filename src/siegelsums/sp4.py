@@ -222,11 +222,11 @@ def _pI_grid(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def smith_class(c: IntMat2) -> tuple[IntMat2, tuple, tuple]:
     """(diag(c1, c2), ``conjugation_map(U)``, ``conjugation_map(V^T)``) for
-    U C V = diag(c1, c2): the Smith class of a Kloosterman modulus and the
-    change of forms onto it, for ``coset_data`` and ``kloosterman_factored``
-    alike; it builds no table.  Unbounded: its keys are the C' of the box
-    (one of each pair +-C') and its shells, which M alone fixes: 144 at
-    M = 2, 448 at 3, 1,068 at 4, 1,988 at 5, about 0.6 KB each."""
+    U C V = diag(c1, c2): the Smith class of a modulus and the change of
+    forms onto it, for ``coset_data``, ``kloosterman_factored`` and the
+    shell budget alike; it builds no table.  Unbounded: its keys are the C'
+    of the box and its first shell (one of each pair +-C'), the half-box of
+    M + 1: 448 at M = 2, 1,068 at 3, 1,988 at 4, 3,540 at 5, 0.6 KB each."""
     c1, c2, u, v = elementary_divisors(c)
     return IntMat2.diag(c1, c2), conjugation_map(u), conjugation_map(v.t())
 

@@ -505,6 +505,32 @@ class TestSalie:
                 assert abs(got.value - grid.value) <= 2 * salie_bound(
                     got.terms, c), (p, s, c)
 
+    def test_grid_moduli_take_the_grid_value(self):
+        # where the closed forms leave every prime power of c to the grid
+        # (c = 2^e, or each odd prime of c divides s4 or both D_P and D_S),
+        # salie's value is the grid's, bit for bit: every such c <= 200 on
+        # the criterion-6 forms and the shared-prime pairs above
+        pairs = [(p, HalfIntegralForm(s1, s2, p.t4))
+                 for p in acceptance._pd_forms() for s1 in (1, 2, 3)
+                 for s2 in (-2, -1, 0, 1, 2)]
+        pairs += [(HalfIntegralForm(*a), HalfIntegralForm(*b)) for a, b in (
+            ((1, 0, 15), (2, 3, 15)), ((3, 3, 3), (3, 3, 3)),
+            ((1, 3, 9), (2, 3, 9)), ((5, 5, 5), (1, 5, 5)),
+            ((7, 7, 7), (2, 7, 7)), ((2, 6, 6), (4, 6, 6)),
+            ((1, 1, 100), (1, 1, 100)))]
+        checked = 0
+        for p, s in pairs:
+            if not s.is_positive_definite():
+                continue
+            dp, ds = (f.t2 * f.t2 - 4 * f.t1 * f.t4 for f in (p, s))
+            for c in range(1, 201):
+                if all(s.t4 % r == 0 or dp % r == ds % r == 0
+                       for r, _ in prime_factors(c) if r > 2):
+                    assert (repr(salie(p, s, c))
+                            == repr(expsums._salie_grid(p, s, c))), (p, s, c)
+                    checked += 1
+        assert checked > 1000
+
     def test_exact_zero_when_inert_at_a_prime(self):
         # an odd p dividing c but not s4 with (D_P D_S | p) = -1 makes the
         # value exactly 0j; the grid agrees within its bound

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from siegelsums.kernels import truncation_set
 from siegelsums.matcore import (
     GaussianInt,
     HalfIntegralForm,
@@ -63,7 +64,8 @@ class TestElementaryDivisors:
     def test_outputs_pinned(self):
         # (c1, c2, U, V) for every nonsingular matrix with entries in
         # [-6, 6]: the shell budget of petersson reads t4 off exactly this
-        # V, so a change in the order of elimination steps must show here
+        # V, through the t_map of sp4.smith_class, so a change in the order
+        # of elimination steps must show here
         h = hashlib.sha256()
         for entries in itertools.product(range(-6, 7), repeat=4):
             c = IntMat2(*entries)
@@ -75,8 +77,9 @@ class TestElementaryDivisors:
 
     def test_negated_modulus_keeps_v_up_to_sign(self):
         # the shell budget of petersson counts the envelope of C for -C,
-        # which reads V^T T V; every nonsingular matrix with entries in
-        # [-4, 4] (box and shell moduli at N <= 211), and the same times 13
+        # which reads V^T T V from sp4.smith_class of C; every nonsingular
+        # matrix with entries in [-4, 4] (box and shell moduli at
+        # N <= 211), and the same times 13
         for entries in itertools.product(range(-4, 5), repeat=4):
             base = IntMat2(*entries)
             if base.det() == 0:
@@ -85,6 +88,18 @@ class TestElementaryDivisors:
                 c = base.scale(n)
                 v = elementary_divisors(c)[3]
                 assert elementary_divisors(c.scale(-1))[3] in (v, v.scale(-1))
+
+    def test_positive_scale_keeps_u_and_v(self):
+        # the shell budget of petersson takes the divisors and V of N C'
+        # from the Smith class of C': for N > 0 every Euclid step is the
+        # same on N C' as on C'.  The box of bound 6 holds every box row
+        # and width-1 shell row of the bounds M <= 5
+        for row in truncation_set(6).tolist():
+            c = IntMat2(*row)
+            c1, c2, u, v = elementary_divisors(c)
+            for n in (2, 3, 13, 47, 1009):
+                assert (elementary_divisors(c.scale(n))
+                        == (n * c1, n * c2, u, v)), (c, n)
 
 
 class TestIntegerSolver:

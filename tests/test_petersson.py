@@ -745,6 +745,27 @@ class TestHFourier:
         assert sp4._pI_grid.cache_info().currsize <= 2
         assert expsums._prime_tables.cache_info().currsize <= 4
 
+    def test_smith_forms_decomposed_once_per_modulus(self, monkeypatch):
+        # the box's Kloosterman sums and the shell budget read one memo,
+        # sp4.smith_class: a cold coefficient decomposes each of its keys
+        # once, 448 at M = 2 (the half-box of M + 1), a warm one none, and
+        # nothing goes through the name petersson keeps for tracing
+        calls = {"sp4": [], "petersson": []}
+        for module, key in ((sp4, "sp4"), (petersson, "petersson")):
+            def spy(c, _key=key, _real=module.elementary_divisors):
+                calls[_key].append(c)
+                return _real(c)
+            monkeypatch.setattr(module, "elementary_divisors", spy)
+        q, t = PAIRS["111-112"]
+        params = SpectralParams(k=10, level=3)
+        acceptance.clear_all_caches()
+        cold = h_fourier(q, t, params)
+        keys = sp4.smith_class.cache_info().currsize
+        assert len(calls["sp4"]) == len(set(calls["sp4"])) == keys == 448
+        calls["sp4"].clear()
+        assert h_fourier(q, t, params) == cold
+        assert calls == {"sp4": [], "petersson": []}
+
     def test_script_j_cache_is_bounded(self):
         # one cold coefficient looks up 69 distinct kernels at N <= 43 and
         # 145 at N = 47, far below the bound; a sweep over levels stays
